@@ -27,7 +27,8 @@ let mode_str = function U -> "U" | L -> "L"
 (* Machine-readable benchmark records: one `BENCH {...}` line on stdout
    (greppable from CI logs) and the same JSON persisted to
    BENCH_<name>.json in $FACILE_BENCH_DIR (default: the working
-   directory), so benchmark results survive as artifacts. *)
+   directory; created when missing), so benchmark results survive as
+   artifacts. *)
 let bench_record name fields =
   let module Json = Facile_obs.Json in
   let line = Json.to_string (Json.Obj (("name", Json.Str name) :: fields)) in
@@ -37,6 +38,13 @@ let bench_record name fields =
     | Some d when d <> "" -> d
     | _ -> Filename.current_dir_name
   in
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
+    end
+  in
+  mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
   (* write-then-rename so a crash mid-bench can never leave a torn
      BENCH_<name>.json to poison the bench-perf regression gate: the
@@ -712,7 +720,9 @@ let obs_bench () =
       blocks
   in
   let n = List.length requests in
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+  in
   let t0 = Unix.gettimeofday () in
   List.iter (fun line -> ignore (Serve.handle_line serve line)) requests;
   let dt_serve = Unix.gettimeofday () -. t0 in

@@ -222,28 +222,27 @@ let predict_cmd =
            failwith (Printf.sprintf "--deadline-ms must be >= 0, got %d" ms)
          | _ -> ());
         let* text = check_input_size max_input (read_input file) in
-        let deadline_ns = Option.map (fun ms -> ms * 1_000_000) deadline_ms in
-        let compute () =
-          let* block =
-            if hex then
-              let* code = Hex.decode text in
-              decode_block cfg code
-            else parse_asm_block cfg text
-          in
-          (* decode can be the slow half on huge blocks: charge it
-             against the same budget as the prediction *)
-          Facile_engine.Fault.check_deadline ();
-          let* mode = mode_of_block block mode in
-          Ok (block, mode, predict_block block mode)
+        let now = Facile_obs.Clock.now_ns in
+        let deadline =
+          Option.map (fun ms -> now () + (ms * 1_000_000)) deadline_ms
         in
-        match Facile_engine.Fault.with_deadline deadline_ns compute with
-        | exception Facile_engine.Fault.Deadline_exceeded ->
+        let* block =
+          if hex then
+            let* code = Hex.decode text in
+            decode_block cfg code
+          else parse_asm_block cfg text
+        in
+        (* decode can be the slow half on huge blocks: charge it
+           against the same budget as the prediction *)
+        match deadline with
+        | Some d when now () >= d ->
           Error
             (Err.v Err.Timeout
                (Printf.sprintf "prediction exceeded its %dms deadline"
                   (Option.value ~default:0 deadline_ms)))
-        | Error e -> Error e
-        | Ok (block, mode, p) ->
+        | _ ->
+          let* mode = mode_of_block block mode in
+          let p = predict_block block mode in
           if json then
             print_endline
               (Json.to_string
@@ -695,8 +694,9 @@ let serve_cmd =
   in
   let queue_arg =
     let doc =
-      "Request queue capacity; when full, new requests are shed with a \
-       retry_after error instead of growing memory."
+      "Most requests answered out of one read of a connection; the rest \
+       of that read are shed with a retry_after error instead of \
+       growing memory."
     in
     Arg.(value & opt int 128 & info [ "queue" ] ~docv:"N" ~doc)
   in
@@ -761,9 +761,9 @@ let serve_cmd =
       `P
         "{\"cmd\":\"stats\"} returns request counts, error counts by \
          kind, cache hits/misses/evictions, queue shed counts, \
-         supervisor respawns/degraded state, fault-injection \
-         counters, p50/p95/p99 latency, and per-component time \
-         attribution. Malformed input yields a typed error response.";
+         fault-injection counters, p50/p95/p99 latency, and \
+         per-component time attribution. Malformed input yields a \
+         typed error response.";
       `P
         "Wire protocol version 1: every response carries \
          \"proto\":1, {\"cmd\":\"version\"} reports the protocol \
@@ -772,25 +772,26 @@ let serve_cmd =
          rejected with bad_request.";
       `P
         "With --tcp HOST:PORT the same service accepts many \
-         concurrent connections: each connection gets its own framing, \
-         bounded request queue (shed with retry_after per connection), \
+         concurrent connections: each connection gets its own thread, \
+         which reads, predicts and answers its requests in order, its \
+         own framing, --queue shedding (retry_after per connection), \
          and optional --conn-rate admission bucket (refusals answer \
-         rate_limited), while all connections share one engine pool, \
-         memoization cache, and supervised executor. Connections over \
+         rate_limited), while all connections share one engine and \
+         memoization cache. Connections over \
          --max-conns are refused with a retry_after line. A client \
          that disconnects mid-write is counted under io.epipe and \
          never affects other connections. Stats gain a \
          \"connections\" section (accepted/active/rejected/\
          rate_limited/bytes).";
       `P
-        "Robustness: decode+predict run on a supervised worker domain \
-         (crashes answer a typed internal error, the worker is \
-         respawned with backoff behind a circuit breaker); requests \
-         over the --deadline-ms budget answer timeout; oversized \
-         inputs answer too_large; when the bounded request queue is \
-         full, requests are shed with retry_after. EOF, SIGINT, \
-         SIGTERM, and a closed client pipe all drain in-flight work, \
-         flush a final stats snapshot to stderr, and exit 0. Set \
+        "Robustness: decode+predict run inside a request boundary (an \
+         exception, such as an injected fault, answers a typed \
+         internal error for that request only); requests over the \
+         --deadline-ms budget answer timeout; oversized inputs answer \
+         too_large; requests of one read beyond --queue are shed with \
+         retry_after. EOF, SIGINT, SIGTERM, and a closed client pipe \
+         all answer what was read, flush a final stats snapshot to \
+         stderr, and exit 0. Set \
          FACILE_FAULT=point:rate:seed[:limit] (points: decode, \
          predict, respond, store.short_write, store.enospc, \
          store.read) to inject deterministic faults.";

@@ -1,9 +1,13 @@
-(* Domain-local scratch buffers for the prediction hot path.
+(* Per-computation scratch buffers for the prediction hot path.
 
    Every component predictor used to allocate its working arrays per
-   call; the arena keeps one growable buffer per use site, owned by
-   the domain (so the engine's worker domains never share or race on
-   scratch).  Buffers only grow; callers must treat the contents as
+   call; the arena keeps one growable buffer per use site instead.  An
+   arena belongs to one running computation at a time: [with_] takes a
+   free one (or builds one when none is free) and gives it back when
+   the computation returns or raises.  Scratch owned by the domain
+   instead would be shared by every system thread of that domain, and
+   OCaml may switch threads at any allocation in the middle of a
+   prediction.  Buffers only grow; callers must treat the contents as
    garbage on entry and not hold a buffer across a call into another
    component that uses the same field. *)
 
@@ -37,6 +41,8 @@ type t = {
   mutable prec_dst : int array;
   mutable prec_w : float array;
   mutable prec_cnt : int array;
+  (* Precedence: Howard's working storage *)
+  howard : Facile_graph.Cycle_ratio.scratch;
   (* Model: the seven component bounds of the current prediction *)
   vals : float array;
 }
@@ -64,11 +70,35 @@ let create () =
     prec_dst = [||];
     prec_w = [||];
     prec_cnt = [||];
+    howard = Facile_graph.Cycle_ratio.create_scratch ();
     vals = Array.make 7 0.0 }
 
-let key = Domain.DLS.new_key create
+(* Arenas not owned by any computation.  A lock-free stack of immutable
+   cons cells: every push allocates a fresh cell, so a compare-and-set
+   can never succeed against a cell that was popped and pushed back in
+   between (no ABA).  It holds at most as many arenas as computations
+   ever ran at once. *)
+let free : t list Atomic.t = Atomic.make []
 
-let get () = Domain.DLS.get key
+let rec acquire () =
+  match Atomic.get free with
+  | [] -> create ()
+  | a :: rest as l -> if Atomic.compare_and_set free l rest then a else acquire ()
+
+let rec release a =
+  let l = Atomic.get free in
+  if not (Atomic.compare_and_set free l (a :: l)) then release a
+
+let with_ f =
+  let a = acquire () in
+  match f a with
+  | v ->
+    release a;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release a;
+    Printexc.raise_with_backtrace e bt
 
 (* Round the requested size up so repeated growth is amortized. *)
 let cap n =

@@ -1,11 +1,12 @@
-(** Domain-local scratch buffers for the prediction hot path.
+(** Per-computation scratch buffers for the prediction hot path.
 
     Each component predictor owns a few named growable buffers here
-    instead of allocating working arrays per call; the arena is
-    per-domain (via [Domain.DLS]), so the engine's worker domains never
-    share scratch. Buffers only grow and their contents are garbage on
-    entry; a caller must not hold one across a call into another
-    component that uses the same field. *)
+    instead of allocating working arrays per call.  An arena belongs
+    to one running computation at a time ({!with_}), so predictions on
+    different domains, or on different system threads of one domain,
+    never share scratch.  Buffers only grow and their contents are
+    garbage on entry; a caller must not hold one across a call into
+    another component that uses the same field. *)
 
 type t = {
   mutable predec_last : int array;
@@ -30,11 +31,16 @@ type t = {
   mutable prec_dst : int array;
   mutable prec_w : float array;
   mutable prec_cnt : int array;
+  howard : Facile_graph.Cycle_ratio.scratch;
+      (** working storage of {!Facile_graph.Cycle_ratio.howard_flat} *)
   vals : float array;  (** the seven component bounds, see {!Model} *)
 }
 
-(** The current domain's arena. *)
-val get : unit -> t
+(** [with_ f] runs [f] with an arena no other computation holds — a
+    free one, or a fresh one when none is free — and frees it again
+    when [f] returns or raises.  Safe from any domain and any thread;
+    [f] must not keep the arena after it returns. *)
+val with_ : (t -> 'a) -> 'a
 
 (** [ints buf n] ([ports buf n], [floats buf n]) is [buf] if it already
     holds [n] elements, else a fresh larger buffer; the caller stores

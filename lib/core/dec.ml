@@ -98,7 +98,7 @@ let throughput_in (a : Arena.t) (b : Block.t) =
       simple b
   end
 
-let throughput b = throughput_in (Arena.get ()) b
+let throughput b = Arena.with_ (fun a -> throughput_in a b)
 
 (* Reference path: the pre-flattening implementation (per-call list ->
    array conversion and scratch allocation), kept for differential

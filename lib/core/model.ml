@@ -63,7 +63,7 @@ let fill_values (a : Arena.t) variant mode b =
   vals.(3) <- Dsb.throughput b;
   vals.(4) <- Issue.throughput b;
   vals.(5) <- Ports.throughput_in a b;
-  vals.(6) <- Precedence.throughput b
+  vals.(6) <- Precedence.throughput_in a b
 
 (* Mask-based combine: same max / bottleneck / reporting semantics as
    the reference list pipeline below, without its per-candidate
@@ -109,13 +109,11 @@ type notion = U | L | Auto
 let unrolled_candidates = mask_of [ Predec; Dec; Issue; Ports; Precedence ]
 let be_candidates = mask_of [ Issue; Ports; Precedence ]
 
-let unrolled variant b =
-  let a = Arena.get () in
+let unrolled a variant b =
   fill_values a variant `Unrolled b;
   combine_masks variant a.Arena.vals unrolled_candidates FE_none
 
-let looped variant b =
-  let a = Arena.get () in
+let looped a variant b =
   fill_values a variant `Loop b;
   let cfg = b.Block.cfg in
   let fe_candidates, fe_path =
@@ -127,13 +125,16 @@ let looped variant b =
   combine_masks variant a.Arena.vals (fe_candidates lor be_candidates) fe_path
 
 (* The single prediction entry point; every surface (CLI, engine,
-   bench, serve) goes through here. *)
+   bench, serve) goes through here.  One arena serves the whole
+   prediction. *)
 let predict ?(variant = default) ?(notion = Auto) b =
+  Arena.with_ @@ fun a ->
   match notion with
-  | U -> unrolled variant b
-  | L -> looped variant b
+  | U -> unrolled a variant b
+  | L -> looped a variant b
   | Auto ->
-    if Block.ends_in_branch b then looped variant b else unrolled variant b
+    if Block.ends_in_branch b then looped a variant b
+    else unrolled a variant b
 
 (* ----- reference pipeline ----------------------------------------- *)
 (* The pre-flattening model, verbatim: list-based component values and

@@ -100,7 +100,7 @@ let throughput_in (a : Arena.t) (b : Block.t) =
     !best
   end
 
-let throughput b = throughput_in (Arena.get ()) b
+let throughput b = Arena.with_ (fun a -> throughput_in a b)
 
 (* Reference path: the pre-flattening list pipeline. *)
 let throughput_ref b =

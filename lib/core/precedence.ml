@@ -153,13 +153,12 @@ let in_addr mask = function
     mask land (1 lsl Register.gpr_index g) <> 0
   | _ -> false
 
-let throughput b =
+let throughput_in (a : Arena.t) b =
   Facile_obs.Obs.timed span @@ fun () ->
   let logicals = b.Block.logicals in
   let n = List.length logicals in
   if n = 0 then 0.0
   else begin
-    let a = Arena.get () in
     let load_lat = b.Block.cfg.Facile_uarch.Config.load_latency in
     let amask = b.Block.flat.Block.l_addr_mask in
     (* Pre-pass: flatten every logical's reads and writes to resource
@@ -327,12 +326,14 @@ let throughput b =
       cnt.(k') <- t
     done;
     match
-      Cycle_ratio.howard_flat ~n:!counter ~m:mm ~src ~dst ~weight:w
-        ~count:cnt
+      Cycle_ratio.howard_flat ~scratch:a.Arena.howard ~n:!counter ~m:mm ~src
+        ~dst ~weight:w ~count:cnt
     with
     | Some r when r > 0.0 -> r
     | _ -> 0.0
   end
+
+let throughput b = Arena.with_ (fun a -> throughput_in a b)
 
 (* Reference path: labeled hashtable build + list-based Howard. *)
 let throughput_ref b =

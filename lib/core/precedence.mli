@@ -12,6 +12,10 @@ open Facile_x86
     dependence chains (0 when the block has none). *)
 val throughput : Block.t -> float
 
+(** [throughput] with the caller's arena (the model threads one arena
+    through all components of a prediction). *)
+val throughput_in : Arena.t -> Block.t -> float
+
 (** Reference (pre-flattening) implementation: labeled hashtable graph
     build + list-based Howard. Identical results to {!throughput}
     (property-tested); kept for differential tests and the perf

@@ -76,7 +76,7 @@ let throughput_in (a : Arena.t) ~mode (b : Block.t) =
     total_cycles ~width ~n ~u last_count opcode_count lcp_count
   end
 
-let throughput ~mode b = throughput_in (Arena.get ()) ~mode b
+let throughput ~mode b = Arena.with_ (fun a -> throughput_in a ~mode b)
 
 (* Reference path: the pre-flattening implementation (per-call arrays,
    entry-list walk), kept for differential tests and the perf bench. *)

@@ -191,8 +191,8 @@ let memo_predict pool notion b =
    hit/miss accounting) with [predict_batch]. *)
 let predict pool ~mode b =
   Facile_obs.Obs.timed predict_span @@ fun () ->
-  (* fault-injection and deadline hook for the serving path; a no-op
-     unless FACILE_FAULT or a request deadline is armed *)
+  (* fault-injection hook for the serving path; a no-op unless
+     FACILE_FAULT is set *)
   Fault.point "predict";
   let notion = notion_of_block mode b in
   if not pool.memoize then predict_one notion b

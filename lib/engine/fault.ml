@@ -1,11 +1,9 @@
-(* Deterministic fault injection and cooperative request deadlines.
+(* Deterministic fault injection.
 
-   Both are checked at named *points* in the request pipeline
-   ("decode", "predict", "respond"): [point p] first consults the
-   injection table and raises [Injected p] when the seeded PRNG fires,
-   then checks the active wall-clock deadline and raises
-   [Deadline_exceeded] when the budget is spent.  With no spec
-   configured and no deadline armed, [point] is two atomic loads.
+   Faults are injected at named *points* in the request pipeline
+   ("decode", "predict", "respond"): [point p] consults the injection
+   table and raises [Injected p] when the seeded PRNG fires.  With no
+   spec configured, [point] is one atomic load.
 
    The spec grammar (env var FACILE_FAULT or [configure]) is
 
@@ -20,7 +18,6 @@
 module Sync = Facile_core.Sync
 
 exception Injected of string
-exception Deadline_exceeded
 
 type rule = {
   rate : float;               (* injection probability per hit *)
@@ -100,28 +97,6 @@ let configure_from_env () =
   | None | Some "" -> ()
   | Some spec -> configure spec
 
-(* ----- deadlines ----- *)
-
-(* Absolute monotonic deadline in ns; 0 = disarmed.  One request is in
-   flight at a time in the serving layer, so a single process-wide
-   atomic is sufficient and visible across the executor domain. *)
-let deadline_ns = Atomic.make 0
-
-let set_deadline = function
-  | None -> Atomic.set deadline_ns 0
-  | Some abs_ns -> Atomic.set deadline_ns (max 1 abs_ns)
-
-let check_deadline () =
-  let d = Atomic.get deadline_ns in
-  if d <> 0 && Facile_obs.Clock.now_ns () > d then raise Deadline_exceeded
-
-let with_deadline budget_ns f =
-  match budget_ns with
-  | None -> f ()
-  | Some b ->
-    set_deadline (Some (Facile_obs.Clock.now_ns () + b));
-    Fun.protect ~finally:(fun () -> set_deadline None) f
-
 (* ----- the hook ----- *)
 
 let inject p =
@@ -140,9 +115,7 @@ let inject p =
   in
   if fire then raise (Injected p)
 
-let point p =
-  if Atomic.get armed then inject p;
-  check_deadline ()
+let point p = if Atomic.get armed then inject p
 
 (* Non-raising draw for data-corrupting fault points (store I/O short
    writes, bit flips): when the rule fires the injection is counted

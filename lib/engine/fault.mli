@@ -1,18 +1,15 @@
-(** Deterministic fault injection and cooperative request deadlines.
+(** Deterministic fault injection.
 
     The request pipeline calls {!point} at its named stages ("decode",
     "predict", "respond").  When a fault spec is configured (env var
-    [FACILE_FAULT] or {!configure}) the point may raise {!Injected};
-    when a deadline is armed and the wall-clock budget is spent it
-    raises {!Deadline_exceeded}.  Unconfigured and disarmed, {!point}
-    costs two atomic loads.
+    [FACILE_FAULT] or {!configure}) the point may raise {!Injected}.
+    Unconfigured, {!point} costs one atomic load.
 
     Spec grammar: [point:rate:seed[:limit]], comma-separated.  The
     PRNG stream is seeded, so a given spec injects at the same hook
     hits in every run. *)
 
 exception Injected of string
-exception Deadline_exceeded
 
 (** Replace the active fault rules with [spec].
     @raise Invalid_argument on a malformed spec. *)
@@ -21,10 +18,10 @@ val configure : string -> unit
 (** [configure] from [FACILE_FAULT] if set and non-empty. *)
 val configure_from_env : unit -> unit
 
-(** Remove all fault rules (deadline state is untouched). *)
+(** Remove all fault rules. *)
 val clear : unit -> unit
 
-(** Consult the injection table for point [p], then the deadline. *)
+(** Consult the injection table for point [p]. *)
 val point : string -> unit
 
 (** [draw p] — the non-raising spelling of {!point} for fault points
@@ -35,21 +32,8 @@ val point : string -> unit
     write length, etc. from it).  Returns [None] when no rule is
     configured, the rule does not fire, or its limit is spent.  The
     store I/O points ("store.short_write", "store.enospc",
-    "store.read") are consulted this way.  Does not check the
-    deadline. *)
+    "store.read") are consulted this way. *)
 val draw : string -> int option
-
-(** Arm ([Some abs_ns], monotonic clock) or disarm ([None]) the
-    process-wide request deadline. *)
-val set_deadline : int option -> unit
-
-(** Raise {!Deadline_exceeded} if the armed deadline has passed. *)
-val check_deadline : unit -> unit
-
-(** [with_deadline (Some budget_ns) f] runs [f] with the deadline
-    armed [budget_ns] from now, disarming it afterwards (also on
-    exceptions). [None] runs [f] unguarded. *)
-val with_deadline : int option -> (unit -> 'a) -> 'a
 
 (** [(point, (injected, hits))] per configured rule, sorted. *)
 val snapshot : unit -> (string * (int * int)) list

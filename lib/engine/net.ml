@@ -3,13 +3,12 @@
 
    Concurrency shape: the accept loop runs on the calling thread with
    a 0.1s select timeout so it notices the shutdown flag promptly.
-   Each accepted connection gets a plain [Thread] (the heavy work is
-   already on the engine's domains; connection threads mostly block on
-   socket I/O, which releases the runtime lock).  The connection
-   registry is a mutex-guarded table used for the graceful drain:
-   stop accepting, [Session.stop] every live session so queued work is
-   answered, shut each socket's read side down to unblock its reader,
-   and join. *)
+   Each accepted connection gets one plain [Thread] that runs its
+   session's loop — read, frame, predict, write — so a request is
+   answered on the thread that read it.  Every session polls the
+   service's stop flag itself; the drain is: stop accepting, then join
+   every connection thread, each of which answers what it has read and
+   returns within the session's poll interval. *)
 
 module Json = Facile_obs.Json
 module Obs = Facile_obs.Obs
@@ -35,43 +34,6 @@ let parse_endpoint s =
      | Some p when p >= 0 && p <= 65535 ->
        Ok ((if host = "" then "127.0.0.1" else host), p)
      | _ -> Error (Printf.sprintf "invalid port %S in %S" port s))
-
-(* Reset-style errno sets: on the read side they mean "the stream is
-   over", on the write side "the peer is gone" — neither is a bug. *)
-let eof_errno = function
-  | Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN
-  | Unix.EINVAL | Unix.ESHUTDOWN ->
-    true
-  | _ -> false
-
-let fd_transport fd =
-  let rec read buf off len =
-    match Unix.read fd buf off len with
-    | n -> n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read buf off len
-    | exception Unix.Unix_error (e, _, _) when eof_errno e -> 0
-    | exception (End_of_file | Sys_error _) -> 0
-  in
-  let write s =
-    let b = Bytes.unsafe_of_string s in
-    let n = Bytes.length b in
-    let rec go off =
-      if off < n then
-        match Unix.write fd b off (n - off) with
-        | w -> go (off + w)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (e, _, _) when eof_errno e ->
-          raise Session.Peer_closed
-        | exception Sys_error _ -> raise Session.Peer_closed
-    in
-    go 0
-  in
-  let close () =
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ | Sys_error _ -> ()
-  in
-  { Session.read; write; close }
 
 (* One refusal line for a connection over the limit, then close; the
    write is best-effort (the client may already be gone). *)
@@ -100,12 +62,6 @@ let refuse_conn t fd ~max_conns =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ | Sys_error _ -> ()
-
-type conn = {
-  cfd : Unix.file_descr;
-  session : Session.t;
-  thread : Thread.t;
-}
 
 let resolve host port =
   match Unix.inet_addr_of_string host with
@@ -141,15 +97,14 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
    | Unix.ADDR_INET (a, p) ->
      announce ~host:(Unix.string_of_inet_addr a) ~port:p
    | Unix.ADDR_UNIX _ -> ());
-  let conns : (int, conn) Hashtbl.t = Hashtbl.create 64 in
+  let conns : (int, Thread.t) Hashtbl.t = Hashtbl.create 64 in
   let cmu = Mutex.create () in
   let locked f = Sync.with_lock cmu f in
   let active = Atomic.make 0 in
   let next_id = ref 0 in
   let serve_conn id cfd =
-    let tr = fd_transport cfd in
     let rate = if cfg.conn_rate > 0. then Some cfg.conn_rate else None in
-    let session = Serve.session ?rate t tr in
+    let session = Serve.session ?rate t (Session.fd_transport cfd) in
     let thread =
       Thread.create
         (fun () ->
@@ -162,7 +117,7 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
             (fun () -> Session.run session))
         ()
     in
-    locked (fun () -> Hashtbl.replace conns id { cfd; session; thread })
+    locked (fun () -> Hashtbl.replace conns id thread)
   in
   let accept_loop () =
     while not (Serve.stopping t) do
@@ -195,17 +150,11 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close lfd with Unix.Unix_error _ | Sys_error _ -> ());
-      (* graceful drain: ask each session to stop (queued requests are
-         still answered), unblock its reader by shutting the read side
-         down, then join every connection thread *)
-      let live = locked (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc)
+      (* graceful drain: every session sees the stop flag, answers
+         what it has read, and returns; join them all before the final
+         snapshot *)
+      let live = locked (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc)
                                      conns []) in
-      List.iter
-        (fun c ->
-          Session.stop c.session;
-          try Unix.shutdown c.cfd Unix.SHUTDOWN_RECEIVE
-          with Unix.Unix_error _ | Sys_error _ -> ())
-        live;
-      List.iter (fun c -> try Thread.join c.thread with _ -> ()) live;
+      List.iter (fun th -> try Thread.join th with _ -> ()) live;
       Serve.print_final_stats t)
     accept_loop

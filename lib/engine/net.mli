@@ -1,10 +1,11 @@
 (** Multi-client TCP transport for the NDJSON prediction service.
 
     [Net.run t cfg] listens on [cfg.host:cfg.port] and serves each
-    accepted connection as one {!Session} ({!Serve.session}) against
-    the shared {!Serve.t} core — every client shares the engine pool,
-    memo cache, supervised executor, and statistics, while framing,
-    admission, backpressure, and write failures stay per connection:
+    accepted connection as one {!Session} ({!Serve.session}) on one
+    thread, against the shared {!Serve.t} core — every client shares
+    the engine, memo cache and statistics, and each request is
+    predicted on its connection's thread, while framing, admission,
+    shedding and write failures stay per connection:
 
     - at most [max_conns] connections are served concurrently;
       connections over the limit are answered with one
@@ -14,14 +15,15 @@
       requests/second; refused requests answer ["rate_limited"] with
       a [retry_after_ms] hint, counted under
       [connections.rate_limited];
-    - a client that floods faster than the engine drains is shed per
-      connection with ["retry_after"] (its session's bounded queue),
-      never stalling other clients;
+    - a client that pipelines more than the session's queue capacity
+      in one read is shed per connection with ["retry_after"], never
+      stalling other clients;
     - a client that disconnects mid-write ([EPIPE]/[ECONNRESET])
       kills only its own session, counted under [io.epipe];
     - SIGINT/SIGTERM (or {!Serve.request_shutdown}) stop the accept
-      loop, drain every in-flight connection (queued requests are
-      still answered), and flush the final stats snapshot to stderr.
+      loop, drain every connection (requests already read are still
+      answered, idle connections are closed within 0.1 s), and flush
+      the final stats snapshot to stderr.
 
     Observable counters: [net.conns.accepted], [net.conns.active],
     [net.conns.rejected] in the process registry, plus the
@@ -41,13 +43,6 @@ val default_config : config
     IPv6 textual addresses with an appended port parse), validating
     the port. *)
 val parse_endpoint : string -> (string * int, string) result
-
-(** [fd_transport fd] — a {!Session.transport} over a connected
-    socket (or any stream fd): reads map reset-style errors to
-    end-of-stream, writes map [EPIPE]/[ECONNRESET] to
-    {!Session.Peer_closed}, close shuts the socket down and closes
-    it. *)
-val fd_transport : Unix.file_descr -> Session.transport
 
 (** [run ?signals ?announce t cfg] — bind, listen, and serve until
     shutdown.  [announce] (default ignore) receives the actually

@@ -6,33 +6,30 @@
    start per request.
 
    This module is the protocol/session core only: request parsing,
-   admission limits, deadlines, supervised execution, response
+   admission limits, deadlines, the request boundary, response
    encoding, and the shared statistics.  Byte-stream mechanics live in
-   {!Session} (framing, per-session queue/backpressure, write
-   serialization); {!run} below drives one stdio session, and
-   {!Net.run} drives one session per TCP connection — both against
-   the same [t].
+   {!Session} (framing, shedding, the per-connection loop); {!run}
+   below drives one stdio session, and {!Net.run} drives one session
+   per TCP connection — both against the same [t].  Every request is
+   handled on the thread of the session that read it.
 
    The pipeline is built to degrade gracefully rather than die:
 
-   - the heavy per-request work (decode + predict) runs on a
-     supervised executor domain ({!Supervise}); a crash there — real
-     bug or injected fault — yields a typed "internal" error for that
-     request only, and the executor is respawned with exponential
-     backoff behind a circuit breaker;
-   - each request runs under an optional wall-clock deadline
-     ({!Fault.with_deadline}) and answers "timeout" when the budget is
-     spent;
-   - a bounded per-session request queue decouples reading from
-     handling; when it fills, new lines are shed with a "retry_after"
-     error instead of growing memory, and a per-session token bucket
-     can refuse over-rate clients with "rate_limited";
+   - the heavy per-request work (decode + predict) runs inside a
+     request boundary ({!Supervise.run}); an exception escaping it —
+     real bug or injected fault — yields a typed "internal" error for
+     that request only;
+   - each request carries its own optional wall-clock deadline and
+     answers "timeout" when the budget is spent;
+   - a session sheds the lines of one read beyond its queue capacity
+     with a "retry_after" error instead of growing memory, and a
+     per-session token bucket can refuse over-rate clients with
+     "rate_limited";
    - oversized lines, inputs, and blocks answer "too_large";
-   - EOF, SIGINT, and SIGTERM all drain in-flight work, flush a final
+   - EOF, SIGINT, and SIGTERM all answer what was read, flush a final
      stats snapshot to stderr, and return normally; a client that
-     closes its end (EPIPE/ECONNRESET) kills only its own session's
-     writer, is counted under io.epipe, and never takes down the
-     process or the shared executor. *)
+     closes its end (EPIPE/ECONNRESET) stops only its own session, is
+     counted under io.epipe, and never takes down the process. *)
 
 open Facile_x86
 open Facile_uarch
@@ -68,7 +65,6 @@ type config = {
   retry_after_ms : int;
   flush_every : int option;
   limits : limits;
-  supervisor : Supervise.config;
 }
 
 let default_config =
@@ -80,8 +76,7 @@ let default_config =
     queue_cap = 128;
     retry_after_ms = 50;
     flush_every = None;
-    limits = default_limits;
-    supervisor = Supervise.default_config }
+    limits = default_limits }
 
 (* Connection-level accounting, shared by every transport against this
    core.  Atomics, not the stats mutex: these are bumped from N
@@ -104,8 +99,8 @@ type t = {
   retry_after_ms : int;
   latency : Obs.Histogram.t;  (* per-line handling latency, ns *)
   (* request tallies: atomic accumulators (and lock-free counter maps),
-     bumped from N session threads plus the executor — no stats mutex
-     on the serving path.  Each counter is exact and monotone;
+     bumped from N session threads — no stats mutex on the serving
+     path.  Each counter is exact and monotone;
      [stats_json] reads them one by one, not as one snapshot. *)
   by_arch : Obs.Cmap.t;                (* successful predictions per arch *)
   by_kind : Obs.Cmap.t;                (* error responses per kind *)
@@ -114,7 +109,7 @@ type t = {
   stats_served : int Atomic.t;
   version_served : int Atomic.t;
   errors : int Atomic.t;
-  shed : int Atomic.t;                 (* lines refused by a full queue *)
+  shed : int Atomic.t;                 (* lines shed over queue_cap *)
   epipe : int Atomic.t;                (* writes that found the peer gone *)
   conns : conns;
   started_ns : int;
@@ -148,7 +143,7 @@ let of_config (c : config) =
   { engine =
       Engine.create ?workers:c.workers ~memoize:c.memoize
         ?cache_cap:c.cache_cap ?cache_shards:c.cache_shards ();
-    sup = Supervise.create ~config:c.supervisor ();
+    sup = Supervise.create ();
     limits = c.limits;
     deadline_ns =
       Option.map (fun ms ->
@@ -183,19 +178,6 @@ let of_config (c : config) =
     flushes = 0;
     persist_errors = 0 }
 
-(* Deprecated spelling of {!of_config}, kept for embedders. *)
-let create ?workers ?memoize ?cache_cap ?deadline_ms ?(queue_cap = 128)
-    ?(limits = default_limits) ?(supervisor = Supervise.default_config) () =
-  of_config
-    { default_config with
-      workers;
-      memoize = Option.value memoize ~default:true;
-      cache_cap;
-      deadline_ms;
-      queue_cap;
-      limits;
-      supervisor }
-
 let engine t = t.engine
 
 let set_persist t f =
@@ -228,7 +210,6 @@ let tick_persist t =
 
 let shutdown t =
   run_persist t;
-  Supervise.shutdown t.sup;
   Engine.shutdown t.engine
 
 let request_shutdown t = Atomic.set t.stop true
@@ -245,9 +226,10 @@ let conn_rejected t = Atomic.incr t.conns.rejected
 
 (* Wire error kinds are the Err.t taxonomy plus four serving-layer
    kinds: "bad_request" (the line is not a valid request object),
-   "retry_after" (the request queue is full; shed), "rate_limited"
-   (the per-connection admission bucket is empty), and "internal"
-   (the supervised executor crashed — a bug or an injected fault). *)
+   "retry_after" (shed: more lines in one read than the queue
+   capacity), "rate_limited" (the per-connection admission bucket is
+   empty), and "internal" (the request raised — a bug or an injected
+   fault). *)
 let error_response t ~id ~kind ?pos ?(extra = []) msg =
   Atomic.incr t.errors;
   Obs.Cmap.bump t.by_kind kind;
@@ -267,7 +249,7 @@ let shed_response t ~id =
   Atomic.incr t.shed;
   error_response t ~id ~kind:"retry_after"
     ~extra:[ "retry_after_ms", Json.Int t.retry_after_ms ]
-    (Printf.sprintf "request queue full (capacity %d)" t.queue_cap)
+    (Printf.sprintf "more than %d requests in one read" t.queue_cap)
 
 (* Wire responses carry the protocol version; appended last so the
    leading fields (id, cycles/error/stats) keep their shape. *)
@@ -296,7 +278,6 @@ let stats_json t =
     if lookups = 0 then 0.0
     else float_of_int c.Engine.hits /. float_of_int lookups
   in
-  let sup = Supervise.stats t.sup in
   let sorted cmap =
     List.map (fun (k, v) -> (k, Json.Int v)) (Obs.Cmap.bindings cmap)
   in
@@ -342,14 +323,6 @@ let stats_json t =
               "rate_limited", Json.Int (Atomic.get t.conns.rate_limited);
               "bytes_in", Json.Int (Atomic.get t.conns.bytes_in);
               "bytes_out", Json.Int (Atomic.get t.conns.bytes_out) ];
-          "supervisor",
-          Json.Obj
-            [ "respawns", Json.Int sup.Supervise.respawns;
-              "crashes", Json.Int sup.Supervise.crashes;
-              "degraded", Json.Bool sup.Supervise.degraded;
-              "degraded_transitions",
-              Json.Int sup.Supervise.degraded_transitions;
-              "inline_runs", Json.Int sup.Supervise.inline_runs ];
           "faults",
           Json.Obj
             (List.map
@@ -404,7 +377,6 @@ let mode_of_string = function
          (Printf.sprintf "unknown mode: %s (expected loop|unroll|auto)" m))
 
 let block_of_request cfg ~hex ~asm =
-  Fault.point "decode";
   match hex, asm with
   | Some h, _ ->
     Result.bind (Hex.decode h) (fun code ->
@@ -428,24 +400,30 @@ let block_of_request cfg ~hex ~asm =
         | exception Failure m -> Error (Err.v Err.Encode_error m)))
   | None, None -> assert false
 
-(* The heavy half of a request: decode + size check + predict.  Runs
-   on the supervised executor domain under the request deadline;
-   injected faults and real bugs raise and kill the executor, a spent
-   deadline surfaces as [`Timeout]. *)
+(* The heavy half of a request: decode + size check + predict, inside
+   the request boundary.  Injected faults and real bugs raise.  The
+   request's deadline is a value of its own, checked before decoding
+   and again before predicting; a spent one answers [`Timeout]. *)
 let compute t cfg ~mode ~hex ~asm =
-  match
-    Fault.with_deadline t.deadline_ns (fun () ->
-        Result.bind (block_of_request cfg ~hex ~asm) (fun block ->
-            if List.length block.Block.entries > t.limits.max_insts then
-              Error
-                (Err.v Err.Too_large
-                   (Printf.sprintf
-                      "block has %d instructions, limit is %d"
-                      (List.length block.Block.entries) t.limits.max_insts))
-            else Ok (Engine.predict t.engine ~mode block)))
-  with
-  | r -> `Done r
-  | exception Fault.Deadline_exceeded -> `Timeout
+  let deadline = Option.map (( + ) (Clock.now_ns ())) t.deadline_ns in
+  let spent () =
+    match deadline with Some d -> Clock.now_ns () >= d | None -> false
+  in
+  Fault.point "decode";
+  if spent () then `Timeout
+  else
+    match block_of_request cfg ~hex ~asm with
+    | Error e -> `Done (Error e)
+    | Ok block ->
+      let n = List.length block.Block.entries in
+      if n > t.limits.max_insts then
+        `Done
+          (Error
+             (Err.v Err.Too_large
+                (Printf.sprintf "block has %d instructions, limit is %d" n
+                   t.limits.max_insts)))
+      else if spent () then `Timeout
+      else `Done (Ok (Engine.predict t.engine ~mode block))
 
 let timeout_err t =
   Err.v Err.Timeout
@@ -533,9 +511,7 @@ let handle_request t (req : Json.t) : Json.t =
                      | Ok `Timeout -> err_response t ~id (timeout_err t)
                      | Error (Fault.Injected p) ->
                        error_response t ~id ~kind:"internal"
-                         (Printf.sprintf
-                            "injected fault at %s killed the worker \
-                             (respawning)" p)
+                         (Printf.sprintf "injected fault at %s" p)
                      | Error e ->
                        error_response t ~id ~kind:"internal"
                          (Printexc.to_string e)
@@ -585,7 +561,6 @@ let handle_line t line : Json.t =
     error_response t
       ~id:(Option.value ~default:Json.Null (Json.member "id" resp))
       ~kind:"internal" "injected fault at respond"
-  | exception Fault.Deadline_exceeded -> resp
 
 (* A line the framer discarded for being over the cap gets the same
    accounting and response as an oversized line through [handle_line],
@@ -598,8 +573,8 @@ let handle_oversized t len : Json.t =
 
 (* ----- the session API: protocol callbacks over any transport ----- *)
 
-(* Shed and rate-limit answers are produced on the reader side, where
-   only the id is worth parsing out of the raw line. *)
+(* Shed and rate-limit answers skip the request: only the id is worth
+   parsing out of the raw line. *)
 let id_of_line line =
   match Json.parse line with
   | Ok r -> Option.value ~default:Json.Null (Json.member "id" r)
@@ -618,7 +593,7 @@ let rate_limited_for_line t line =
 
 (* [session t transport] wires the protocol core to one byte-stream
    transport: responses (with the proto tag appended at this, the
-   wire, layer), the line cap, the per-session queue bound, and the
+   wire, layer), the line cap, the per-read shed bound, and the
    shared connection byte/EPIPE accounting.  {!run} (stdio) and
    {!Net.run} (each TCP connection) are both built on this. *)
 let session ?rate ?on_peer_gone t transport =
@@ -666,10 +641,10 @@ let print_final_stats t =
     flush stderr
   with Sys_error _ -> ()
 
-(* Stdio NDJSON loop: exactly one {!Session} whose transport is the
-   given channel pair.  Ends — after draining everything queued — on
-   EOF, SIGINT/SIGTERM, or a client that closed the pipe, flushing a
-   final stats snapshot to stderr. *)
+(* Stdio NDJSON loop: exactly one {!Session}, run on the calling
+   thread, reading [ic]'s descriptor and writing [oc].  Ends — after
+   answering everything read — on EOF, SIGINT/SIGTERM, or a client
+   that closed the pipe, flushing a final stats snapshot to stderr. *)
 let run ?(signals = true) t ic oc =
   if signals then install_signal_handlers t;
   (* park stdout on /dev/null once the client is gone so the runtime's
@@ -687,10 +662,8 @@ let run ?(signals = true) t ic oc =
       with Unix.Unix_error _ | Sys_error _ -> ()
   in
   let transport =
-    { Session.read =
-        (fun buf off len ->
-          try input ic buf off len with End_of_file | Sys_error _ -> 0);
-      write =
+    { (Session.fd_transport (Unix.descr_of_in_channel ic)) with
+      Session.write =
         (fun s ->
           try
             output_string oc s;

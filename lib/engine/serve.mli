@@ -12,8 +12,8 @@
     <- {"id":3,"error":{"kind":"bad_hex","msg":..,"pos":0},"proto":1}
     -> {"cmd":"stats"}
     <- {"id":null,"stats":{"requests":..,"errors":..,"cache":..,
-                           "queue":..,"connections":..,"supervisor":..,
-                           "faults":..,"limits":..,"latency_us":..,
+                           "queue":..,"connections":..,"faults":..,
+                           "limits":..,"latency_us":..,
                            "process":..},"proto":1}
     -> {"cmd":"version"}
     <- {"id":null,"version":{"proto":1,"name":"facile",..},"proto":1}
@@ -25,26 +25,27 @@
     with ["bad_request"].  Unknown top-level request keys are rejected
     with a ["bad_request"] naming the offending key.  Error kinds are
     the {!Facile_x86.Err.kind} names (including ["too_large"] and
-    ["timeout"]) plus ["bad_request"], ["retry_after"] (the bounded
-    request queue was full and the line was shed; the error object
-    carries a ["retry_after_ms"] hint), ["rate_limited"] (a
-    per-connection admission rate was exceeded; same hint), and
-    ["internal"] (the supervised executor crashed — a bug or an
-    injected fault — and was respawned).
+    ["timeout"]) plus ["bad_request"], ["retry_after"] (one read of
+    the connection held more than [queue_cap] requests and this one
+    was shed; the error object carries a ["retry_after_ms"] hint),
+    ["rate_limited"] (a per-connection admission rate was exceeded;
+    same hint), and ["internal"] (the request raised — a bug or an
+    injected fault).
 
-    Robustness model: decode + predict run on a supervised executor
-    domain with respawn/backoff and a circuit breaker ({!Supervise});
-    requests carry an optional wall-clock deadline; input sizes are
-    capped; the memo cache is a bounded LRU; EOF/SIGINT/SIGTERM/EPIPE
-    all drain queued work and flush a final stats snapshot
-    ([{"final_stats":..}] on stderr) before returning.  A dead client
-    kills only its own session, never the process or the shared
-    executor.
+    Robustness model: each request is handled on the thread of the
+    session that read it; decode + predict run inside a request
+    boundary ({!Supervise.run}) that answers an escaped exception with
+    ["internal"] for that request only; each request carries its own
+    optional wall-clock deadline; input sizes are capped; the memo
+    cache is a bounded LRU; EOF/SIGINT/SIGTERM/EPIPE all answer what
+    was read and flush a final stats snapshot ([{"final_stats":..}] on
+    stderr) before returning.  A dead client stops only its own
+    session, never the process.
 
     One [t] serves any number of concurrent transports: {!run} drives
     it over stdio, {!Net.run} over N TCP connections, and {!session}
     builds a {!Session.t} over any custom transport — all sharing the
-    engine pool, memo cache, supervisor, and statistics. *)
+    engine, memo cache, and statistics. *)
 
 (** Version of the NDJSON wire protocol spoken by this build. *)
 val proto_version : int
@@ -67,13 +68,12 @@ type config = {
       (** memo-cache shard count; [None] = [workers * 4] (see
           {!Engine.create}) *)
   deadline_ms : int option;  (** per-request budget; [None] = off *)
-  queue_cap : int;           (** per-session request queue bound *)
+  queue_cap : int;           (** most requests answered per read *)
   retry_after_ms : int;      (** hint sent with shed/rate_limited *)
   flush_every : int option;
       (** invoke the persistence hook ({!set_persist}) after every
           [n] successful predictions; [None] = only at shutdown *)
   limits : limits;
-  supervisor : Supervise.config;
 }
 
 val default_config : config
@@ -81,25 +81,12 @@ val default_config : config
 type t
 
 (** [of_config c] starts the service state, including its engine pool
-    (see {!Engine.create}) and supervised executor.
+    (see {!Engine.create}).
     [c.deadline_ms = Some 0] means an already-spent budget — every
     predict request answers "timeout" — which the chaos harness uses.
     @raise Invalid_argument on non-positive [queue_cap] or limits, or
     a negative [retry_after_ms]/[deadline_ms]. *)
 val of_config : config -> t
-
-(** Deprecated spelling of {!of_config} taking the fields as optional
-    arguments; kept for embedders of the pre-TCP API. *)
-val create :
-  ?workers:int ->
-  ?memoize:bool ->
-  ?cache_cap:int ->
-  ?deadline_ms:int ->
-  ?queue_cap:int ->
-  ?limits:limits ->
-  ?supervisor:Supervise.config ->
-  unit ->
-  t
 
 (** The engine pool behind this service (the CLI uses it to warm the
     memo cache from a persistent store and to dump it back). *)
@@ -114,10 +101,9 @@ val engine : t -> Engine.t
     section as [persist_errors], never propagated. *)
 val set_persist : t -> (unit -> unit) -> unit
 
-(** Join the supervised executor and the engine's worker domains,
-    running the persistence hook first (flush-on-graceful-shutdown —
-    this covers the stdio, TCP, and signal paths, which all funnel
-    through here). *)
+(** Join the engine's worker domains, running the persistence hook
+    first (flush-on-graceful-shutdown — this covers the stdio, TCP,
+    and signal paths, which all funnel through here). *)
 val shutdown : t -> unit
 
 (** Ask every serving loop on this [t] to drain and return (what the
@@ -143,8 +129,8 @@ val with_proto : Facile_obs.Json.t -> Facile_obs.Json.t
     error counts by kind, cache hits/misses/evictions, queue
     capacity/shed, connection counts
     (accepted/active/rejected/rate_limited/bytes in and out),
-    supervisor respawns/crashes/degraded state, per-point
-    fault-injection counters, I/O (EPIPE) counts, the configured
+    per-point fault-injection counters, I/O (EPIPE) counts, the
+    configured
     limits, p50/p95/p99 request latency, and the global span registry
     attributing time to model components. *)
 val stats_json : t -> Facile_obs.Json.t
@@ -163,8 +149,9 @@ val conn_rejected : t -> unit
 
 (** [session t transport] — a {!Session.t} speaking this service's
     protocol over [transport]: responses carry ["proto"], lines over
-    [limits.max_line_bytes] answer ["too_large"], queue overflow
-    answers ["retry_after"], and [rate] (requests/second, off by
+    [limits.max_line_bytes] answer ["too_large"], lines of one read
+    beyond [queue_cap] answer ["retry_after"], and [rate]
+    (requests/second, off by
     default) arms a per-session token bucket answering
     ["rate_limited"].  Bytes and EPIPEs are accounted into [t]'s
     shared stats; [on_peer_gone] is the session's policy hook (stdio
@@ -182,11 +169,12 @@ val install_signal_handlers : t -> unit
     counters include the end-of-service flush. *)
 val print_final_stats : t -> unit
 
-(** [run ?signals t ic oc] — one stdio NDJSON session: a reader
-    thread feeds the bounded queue (shedding with "retry_after" when
-    full) while the calling thread drains it.  Returns after EOF,
-    {!request_shutdown}, SIGINT/SIGTERM, or EPIPE, draining queued
-    work first and flushing final stats to stderr.  [signals] (default
-    [true]) installs the SIGPIPE-ignore and SIGINT/SIGTERM handlers;
-    pass [false] in embedded/test use. *)
+(** [run ?signals t ic oc] — one stdio NDJSON session, run on the
+    calling thread: it reads [ic]'s file descriptor directly (not
+    through the channel's buffer) and answers on [oc].  Returns after
+    EOF, {!request_shutdown}, SIGINT/SIGTERM (within about 0.1 s, even
+    while the client stays connected and idle), or EPIPE, answering
+    every line already read and flushing final stats to stderr.
+    [signals] (default [true]) installs the SIGPIPE-ignore and
+    SIGINT/SIGTERM handlers; pass [false] in embedded/test use. *)
 val run : ?signals:bool -> t -> in_channel -> out_channel -> unit

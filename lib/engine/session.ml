@@ -1,23 +1,17 @@
-(* One protocol session over one byte-stream transport.
+(* One protocol session over one byte-stream transport, run as a single
+   loop on the caller's thread:
 
-   Thread structure (mirrors the original stdio serve loop, now per
-   connection):
+     ready (0.1 s) -> read -> Framing -> for each line, in order:
+       admission (rate) -> shed over queue_cap -> callback -> write
 
-     reader thread:  transport.read -> Framing -> admission/shed ->
-                     bounded queue (or inline shed/rate responses)
-     caller thread:  queue -> callbacks -> transport.write
-     watcher thread: turns stop flags into a queue close so the
-                     caller-side drain wakes up
-
-   The reader never blocks on the queue (push is non-blocking; full =
-   shed inline), the writer is serialized by a per-session mutex, and
-   a dead peer stops only this session. *)
-
-module Sync = Facile_core.Sync
+   Waiting with a timeout instead of blocking in [read] is what lets
+   the loop notice [should_stop] without a watcher thread.
+   A dead peer stops only this session. *)
 
 exception Peer_closed
 
 type transport = {
+  ready : float -> bool;
   read : bytes -> int -> int -> int;
   write : string -> unit;
   close : unit -> unit;
@@ -45,27 +39,20 @@ type counters = {
   epipe : int;
 }
 
-type event = [ `Line of string | `Oversized of int ]
-
 type t = {
   tr : transport;
   cb : callbacks;
   sink : sink option;
   should_stop : unit -> bool;
   on_peer_gone : unit -> unit;
-  q : event Bqueue.t;
+  queue_cap : int;
   framing : Framing.t;
-  stop_flag : bool Atomic.t;
   peer_gone : bool Atomic.t;
-  omu : Mutex.t;  (* serializes transport.write *)
-  (* token bucket; touched only by the reader thread *)
   rate : float;
   burst : float;
-  mutable tokens : float;
-  mutable last_refill_ns : int;
-  (* counters: atomic accumulators bumped from reader and caller
-     threads; each is exact and monotone, but [counters] is not a
-     simultaneous snapshot across them *)
+  mutable tokens : float; (* lint: unguarded — only the session's thread *)
+  mutable last_refill_ns : int; (* lint: unguarded — only the session's thread *)
+  (* counters: written by the session's thread, readable from any *)
   c_bytes_in : int Atomic.t;
   c_bytes_out : int Atomic.t;
   c_lines : int Atomic.t;
@@ -73,6 +60,54 @@ type t = {
   c_rate_limited : int Atomic.t;
   c_epipe : int Atomic.t;
 }
+
+(* Reset-style errno sets: on the read side they mean "the stream is
+   over", on the write side "the peer is gone" — neither is a bug. *)
+let eof_errno = function
+  | Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN
+  | Unix.EINVAL | Unix.ESHUTDOWN ->
+    true
+  | _ -> false
+
+let fd_transport fd =
+  let ready s =
+    match Unix.select [ fd ] [] [] s with
+    | [], _, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    (* any other error surfaces on the read, as end of stream *)
+    | exception Unix.Unix_error _ -> true
+  in
+  let rec read buf off len =
+    match Unix.read fd buf off len with
+    | n -> n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read buf off len
+    | exception Unix.Unix_error (e, _, _) when eof_errno e -> 0
+    | exception (End_of_file | Sys_error _) -> 0
+  in
+  let write s =
+    let b = Bytes.unsafe_of_string s in
+    let n = Bytes.length b in
+    let rec go off =
+      if off < n then
+        match Unix.write fd b off (n - off) with
+        | w -> go (off + w)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error (e, _, _) when eof_errno e ->
+          raise Peer_closed
+        | exception Sys_error _ -> raise Peer_closed
+    in
+    go 0
+  in
+  let close () =
+    (try Unix.shutdown fd Unix.SHUTDOWN_ALL
+     with Unix.Unix_error _ | Sys_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ | Sys_error _ -> ()
+  in
+  { ready; read; write; close }
+
+(* How long [run] waits for input before polling [should_stop] again. *)
+let poll_s = 0.1
 
 let create ?(queue_cap = 128) ?(rate = 0.) ?burst
     ?(should_stop = fun () -> false) ?(on_peer_gone = fun () -> ()) ?sink
@@ -89,11 +124,9 @@ let create ?(queue_cap = 128) ?(rate = 0.) ?burst
     sink;
     should_stop;
     on_peer_gone;
-    q = Bqueue.create queue_cap;
+    queue_cap;
     framing = Framing.create ~max_line_bytes;
-    stop_flag = Atomic.make false;
     peer_gone = Atomic.make false;
-    omu = Mutex.create ();
     rate;
     burst;
     tokens = burst;
@@ -105,11 +138,7 @@ let create ?(queue_cap = 128) ?(rate = 0.) ?burst
     c_rate_limited = Atomic.make 0;
     c_epipe = Atomic.make 0 }
 
-let stop t =
-  Atomic.set t.stop_flag true;
-  Bqueue.close t.q
-
-let stopped t = Atomic.get t.stop_flag || Atomic.get t.peer_gone
+let stopped t = Atomic.get t.peer_gone
 
 let counters t =
   { bytes_in = Atomic.get t.c_bytes_in;
@@ -119,8 +148,7 @@ let counters t =
     rate_limited = Atomic.get t.c_rate_limited;
     epipe = Atomic.get t.c_epipe }
 
-(* Refill-then-take token bucket; only the reader thread calls this,
-   so the float state needs no lock. *)
+(* Refill-then-take token bucket. *)
 let admit t =
   if t.rate <= 0. then true
   else begin
@@ -135,104 +163,66 @@ let admit t =
     else false
   end
 
-(* Serialized response write.  A failed write means the peer is gone:
-   count it, run the policy hook, and stop this session — queued work
-   is dropped on the floor because there is nobody left to read it. *)
+(* A failed write means the peer is gone: count it, run the policy
+   hook, and stop this session. *)
 let write_resp t s =
-  Sync.with_lock t.omu @@ fun () ->
-  if not (Atomic.get t.peer_gone) then begin
-    match t.tr.write (s ^ "\n") with
-    | () ->
-      let n = String.length s + 1 in
-      ignore (Atomic.fetch_and_add t.c_bytes_out n);
-      (match t.sink with Some k -> k.on_bytes_out n | None -> ())
-    | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
-      Atomic.set t.peer_gone true;
-      Atomic.incr t.c_epipe;
-      (match t.sink with Some k -> k.on_epipe () | None -> ());
-      (try t.on_peer_gone () with _ -> ());
-      stop t
-  end
+  match t.tr.write (s ^ "\n") with
+  | () ->
+    let n = String.length s + 1 in
+    ignore (Atomic.fetch_and_add t.c_bytes_out n);
+    (match t.sink with Some k -> k.on_bytes_out n | None -> ())
+  | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
+    Atomic.set t.peer_gone true;
+    Atomic.incr t.c_epipe;
+    (match t.sink with Some k -> k.on_epipe () | None -> ());
+    try t.on_peer_gone () with _ -> ()
 
-let dispatch t = function
-  | Framing.Line l ->
-    if String.trim l <> "" then begin
-      Atomic.incr t.c_lines;
-      if admit t then begin
-        if not (Bqueue.push t.q (`Line l)) && not (Bqueue.is_closed t.q)
-        then begin
-          (* shed inline from the reader so the queue stays bounded *)
-          Atomic.incr t.c_shed;
-          write_resp t (t.cb.on_shed l)
-        end
-      end
-      else begin
-        Atomic.incr t.c_rate_limited;
-        write_resp t (t.cb.on_rate_limited l)
-      end
-    end
-  | Framing.Oversized n ->
-    if not (Bqueue.push t.q (`Oversized n)) && not (Bqueue.is_closed t.q)
-    then write_resp t (t.cb.on_oversized n)
+(* Answer the events framed out of one read, in order.  [admitted]
+   counts the lines of this read that were not rate limited; past
+   [queue_cap] of them the rest are shed.  Once the peer is gone
+   nothing is left to answer. *)
+let answer t events =
+  let admitted = ref 0 in
+  List.iter
+    (fun ev ->
+      if not (Atomic.get t.peer_gone) then
+        match ev with
+        | Framing.Line l ->
+          if String.trim l <> "" then begin
+            Atomic.incr t.c_lines;
+            if not (admit t) then begin
+              Atomic.incr t.c_rate_limited;
+              write_resp t (t.cb.on_rate_limited l)
+            end
+            else if !admitted >= t.queue_cap then begin
+              Atomic.incr t.c_shed;
+              write_resp t (t.cb.on_shed l)
+            end
+            else begin
+              incr admitted;
+              write_resp t (t.cb.on_line l)
+            end
+          end
+        | Framing.Oversized n -> write_resp t (t.cb.on_oversized n))
+    events
 
 let run t =
-  let eof = Atomic.make false in
-  let reader () =
-    let buf = Bytes.create 65536 in
-    let rec loop () =
-      if not (stopped t || t.should_stop ()) then begin
+  let buf = Bytes.create 65536 in
+  let rec loop () =
+    if not (stopped t || t.should_stop ()) then
+      if not (t.tr.ready poll_s) then loop ()
+      else
         match t.tr.read buf 0 (Bytes.length buf) with
-        | 0 -> Atomic.set eof true
+        | 0 ->
+          (* like input_line: trailing bytes with no '\n' are a line *)
+          answer t (Option.to_list (Framing.finish t.framing))
         | n ->
           ignore (Atomic.fetch_and_add t.c_bytes_in n);
           (match t.sink with Some k -> k.on_bytes_in n | None -> ());
-          List.iter (dispatch t) (Framing.feed t.framing buf 0 n);
+          answer t (Framing.feed t.framing buf 0 n);
           loop ()
-        | exception End_of_file -> Atomic.set eof true
-        | exception Sys_error _ -> Atomic.set eof true
-        | exception Unix.Unix_error _ -> Atomic.set eof true
-      end
-    in
-    loop ();
-    (* like input_line: trailing bytes with no '\n' are still a line *)
-    if Atomic.get eof then
-      Option.iter (dispatch t) (Framing.finish t.framing);
-    Bqueue.close t.q
+        | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
+          answer t (Option.to_list (Framing.finish t.framing))
   in
-  let reader_thread = Thread.create reader () in
-  (* stop flags may be set from signal handlers or other sessions'
-     threads; this watcher turns them into a queue close so the drain
-     below wakes up *)
-  let finished = Atomic.make false in
-  let watcher =
-    Thread.create
-      (fun () ->
-        while
-          (not (Atomic.get finished))
-          && (not (stopped t))
-          && not (t.should_stop ())
-        do
-          Thread.delay 0.02
-        done;
-        Bqueue.close t.q)
-      ()
-  in
-  let rec drain () =
-    match Bqueue.pop t.q with
-    | Some (`Line l) ->
-      write_resp t (t.cb.on_line l);
-      drain ()
-    | Some (`Oversized n) ->
-      write_resp t (t.cb.on_oversized n);
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set finished true;
-  (try Thread.join watcher with _ -> ());
-  (* the reader is joined only when it provably finished (end of
-     stream); after a signal it may still be blocked in a read on an
-     open stream — the transport owner is responsible for shutting
-     the stream down if it wants the thread back *)
-  if Atomic.get eof then (try Thread.join reader_thread with _ -> ());
+  loop ();
   try t.tr.close () with _ -> ()

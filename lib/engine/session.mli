@@ -1,14 +1,21 @@
 (** Transport-agnostic NDJSON protocol session.
 
-    A session owns one side of a byte-stream conversation: it
-    reassembles chunked input into request lines ({!Framing}), applies
-    per-session admission (a token-bucket request rate) and
-    backpressure (a bounded request queue, shed inline when full),
-    dispatches complete lines to protocol callbacks, and writes the
-    responses back — one line each — under a per-session write lock.
+    A session owns one side of a byte-stream conversation and runs it
+    as one loop on the thread that calls {!run}: wait for input (with
+    a 0.1 s timeout, so stop flags are noticed), read, reassemble the
+    chunk into request lines ({!Framing}), and answer each line in
+    order — per-session admission (a token-bucket request rate) and
+    shedding first, then the protocol callback, then the write.  A
+    request crosses no queue, thread or domain between its read and
+    its reply.
+
+    Shedding: when one read frames more than [queue_cap] admitted
+    lines, the first [queue_cap] are answered in order and the rest
+    get [on_shed], so a client that pipelines faster than the session
+    answers is told to retry instead of growing the server's backlog.
 
     The session knows nothing about sockets, pipes, or the prediction
-    protocol: the transport is three functions over bytes, and the
+    protocol: the transport is four functions over bytes, and the
     protocol is four callbacks from line to response string.  The
     stdio serving loop ({!Serve.run}) and every TCP connection
     ({!Net.run}) are the same [Session.run] over different transports
@@ -17,8 +24,9 @@
     Failure model: a write that finds the peer gone ({!Peer_closed},
     [EPIPE]/[ECONNRESET] mapped by the transport) stops *this* session
     only — it is counted in the session's [epipe] counter, the
-    optional [on_peer_gone] policy hook runs, and [run] drains and
-    returns normally.  Nothing here ever raises out of {!run}. *)
+    optional [on_peer_gone] policy hook runs, the rest of the read is
+    dropped, and [run] returns normally.  Nothing here ever raises out
+    of {!run}. *)
 
 (** Raised by [transport.write] when the peer has closed the
     connection; the transport must map its I/O errors ([EPIPE],
@@ -26,10 +34,14 @@
 exception Peer_closed
 
 type transport = {
+  ready : float -> bool;
+      (** [ready s] waits up to [s] seconds for input; [true] when a
+          [read] would not block (data or end of stream).  An
+          interrupted wait returns [false]. *)
   read : bytes -> int -> int -> int;
-      (** [read buf off len] — blocking partial read; [0] means end of
-          stream (transports map connection-reset errors on the read
-          side to end-of-stream too). *)
+      (** [read buf off len] — partial read; [0] means end of stream
+          (transports map connection-reset errors on the read side to
+          end-of-stream too). *)
   write : string -> unit;
       (** Write a complete response chunk (the session appends the
           ['\n'] itself).  Raises {!Peer_closed} when the peer went
@@ -39,17 +51,24 @@ type transport = {
           finishes.  Must not raise. *)
 }
 
+(** [fd_transport fd] — a transport over a connected socket or any
+    stream descriptor: [ready] waits with [select], reads map
+    reset-style errors to end of stream, writes map
+    [EPIPE]/[ECONNRESET] to {!Peer_closed}, and close shuts the socket
+    down and closes it. *)
+val fd_transport : Unix.file_descr -> transport
+
 (** The protocol half, supplied by the serving core.  Every callback
     returns the complete response line (without trailing newline). *)
 type callbacks = {
   on_line : string -> string;          (** a complete request line *)
   on_oversized : int -> string;        (** a discarded over-cap line *)
-  on_shed : string -> string;          (** queue full: shed this line *)
+  on_shed : string -> string;          (** over [queue_cap]: shed it *)
   on_rate_limited : string -> string;  (** admission rate exceeded *)
 }
 
 (** Live accounting hooks for aggregating into shared service stats;
-    all optional, all called from session threads. *)
+    all optional, all called from the session's thread. *)
 type sink = {
   on_bytes_in : int -> unit;
   on_bytes_out : int -> unit;
@@ -57,13 +76,13 @@ type sink = {
 }
 
 (** This session's transport-level counters.  Each is an exact,
-    monotone atomic accumulator; the record is read counter by
-    counter, not as one simultaneous snapshot. *)
+    monotone atomic accumulator, readable from any thread; the record
+    is read counter by counter, not as one simultaneous snapshot. *)
 type counters = {
   bytes_in : int;       (** raw bytes read, including newlines *)
   bytes_out : int;      (** raw bytes written, including newlines *)
   lines : int;          (** non-blank request lines seen *)
-  shed : int;           (** lines shed by the full request queue *)
+  shed : int;           (** lines shed over [queue_cap] in one read *)
   rate_limited : int;   (** lines refused by the rate limiter *)
   epipe : int;          (** writes that found the peer gone *)
 }
@@ -72,14 +91,13 @@ type t
 
 (** [create ~max_line_bytes callbacks transport] — a fresh session.
 
-    [queue_cap] (default 128) bounds the in-session request queue;
-    when it is full, lines are answered inline with [on_shed].
+    [queue_cap] (default 128) is the most admitted lines answered out
+    of one read; the rest of that read is answered with [on_shed].
     [rate] > 0 arms a token-bucket admission limit of [rate] requests
-    per second with burst capacity [burst] (default
-    [max 1. rate]); refused lines are answered inline with
-    [on_rate_limited].  [should_stop] is polled (by a watcher thread
-    and the reader) so a process-wide shutdown flag also stops the
-    session.  [on_peer_gone] runs once if a write finds the peer
+    per second with burst capacity [burst] (default [max 1. rate]);
+    refused lines are answered with [on_rate_limited].  [should_stop]
+    is polled between reads so a process-wide shutdown flag also stops
+    the session.  [on_peer_gone] runs once if a write finds the peer
     closed — transport policy like "stdio client vanished: stop the
     whole process" lives there.
     @raise Invalid_argument if [queue_cap < 1], [rate < 0], or
@@ -96,19 +114,14 @@ val create :
   transport ->
   t
 
-(** Drive the session to completion: a reader thread feeds the queue
-    through the framer while the calling thread answers.  Returns
-    after end-of-stream, {!stop}, [should_stop ()], or a closed peer —
-    always draining already-queued requests first (per-connection
-    graceful drain).  Never raises. *)
+(** Drive the session to completion on the calling thread.  Returns
+    after end of stream, [should_stop ()], or a closed peer; every
+    line already read is answered first (graceful drain), and a stop
+    is noticed within about 0.1 s of being requested.  Closes the
+    transport.  Never raises. *)
 val run : t -> unit
 
-(** Ask a running session to stop reading and drain: queued requests
-    are still answered, then {!run} returns.  Safe from any thread;
-    idempotent. *)
-val stop : t -> unit
-
-(** [true] once {!stop} was called or the peer went away. *)
+(** [true] once a write found the peer gone. *)
 val stopped : t -> bool
 
 val counters : t -> counters

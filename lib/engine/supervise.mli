@@ -1,48 +1,22 @@
-(** Supervised execution on a dedicated executor domain.
+(** The request boundary.
 
-    [run t f] executes [f] on the executor domain.  An exception
-    escaping [f] is treated as domain death: the caller gets
-    [Error e], the dead domain is joined, and a replacement is spawned
-    with exponential backoff.  A circuit breaker flips the supervisor
-    into degraded sequential mode — jobs run guarded on the calling
-    thread — after [max_respawns] crashes inside [window_ns], closing
-    again after [cooldown_ns].
+    [run t f] runs [f] on the calling thread and returns [Ok v], or
+    [Error e] for any exception [e] that escapes [f] — a bug or an
+    injected fault ({!Fault.Injected}).  The serving core runs each
+    request's decode and prediction inside it and answers an [Error]
+    with a typed ["internal"] error.  Nothing is respawned, because
+    nothing died: under OCaml 5 an escaped exception leaves its thread
+    and domain usable, and every prediction owns its scratch
+    ({!Facile_core.Arena.with_}), so a request that raised halfway
+    cannot corrupt the next one.
 
-    [run] is safe to call from concurrent dispatcher threads (one per
-    serving connection); jobs are serialized onto the single executor
-    domain, and degraded/backing-off jobs run guarded inline on their
-    own caller. *)
-
-type config = {
-  max_respawns : int;     (** breaker threshold within [window_ns] *)
-  window_ns : int;
-  backoff_base_ns : int;  (** first respawn delay, doubling per crash *)
-  backoff_cap_ns : int;
-  cooldown_ns : int;      (** breaker-open duration *)
-}
-
-val default_config : config
-
-type stats = {
-  respawns : int;             (** executors spawned after a crash *)
-  crashes : int;              (** jobs that killed their executor *)
-  degraded : bool;            (** breaker currently open *)
-  degraded_transitions : int; (** breaker flips, both directions *)
-  inline_runs : int;          (** jobs run degraded/backing-off inline *)
-  last_crash : string option;
-}
+    [t] holds no state: {!create} and {!shutdown} do nothing, and are
+    kept so that callers of the old executor API still compile. *)
 
 type t
 
-(** Spawns the initial executor domain. *)
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
-(** Run [f] under supervision; [Error e] if [f] raised (crashing the
-    executor) wherever it ran. *)
 val run : t -> (unit -> 'a) -> ('a, exn) result
 
-val stats : t -> stats
-val degraded : t -> bool
-
-(** Stop and join the executor. Further [run]s execute inline. *)
 val shutdown : t -> unit

@@ -246,7 +246,7 @@ let howard g =
    [howard_flat] is the allocation-free spelling used by the Precedence
    hot path: the caller supplies the graph as parallel arrays (edges in
    insertion order, exactly as [Digraph.add_edge] would have received
-   them) and all working storage lives in a domain-local scratch that
+   them) and all working storage lives in a caller-owned scratch that
    only grows. The control flow and, crucially, every iteration order
    (out-edges in insertion order, path unwinding from the top of the
    stack, cycle summation from the cycle root forward) mirror [howard]
@@ -270,12 +270,11 @@ type scratch = {
          update, float-array cells don't *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { s_alive = [||]; s_off0 = [||]; s_adj0 = [||]; s_off = [||];
-        s_adj = [||]; s_cur = [||]; s_policy = [||]; s_r = [||];
-        s_d = [||]; s_state = [||]; s_stack = [||];
-        s_tmp = Array.make 4 0.0 })
+let create_scratch () =
+  { s_alive = [||]; s_off0 = [||]; s_adj0 = [||]; s_off = [||];
+    s_adj = [||]; s_cur = [||]; s_policy = [||]; s_r = [||];
+    s_d = [||]; s_state = [||]; s_stack = [||];
+    s_tmp = Array.make 4 0.0 }
 
 let cap n =
   let c = ref 16 in
@@ -292,10 +291,9 @@ let grow_b buf n =
 let grow_f buf n =
   if Array.length buf >= n then buf else Array.make (cap n) 0.0
 
-let howard_flat ~n ~m ~src ~dst ~weight ~count =
+let howard_flat ~scratch:s ~n ~m ~src ~dst ~weight ~count =
   if n = 0 then None
   else begin
-    let s = Domain.DLS.get scratch_key in
     (* Full CSR over all edges, per-source buckets in insertion order. *)
     let off0 = grow_i s.s_off0 (n + 1) in
     s.s_off0 <- off0;

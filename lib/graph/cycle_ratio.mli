@@ -14,13 +14,20 @@
     (an infinite ratio — dependence graphs never contain such cycles). *)
 val howard : Digraph.t -> float option
 
-(** [howard_flat ~n ~m ~src ~dst ~weight ~count] is [howard] on a graph
-    given as parallel edge arrays (first [m] entries, in the order the
-    edges would have been [add_edge]d), with all working storage in a
-    domain-local scratch that only grows — the allocation-free spelling
-    used by the Precedence hot path. Iteration orders mirror [howard]
-    exactly, so the two return identical floats on the same graph. *)
+(** Working storage for {!howard_flat}; its buffers only grow. *)
+type scratch
+
+val create_scratch : unit -> scratch
+
+(** [howard_flat ~scratch ~n ~m ~src ~dst ~weight ~count] is [howard]
+    on a graph given as parallel edge arrays (first [m] entries, in the
+    order the edges would have been [add_edge]d), with all working
+    storage in [scratch] — the allocation-free spelling used by the
+    Precedence hot path.  Two calls running at once must not share a
+    [scratch].  Iteration orders mirror [howard] exactly, so the two
+    return identical floats on the same graph. *)
 val howard_flat :
+  scratch:scratch ->
   n:int ->
   m:int ->
   src:int array ->

@@ -8,18 +8,20 @@ module A = Lint_ast
 
 (* Rule families, in run order.  Stable names: the CLI's --only and
    the CI loop enumerate these via [facile lint --list]. *)
-let rule_families = [ "lock"; "blocking"; "order"; "fields"; "handlers" ]
+let rule_families =
+  [ "lock"; "blocking"; "order"; "fields"; "handlers"; "dls" ]
 
 let family_doc = function
   | "lock" ->
     "raw Mutex.lock/unlock/try_lock and raw Condition.wait outside \
      lib/core/sync.ml; re-acquiring a held lock"
-  | "blocking" -> "blocking calls (I/O, joins, queue pops) under a held lock"
+  | "blocking" -> "blocking calls (I/O, joins, store I/O) under a held lock"
   | "order" -> "cycles in the inter-module lock-acquisition graph"
   | "fields" ->
     "mutable record fields in concurrent code that are neither Atomic.t \
      nor mutex-guarded nor annotated (* lint: unguarded *)"
   | "handlers" -> "signal handlers and at_exit callbacks beyond Atomic flags"
+  | "dls" -> "Domain.DLS outside lib/core/arena.ml (thread-shared scratch)"
   | f -> invalid_arg ("Lint.family_doc: " ^ f)
 
 let default_roots = [ "lib"; "bin"; "test"; "bench"; "examples" ]
@@ -82,7 +84,9 @@ let run ?(families = rule_families) ?(roots = default_roots) () =
         if on "fields" then
           findings := List.rev_append (Field_rules.check src) !findings;
         if on "handlers" then
-          findings := List.rev_append (Handler_rules.check src) !findings)
+          findings := List.rev_append (Handler_rules.check src) !findings;
+        if on "dls" then
+          findings := List.rev_append (Dls_rules.check src) !findings)
     files;
   if on "order" then
     findings :=

@@ -3,7 +3,7 @@
     catalog in DESIGN.md section 14. *)
 
 (** Rule family names, in run order:
-    ["lock"; "blocking"; "order"; "fields"; "handlers"]. *)
+    ["lock"; "blocking"; "order"; "fields"; "handlers"; "dls"]. *)
 val rule_families : string list
 
 (** One-line description of a family.

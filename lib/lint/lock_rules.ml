@@ -12,7 +12,7 @@
                      this is a guaranteed deadlock (or undefined
                      behaviour) the moment the path executes.
    lock-blocking     a known-blocking call (socket/file I/O, thread or
-                     domain joins, queue pops, store I/O) made while a
+                     domain joins, store I/O) made while a
                      Sync.with_lock section is syntactically open.
 
    The analysis is intraprocedural and syntactic: a blocking call hidden
@@ -33,7 +33,7 @@ let blocking_calls =
   [ "Unix.read"; "Unix.write"; "Unix.select"; "Unix.sleep"; "Unix.sleepf";
     "Unix.fsync"; "Unix.accept"; "Unix.connect"; "Unix.recv"; "Unix.send";
     "Unix.waitpid"; "Thread.delay"; "Thread.join"; "Domain.join";
-    "Bqueue.pop"; "Store.append"; "Store.load"; "Store.flush" ]
+    "Store.append"; "Store.load"; "Store.flush" ]
 
 (* sync.ml implements the combinators; it is the one file allowed to
    touch the raw primitives. *)
@@ -41,7 +41,7 @@ let exempt_file src = Filename.basename src.A.path = "sync.ml"
 
 (* Name a lock expression for the acquisition graph: the record field
    or identifier it loads, qualified by the defining module so
-   "engine.mutex" and "supervise.mu" stay distinct across files. *)
+   "engine.mutex" and "fault.mu" stay distinct across files. *)
 let lock_name src e =
   let base =
     match e.pexp_desc with

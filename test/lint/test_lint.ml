@@ -13,7 +13,6 @@ module Lint = Facile_lint.Lint
 module F = Facile_check.Finding
 module Check = Facile_check.Check
 module Sync = Facile_core.Sync
-module Bqueue = Facile_engine.Bqueue
 module Engine = Facile_engine.Engine
 
 let fixture name = Filename.concat "fixtures" name
@@ -36,6 +35,7 @@ let bad_fixtures =
     ("bad_mutable_field.ml", "field-unguarded");
     ("bad_signal_handler.ml", "handler-unsafe");
     ("bad_at_exit.ml", "handler-unsafe");
+    ("bad_dls.ml", "dls-outside-arena");
     ("bad_parse.ml", "lint-parse") ]
 
 let bad_tests =
@@ -55,7 +55,7 @@ let bad_tests =
 let clean_fixtures =
   [ "clean_raw_lock.ml"; "clean_cond_wait.ml"; "clean_blocking.ml";
     "clean_lock_order.ml"; "clean_mutable_field.ml";
-    "clean_signal_handler.ml"; "clean_at_exit.ml" ]
+    "clean_signal_handler.ml"; "clean_at_exit.ml"; "clean_dls.ml" ]
 
 let clean_tests =
   List.map
@@ -167,21 +167,6 @@ let sync_tests =
           "lock re-acquirable" true
           (Mutex.try_lock mu) (* lint: raw-ok — proves re-acquirability *);
         Mutex.unlock mu (* lint: raw-ok — undo the probe *));
-    Alcotest.test_case "bqueue survives a raising consumer" `Quick (fun () ->
-        let q = Bqueue.create 4 in
-        Alcotest.(check bool) "push" true (Bqueue.push q 1);
-        (* a consumer that raises immediately after its pop must not
-           wedge the queue's internal lock for everyone else *)
-        (try
-           match Bqueue.pop q with
-           | Some _ -> raise Boom
-           | None -> ()
-         with Boom -> ());
-        Alcotest.(check bool) "push still works" true (Bqueue.push q 2);
-        Alcotest.(check int) "length still works" 1 (Bqueue.length q);
-        Bqueue.close q;
-        Alcotest.(check (option int)) "drain" (Some 2) (Bqueue.pop q);
-        Alcotest.(check (option int)) "closed" None (Bqueue.pop q));
     Alcotest.test_case "engine pool survives a raising task" `Quick
       (fun () ->
         Engine.with_pool ~workers:2 (fun pool ->

@@ -587,8 +587,61 @@ let qcheck_flat_pipeline =
           same cfg insts && same cfg (Facile_bhive.Genblock.looped insts))
         [ skl; snb; rkl ])
 
+(* System threads of one domain interleave at any allocation, so a
+   prediction preempted halfway must find its scratch as it left it.
+   Each case runs long enough (~0.2 s) for the runtime's 50 ms tick to
+   switch threads mid-prediction several times. *)
+let qcheck_threads_one_domain =
+  QCheck.Test.make
+    ~name:"threads of one domain predict bit-identically to sequential"
+    ~count:3
+    QCheck.(pair small_nat (int_range 2 4))
+    (fun (seed, threads) ->
+      let rng = Facile_bhive.Prng.create (succ seed) in
+      let profiles = Array.of_list Facile_bhive.Genblock.all_profiles in
+      let blocks =
+        Array.init 200 (fun i ->
+            let profile = profiles.(i mod Array.length profiles) in
+            let body =
+              Facile_bhive.Genblock.body rng profile ~allow_fma:false
+                ~len:(1 + (i mod 12))
+            in
+            let cfg = [| skl; hsw; snb; rkl |].(i mod 4) in
+            Block.of_instructions cfg
+              (if i mod 2 = 0 then Facile_bhive.Genblock.looped body else body))
+      in
+      let expected = Array.map (fun b -> Model.predict b) blocks in
+      let bits = Int64.bits_of_float in
+      let same (p : Model.prediction) (q : Model.prediction) =
+        bits p.Model.cycles = bits q.Model.cycles
+        && p.Model.bottlenecks = q.Model.bottlenecks
+        && p.Model.fe_path = q.Model.fe_path
+        && List.for_all2
+             (fun (c, v) (c', v') -> c = c' && bits v = bits v')
+             p.Model.values q.Model.values
+      in
+      let wrong = Atomic.make 0 and raised = Atomic.make 0 in
+      let rounds = 60 / threads in
+      let worker t =
+        for r = 0 to rounds - 1 do
+          Array.iteri
+            (fun i _ ->
+              let i = (i + (t * 37) + r) mod Array.length blocks in
+              match Model.predict blocks.(i) with
+              | p -> if not (same p expected.(i)) then Atomic.incr wrong
+              | exception _ -> Atomic.incr raised)
+            blocks
+        done
+      in
+      List.iter Thread.join (List.init threads (Thread.create worker));
+      if Atomic.get wrong + Atomic.get raised = 0 then true
+      else
+        QCheck.Test.fail_reportf "%d threads: %d wrong predictions, %d raised"
+          threads (Atomic.get wrong) (Atomic.get raised))
+
 let flatpath_tests =
   [ QCheck_alcotest.to_alcotest qcheck_flat_pipeline;
+    QCheck_alcotest.to_alcotest qcheck_threads_one_domain;
     Alcotest.test_case "steady-state prediction allocation is constant" `Quick
       (fun () ->
         let cases = Facile_bhive.Suite.corpus ~seed:11 ~size:12 () in

@@ -120,6 +120,8 @@ let monotone =
    to the list-based howard when fed the same edges in the same
    insertion order (the Precedence hot path depends on exactly this). *)
 let flat_agreement =
+  (* one scratch for every case, reused as an arena reuses it *)
+  let scratch = Cycle_ratio.create_scratch () in
   QCheck.Test.make ~name:"howard_flat is bit-identical to howard" ~count:500
     QCheck.(
       list_of_size Gen.(int_range 0 25)
@@ -148,7 +150,7 @@ let flat_agreement =
         edges;
       match
         ( Cycle_ratio.howard g,
-          Cycle_ratio.howard_flat ~n ~m ~src ~dst ~weight ~count )
+          Cycle_ratio.howard_flat ~scratch ~n ~m ~src ~dst ~weight ~count )
       with
       | None, None -> true
       | Some a, Some b -> Float.equal a b

@@ -247,7 +247,7 @@ let parse_line l =
    on its own thread, exactly as a TCP connection does under Net. *)
 let with_session_client ?rate serve ~payload =
   let server_fd, client_fd = socketpair () in
-  let session = Serve.session ?rate serve (Net.fd_transport server_fd) in
+  let session = Serve.session ?rate serve (Session.fd_transport server_fd) in
   Serve.conn_opened serve;
   let th =
     Thread.create
@@ -264,8 +264,56 @@ let with_session_client ?rate serve ~payload =
   (try Unix.close client_fd with Unix.Unix_error _ -> ());
   (lines, Session.counters session)
 
+(* A transport over a list of chunks, one per read, recording every
+   line written: the session loop with no socket in the way. *)
+let fake_transport chunks =
+  let pending = ref chunks and written = ref [] in
+  let read buf off _len =
+    match !pending with
+    | [] -> 0
+    | c :: rest ->
+      pending := rest;
+      Bytes.blit_string c 0 buf off (String.length c);
+      String.length c
+  in
+  ( { Session.ready = (fun _ -> true);
+      read;
+      write = (fun s -> written := String.trim s :: !written);
+      close = (fun () -> ()) },
+    fun () -> List.rev !written )
+
+let shed_test =
+  Alcotest.test_case "one read over queue_cap sheds the rest, in order"
+    `Quick (fun () ->
+      let cap = 4 and k = 3 in
+      let lines n from =
+        String.concat "" (List.init n (fun i -> string_of_int (from + i) ^ "\n"))
+      in
+      let tr, written =
+        fake_transport [ lines (cap + k) 0; lines cap (cap + k) ]
+      in
+      let callbacks =
+        { Session.on_line = (fun l -> "ok " ^ l);
+          on_oversized = (fun n -> "big " ^ string_of_int n);
+          on_shed = (fun l -> "shed " ^ l);
+          on_rate_limited = (fun l -> "slow " ^ l) }
+      in
+      let s =
+        Session.create ~queue_cap:cap ~max_line_bytes:64 callbacks tr
+      in
+      Session.run s;
+      let expect =
+        List.init cap (fun i -> Printf.sprintf "ok %d" i)
+        @ List.init k (fun i -> Printf.sprintf "shed %d" (cap + i))
+        (* the count starts again at the next read *)
+        @ List.init cap (fun i -> Printf.sprintf "ok %d" (cap + k + i))
+      in
+      Alcotest.(check (list string)) "answers in input order" expect
+        (written ());
+      Alcotest.(check int) "counters.shed" k (Session.counters s).Session.shed)
+
 let session_tests serve =
-  [ Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
+  [ shed_test; Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
         let payload c =
           String.concat ""
             (List.init 20 (fun i ->
@@ -361,7 +409,7 @@ let session_tests serve =
     Alcotest.test_case "a dead client kills only its own session" `Quick
       (fun () ->
         let server_fd, client_fd = socketpair () in
-        let session = Serve.session serve (Net.fd_transport server_fd) in
+        let session = Serve.session serve (Session.fd_transport server_fd) in
         (* the client sends one request and stops reading before the
            answer can be written: the session's write must fail, be
            counted, and stop only this session *)
@@ -418,7 +466,9 @@ let connect host port =
 let tcp_tests () =
   [ Alcotest.test_case "TCP end to end: serve, stats, graceful stop" `Quick
       (fun () ->
-        let serve = Serve.create ~workers:1 () in
+        let serve =
+          Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+        in
         Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
         let th, host, port =
           start_tcp serve { Net.default_config with Net.port = 0 }
@@ -450,7 +500,9 @@ let tcp_tests () =
         Thread.join th);
     Alcotest.test_case "connections over max-conns are refused" `Quick
       (fun () ->
-        let serve = Serve.create ~workers:1 () in
+        let serve =
+          Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+        in
         Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
         let th, host, port =
           start_tcp serve
@@ -497,7 +549,9 @@ let tcp_tests () =
 let suite =
   (* one shared long-lived core for the pure-protocol and session
      tests, exactly as a server process would hold it *)
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+  in
   [ ( "net",
       [ QCheck_alcotest.to_alcotest qcheck_framing ]
       @ framing_unit_tests @ protocol_tests serve @ config_tests

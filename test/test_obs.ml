@@ -220,7 +220,9 @@ let qcheck_wire_requests serve =
 let stats_snapshot =
   Alcotest.test_case "stats counts requests, errors, cache, latency" `Quick
     (fun () ->
-      let t = Serve.create ~workers:1 () in
+      let t =
+        Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let send line = ignore (Serve.handle_line t line) in
       let req ?(arch = "SKL") hex =
@@ -323,7 +325,9 @@ let no_drift =
         match Hex.decode valid_hex with Ok c -> c | Error _ -> assert false
       in
       let p = Model.predict (Block.of_bytes cfg code) in
-      let t = Serve.create ~workers:1 () in
+      let t =
+        Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let resp =
         Serve.handle_line t
@@ -363,7 +367,9 @@ let notion_tests =
         Alcotest.(check (float 1e-12)) "Auto dispatch" expect auto) ]
 
 let suite =
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+  in
   (* shared long-lived instance for the qcheck wire tests: exercising
      one state machine across hundreds of mixed requests is exactly
      the serving scenario *)

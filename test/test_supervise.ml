@@ -1,14 +1,12 @@
-(* Fault-tolerance layer: bounded LRU semantics, backpressure queue
-   protocol, supervised executor crash/respawn/breaker lifecycle,
-   deterministic fault injection, deadlines, and the serve-level
-   failure paths (timeout, too_large, shed, crash isolation, EOF
-   drain). *)
+(* Fault-tolerance layer: bounded LRU semantics, the request boundary,
+   deterministic fault injection, and the serve-level failure paths
+   (timeout, too_large, crash isolation, EOF drain, shutdown of an
+   idle session). *)
 
 open Facile_uarch
 open Facile_core
 module Json = Facile_obs.Json
 module Lru = Facile_engine.Lru
-module Bqueue = Facile_engine.Bqueue
 module Supervise = Facile_engine.Supervise
 module Fault = Facile_engine.Fault
 module Engine = Facile_engine.Engine
@@ -135,92 +133,7 @@ let engine_eviction_correctness =
       Alcotest.(check int) "cache bounded" 2 cs.Engine.entries)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded queue                                                       *)
-
-let bqueue_tests =
-  [ Alcotest.test_case "push sheds when full, never blocks" `Quick (fun () ->
-        let q = Bqueue.create 2 in
-        Alcotest.(check bool) "1st" true (Bqueue.push q 1);
-        Alcotest.(check bool) "2nd" true (Bqueue.push q 2);
-        Alcotest.(check bool) "3rd shed" false (Bqueue.push q 3);
-        Alcotest.(check int) "length" 2 (Bqueue.length q));
-    Alcotest.test_case "close drains queued items then yields None" `Quick
-      (fun () ->
-        let q = Bqueue.create 4 in
-        ignore (Bqueue.push q 1);
-        ignore (Bqueue.push q 2);
-        Bqueue.close q;
-        Alcotest.(check bool) "push after close" false (Bqueue.push q 3);
-        Alcotest.(check (option int)) "drain 1" (Some 1) (Bqueue.pop q);
-        Alcotest.(check (option int)) "drain 2" (Some 2) (Bqueue.pop q);
-        Alcotest.(check (option int)) "then None" None (Bqueue.pop q);
-        Alcotest.(check (option int)) "stays None" None (Bqueue.pop q));
-    Alcotest.test_case "close wakes a blocked consumer" `Quick (fun () ->
-        let q : int Bqueue.t = Bqueue.create 1 in
-        let result = ref (Some 42) in
-        let consumer = Thread.create (fun () -> result := Bqueue.pop q) () in
-        Thread.delay 0.05;
-        Bqueue.close q;
-        Thread.join consumer;
-        Alcotest.(check (option int)) "unblocked with None" None !result);
-    Alcotest.test_case "close while full: pushers shed, no deadlock" `Quick
-      (fun () ->
-        (* a full queue that gets closed must neither wedge concurrent
-           pushers (push sheds, never blocks) nor drop the items that
-           were already queued *)
-        let q : int Bqueue.t = Bqueue.create 2 in
-        Alcotest.(check bool) "fill 1" true (Bqueue.push q 1);
-        Alcotest.(check bool) "fill 2" true (Bqueue.push q 2);
-        let shed = Atomic.make 0 in
-        let pushers =
-          List.init 4 (fun i ->
-              Thread.create
-                (fun () ->
-                  for j = 0 to 24 do
-                    if not (Bqueue.push q (100 + (i * 25) + j)) then
-                      Atomic.incr shed
-                  done)
-                ())
-        in
-        Bqueue.close q;
-        (* if close-while-full could deadlock a pusher, this join would
-           hang and the test runner's timeout would flag it *)
-        List.iter Thread.join pushers;
-        Alcotest.(check int) "every racing push shed" 100 (Atomic.get shed);
-        Alcotest.(check (option int)) "drain 1" (Some 1) (Bqueue.pop q);
-        Alcotest.(check (option int)) "drain 2" (Some 2) (Bqueue.pop q);
-        Alcotest.(check (option int)) "then None" None (Bqueue.pop q));
-    Alcotest.test_case "producer/consumer keeps order" `Quick (fun () ->
-        let q = Bqueue.create 4 in
-        let seen = ref [] in
-        let consumer =
-          Thread.create
-            (fun () ->
-              let rec loop () =
-                match Bqueue.pop q with
-                | Some v -> seen := v :: !seen; loop ()
-                | None -> ()
-              in
-              loop ())
-            ()
-        in
-        for i = 1 to 100 do
-          while not (Bqueue.push q i) do Thread.yield () done
-        done;
-        Bqueue.close q;
-        Thread.join consumer;
-        Alcotest.(check (list int)) "fifo" (List.init 100 (fun i -> i + 1))
-          (List.rev !seen)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
-
-let fast_config =
-  { Supervise.max_respawns = 3;
-    window_ns = 1_000_000_000;
-    backoff_base_ns = 1_000_000;
-    backoff_cap_ns = 4_000_000;
-    cooldown_ns = 120_000_000 }
+(* Request boundary                                                    *)
 
 exception Boom
 
@@ -228,63 +141,20 @@ let supervise_tests =
   [ Alcotest.test_case "ok results pass through" `Quick (fun () ->
         let t = Supervise.create () in
         Fun.protect ~finally:(fun () -> Supervise.shutdown t) @@ fun () ->
-        (match Supervise.run t (fun () -> 6 * 7) with
-         | Ok v -> Alcotest.(check int) "value" 42 v
-         | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e));
-        let s = Supervise.stats t in
-        Alcotest.(check int) "no crashes" 0 s.Supervise.crashes;
-        Alcotest.(check bool) "not degraded" false s.Supervise.degraded);
-    Alcotest.test_case "a crash isolates and the executor respawns" `Quick
+        match Supervise.run t (fun () -> 6 * 7) with
+        | Ok v -> Alcotest.(check int) "value" 42 v
+        | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e));
+    Alcotest.test_case "a raise is contained and the next run works" `Quick
       (fun () ->
-        let t = Supervise.create ~config:fast_config () in
+        let t = Supervise.create () in
         Fun.protect ~finally:(fun () -> Supervise.shutdown t) @@ fun () ->
         (match Supervise.run t (fun () -> raise Boom) with
          | Error Boom -> ()
          | Error e -> Alcotest.failf "wrong exn %s" (Printexc.to_string e)
          | Ok _ -> Alcotest.fail "crash swallowed");
-        (* the background respawner restores a real executor *)
-        Thread.delay 0.05;
-        (match Supervise.run t (fun () -> "alive") with
-         | Ok v -> Alcotest.(check string) "works after respawn" "alive" v
-         | Error e -> Alcotest.failf "still broken: %s" (Printexc.to_string e));
-        let s = Supervise.stats t in
-        Alcotest.(check int) "one crash" 1 s.Supervise.crashes;
-        Alcotest.(check bool) "respawned" true (s.Supervise.respawns >= 1);
-        Alcotest.(check bool) "crash recorded" true
-          (s.Supervise.last_crash <> None));
-    Alcotest.test_case "breaker trips under repeated crashes, then recovers"
-      `Quick (fun () ->
-        let t = Supervise.create ~config:fast_config () in
-        Fun.protect ~finally:(fun () -> Supervise.shutdown t) @@ fun () ->
-        (* paced crashes so each one lands on a live (respawned)
-           executor and counts as a domain death *)
-        for _ = 1 to fast_config.Supervise.max_respawns do
-          (match Supervise.run t (fun () -> raise Boom) with
-           | Error _ -> ()
-           | Ok _ -> Alcotest.fail "crash swallowed");
-          Thread.delay 0.02
-        done;
-        Alcotest.(check bool) "breaker open" true (Supervise.degraded t);
-        (* degraded mode still serves, inline and guarded *)
-        (match Supervise.run t (fun () -> 1) with
-         | Ok 1 -> ()
-         | _ -> Alcotest.fail "degraded mode does not serve");
-        (match Supervise.run t (fun () -> raise Boom) with
-         | Error Boom -> ()
-         | _ -> Alcotest.fail "degraded crash not guarded");
-        let s = Supervise.stats t in
-        Alcotest.(check bool) "transitioned" true
-          (s.Supervise.degraded_transitions >= 1);
-        Alcotest.(check bool) "inline runs counted" true
-          (s.Supervise.inline_runs >= 2);
-        (* after the cooldown the breaker closes and real executors
-           take over again *)
-        Thread.delay
-          (float_of_int fast_config.Supervise.cooldown_ns /. 1e9 +. 0.05);
-        (match Supervise.run t (fun () -> "recovered") with
-         | Ok v -> Alcotest.(check string) "closed" "recovered" v
-         | Error e -> Alcotest.failf "no recovery: %s" (Printexc.to_string e));
-        Alcotest.(check bool) "breaker closed" false (Supervise.degraded t));
+        match Supervise.run t (fun () -> "alive") with
+        | Ok v -> Alcotest.(check string) "works after a raise" "alive" v
+        | Error e -> Alcotest.failf "still broken: %s" (Printexc.to_string e));
     Alcotest.test_case "shutdown falls back to inline execution" `Quick
       (fun () ->
         let t = Supervise.create () in
@@ -294,7 +164,7 @@ let supervise_tests =
         | _ -> Alcotest.fail "inline fallback broken") ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection and deadlines                                       *)
+(* Fault injection                                                     *)
 
 let fault_tests =
   [ Alcotest.test_case "rate 1 always injects, hit counters track" `Quick
@@ -339,45 +209,33 @@ let fault_tests =
             | () -> Alcotest.failf "accepted %S" spec
             | exception Invalid_argument _ -> ())
           [ "nope"; "p:x:1"; "p:2:1"; "p:-0.5:1"; "p:0.5"; ":" ];
-        Fault.clear ());
-    Alcotest.test_case "with_deadline raises once the budget is spent" `Quick
-      (fun () ->
-        (match
-           Fault.with_deadline (Some 0) (fun () ->
-               Thread.delay 0.002;
-               Fault.check_deadline ();
-               "finished")
-         with
-         | _ -> Alcotest.fail "deadline ignored"
-         | exception Fault.Deadline_exceeded -> ());
-        (* disarmed on the way out, even on the raise *)
-        Fault.check_deadline ();
-        Alcotest.(check string) "no deadline runs free" "ok"
-          (Fault.with_deadline None (fun () ->
-               Fault.check_deadline (); "ok"))) ]
+        Fault.clear ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve-level failure paths                                           *)
+
+let serve ?deadline_ms ?(queue_cap = 128) ?(limits = Serve.default_limits)
+    () =
+  Serve.of_config
+    { Serve.default_config with
+      Serve.workers = Some 1; deadline_ms; queue_cap; limits }
 
 let serve_fault_isolation =
   Alcotest.test_case "an injected crash answers internal, then recovers"
     `Quick (fun () ->
       Fun.protect ~finally:Fault.clear @@ fun () ->
       Fault.configure "predict:1:42:1";  (* exactly one crash *)
-      let t = Serve.create ~workers:1 () in
+      let t = serve () in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let r1 = Serve.handle_line t (req valid_hex) in
       Alcotest.(check (option string)) "typed internal error"
         (Some "internal") (error_kind r1);
-      Thread.delay 0.05;  (* let the executor respawn *)
       let r2 = Serve.handle_line t (req valid_hex) in
       Alcotest.(check (option string)) "next request predicts" None
         (error_kind r2);
       Alcotest.(check bool) "has cycles" true
         (Json.member "cycles" r2 <> None);
       let s = Serve.handle_line t {|{"cmd":"stats"}|} in
-      Alcotest.(check bool) "respawn counted" true
-        (get_int [ "stats"; "supervisor"; "respawns" ] s >= 1);
       Alcotest.(check int) "internal counted" 1
         (get_int [ "stats"; "errors"; "by_kind"; "internal" ] s);
       Alcotest.(check int) "fault attributed" 1
@@ -385,7 +243,7 @@ let serve_fault_isolation =
 
 let serve_deadline =
   Alcotest.test_case "an exhausted deadline answers timeout" `Quick (fun () ->
-      let t = Serve.create ~workers:1 ~deadline_ms:0 () in
+      let t = serve ~deadline_ms:0 () in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let r = Serve.handle_line t (req valid_hex) in
       Alcotest.(check (option string)) "timeout kind" (Some "timeout")
@@ -393,16 +251,44 @@ let serve_deadline =
       let s = Serve.handle_line t {|{"cmd":"stats"}|} in
       Alcotest.(check int) "timeout counted" 1
         (get_int [ "stats"; "errors"; "by_kind"; "timeout" ] s);
-      (* a timeout is not a crash: no respawn burned *)
-      Alcotest.(check int) "no crash" 0
-        (get_int [ "stats"; "supervisor"; "crashes" ] s))
+      (* a timeout is not a crash *)
+      Alcotest.(check int) "no internal error" 0
+        (Option.value ~default:0
+           (Option.bind
+              (get [ "stats"; "errors"; "by_kind"; "internal" ] s)
+              Json.int_opt)))
+
+(* Each request owns its deadline: with one shared, process-wide
+   deadline, the request that finished first would disarm it and let
+   the others through. *)
+let serve_deadline_threads =
+  Alcotest.test_case "deadline 0 times out every request on 4 threads"
+    `Quick (fun () ->
+      let t = serve ~deadline_ms:0 () in
+      Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+      let not_timeout = Atomic.make 0 in
+      let worker c =
+        for i = 0 to 99 do
+          let r =
+            Serve.handle_line t
+              (req ~extra:[ "id", Json.Int ((100 * c) + i) ] valid_hex)
+          in
+          if error_kind r <> Some "timeout" then Atomic.incr not_timeout
+        done
+      in
+      List.iter Thread.join (List.init 4 (Thread.create worker));
+      Alcotest.(check int) "every predict timed out" 0
+        (Atomic.get not_timeout);
+      let s = Serve.handle_line t {|{"cmd":"stats"}|} in
+      Alcotest.(check int) "timeouts counted" 400
+        (get_int [ "stats"; "errors"; "by_kind"; "timeout" ] s))
 
 let serve_too_large =
   Alcotest.test_case "oversized inputs answer too_large" `Quick (fun () ->
       let limits =
         { Serve.default_limits with Serve.max_input_bytes = 8; max_insts = 2 }
       in
-      let t = Serve.create ~workers:1 ~limits () in
+      let t = serve ~limits () in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       (* payload over max_input_bytes *)
       let r = Serve.handle_line t (req (String.concat "" (List.init 16 (fun _ -> "90")))) in
@@ -414,8 +300,7 @@ let serve_too_large =
         (error_kind r2);
       (* a line bigger than max_line_bytes is refused outright *)
       let tiny =
-        Serve.create ~workers:1
-          ~limits:{ Serve.default_limits with Serve.max_line_bytes = 32 } ()
+        serve ~limits:{ Serve.default_limits with Serve.max_line_bytes = 32 } ()
       in
       Fun.protect ~finally:(fun () -> Serve.shutdown tiny) @@ fun () ->
       let r3 = Serve.handle_line tiny (req (String.make 64 '9')) in
@@ -426,11 +311,22 @@ let serve_too_large =
       Alcotest.(check (option string)) "small input fine" None
         (error_kind ok))
 
-(* Full loop over OS pipes: requests in, EOF, every response out, the
-   queue drained, clean return. *)
+let read_lines fd =
+  let inc = Unix.in_channel_of_descr fd in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line inc :: !lines
+     done
+   with End_of_file -> ());
+  close_in inc;
+  List.rev !lines
+
+(* Full loop over OS pipes: requests in, EOF, every response out, in
+   order, clean return. *)
 let serve_eof_drain =
   Alcotest.test_case "run drains queued work on EOF" `Quick (fun () ->
-      let t = Serve.create ~workers:1 ~queue_cap:64 () in
+      let t = serve ~queue_cap:64 () in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let req_r, req_w = Unix.pipe ~cloexec:false () in
       let resp_r, resp_w = Unix.pipe ~cloexec:false () in
@@ -453,32 +349,77 @@ let serve_eof_drain =
       Thread.join writer;
       Thread.join server;
       close_out oc;
-      let inc = Unix.in_channel_of_descr resp_r in
-      let responses = ref [] in
-      (try
-         while true do
-           responses := input_line inc :: !responses
-         done
-       with End_of_file -> ());
-      close_in inc;
+      let responses = read_lines resp_r in
       Alcotest.(check int) "every request answered" n
-        (List.length !responses);
+        (List.length responses);
       let ids =
-        List.rev_map
+        List.map
           (fun line ->
             match Json.parse line with
             | Ok j -> get_int [ "id" ] j
             | Error m -> Alcotest.failf "bad response %S: %s" line m)
-          !responses
+          responses
       in
       Alcotest.(check (list int)) "in order, none lost"
         (List.init n (fun i -> i + 1)) ids)
 
+(* A stdio client that stays connected and sends nothing must not keep
+   the server from shutting down. *)
+let serve_idle_shutdown =
+  Alcotest.test_case "run over an idle open pipe stops on request_shutdown"
+    `Quick (fun () ->
+      let t = serve () in
+      Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+      let req_r, req_w = Unix.pipe ~cloexec:false () in
+      let resp_r, resp_w = Unix.pipe ~cloexec:false () in
+      let ic = Unix.in_channel_of_descr req_r in
+      let oc = Unix.out_channel_of_descr resp_w in
+      (* the final snapshot goes to stderr: capture it in a file *)
+      let err_path = Filename.temp_file "serve_idle" ".err" in
+      let err_w =
+        Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+      in
+      let saved_err = Unix.dup Unix.stderr in
+      Unix.dup2 err_w Unix.stderr;
+      Unix.close err_w;
+      let returned = Atomic.make 0 in
+      let server =
+        Thread.create
+          (fun () ->
+            Serve.run ~signals:false t ic oc;
+            Atomic.set returned (Facile_obs.Clock.now_ns ()))
+          ()
+      in
+      Thread.delay 0.2;
+      let asked = Facile_obs.Clock.now_ns () in
+      Serve.request_shutdown t;
+      Thread.join server;
+      Unix.dup2 saved_err Unix.stderr;
+      Unix.close saved_err;
+      let waited_s = float_of_int (Atomic.get returned - asked) /. 1e9 in
+      Alcotest.(check bool)
+        (Printf.sprintf "returned %.3fs after the request" waited_s)
+        true (waited_s < 0.5);
+      Unix.close req_w;
+      close_in ic;
+      close_out oc;
+      Alcotest.(check int) "nothing answered" 0
+        (List.length (read_lines resp_r));
+      let final =
+        List.find_map
+          (fun l ->
+            match Json.parse l with
+            | Ok j -> Json.member "final_stats" j
+            | Error _ -> None)
+          (read_lines (Unix.openfile err_path [ Unix.O_RDONLY ] 0))
+      in
+      Sys.remove err_path;
+      Alcotest.(check bool) "final stats flushed" true (final <> None))
+
 let suite =
   [ "engine.lru", lru_tests @ [ engine_eviction_correctness ];
-    "engine.bqueue", bqueue_tests;
     "engine.supervise", supervise_tests;
     "engine.fault", fault_tests;
     "engine.serve_faults",
-    [ serve_fault_isolation; serve_deadline; serve_too_large;
-      serve_eof_drain ] ]
+    [ serve_fault_isolation; serve_deadline; serve_deadline_threads;
+      serve_too_large; serve_eof_drain; serve_idle_shutdown ] ]

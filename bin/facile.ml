@@ -1250,16 +1250,18 @@ let cache_verify_cmd =
                    | exception _ ->
                      [ where ^ ": stored bytes no longer decode" ]
                    | block ->
-                     (if Block.form_sig block <> rec_.Store_codec.form_sig
-                      then [ where ^ ": form signature changed" ]
+                     (if List.length block.Block.entries
+                         <> rec_.Store_codec.insts
+                      then [ where ^ ": instruction count changed" ]
                       else [])
                      @
                      let fresh =
                        Model.predict
                          ~notion:
-                           (match rec_.Store_codec.notion with
+                           (match rec_.Store_codec.mode with
                             | `Loop -> Model.L
-                            | `Unrolled -> Model.U)
+                            | `Unrolled -> Model.U
+                            | `Auto -> Model.Auto)
                          block
                      in
                      if Store_codec.pred_equal fresh rec_.Store_codec.pred

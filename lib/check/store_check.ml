@@ -19,7 +19,7 @@ module Json = Facile_obs.Json
 let error = Finding.error
 let info = Finding.info
 
-(* Synthetic records covering every arch, both notions, every fe-path
+(* Synthetic records covering every arch, every mode, every fe-path
    and component code, empty and binary-heavy byte strings. *)
 let specimens () =
   let arches = List.map (fun c -> c.Facile_uarch.Config.arch)
@@ -42,8 +42,8 @@ let specimens () =
           fe_path = List.nth fe_paths (i mod List.length fe_paths) }
       in
       { Codec.arch;
-        notion = (if i mod 2 = 0 then `Loop else `Unrolled);
-        form_sig = (i * 0x9E3779B9) - 7;
+        mode = List.nth [ `Loop; `Unrolled; `Auto ] (i / 3 mod 3);
+        insts = 0xFFFFFFFF - (i * 0x1234567);
         bytes =
           (match i mod 3 with
            | 0 -> ""
@@ -54,8 +54,8 @@ let specimens () =
 
 let record_equal a b =
   a.Codec.arch = b.Codec.arch
-  && a.Codec.notion = b.Codec.notion
-  && a.Codec.form_sig = b.Codec.form_sig
+  && a.Codec.mode = b.Codec.mode
+  && a.Codec.insts = b.Codec.insts
   && a.Codec.bytes = b.Codec.bytes
   && Codec.pred_equal a.Codec.pred b.Codec.pred
 

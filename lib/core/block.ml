@@ -51,7 +51,6 @@ type flat = {
   tot_issued : int;
   ends_branch : bool;
   jcc_affected : bool;
-  form_sig : int;
 }
 
 type t = {
@@ -154,7 +153,7 @@ let jcc_check entries =
   and touches s e = s / 32 <> (e - 1) / 32 || e mod 32 = 0 in
   check entries
 
-let build_flat entries logicals form_sig =
+let build_flat entries logicals =
   let n_log = List.length logicals in
   let l_fused = Array.make n_log 0 in
   let l_complex = Array.make n_log false in
@@ -214,19 +213,15 @@ let build_flat entries logicals form_sig =
   { l_fused; l_complex; l_avail; l_branch; l_mfused; l_addr_mask;
     port_masks; e_last; e_opc; e_lcp;
     tot_fused = !tot_fused; tot_issued = !tot_issued;
-    ends_branch; jcc_affected; form_sig }
+    ends_branch; jcc_affected }
 
 let build cfg bytes (layouts : Encode.layout list) =
-  let form_sig = ref 0x811c9dc5 in
   let raw =
     List.map
       (fun (l : Encode.layout) ->
-        let desc, id = Flat.describe_id cfg l.Encode.inst in
-        form_sig :=
-          ((!form_sig lxor (id + 8)) * 0x01000193) land max_int;
         { inst = l.Encode.inst;
           layout = l;
-          desc;
+          desc = Flat.describe cfg l.Encode.inst;
           fuses_with_next = false;
           fused_into_prev = false })
       layouts
@@ -253,7 +248,7 @@ let build cfg bytes (layouts : Encode.layout list) =
   let logicals = logicals entries in
   { cfg; entries; logicals; bytes;
     len = String.length bytes;
-    flat = build_flat entries logicals !form_sig }
+    flat = build_flat entries logicals }
 
 let of_instructions cfg insts =
   let bytes, layouts = Encode.encode_block insts in
@@ -268,8 +263,6 @@ let fused_uops t = t.flat.tot_fused
 let issued_uops t = t.flat.tot_issued
 
 let jcc_erratum_affected t = t.flat.jcc_affected
-
-let form_sig t = t.flat.form_sig
 
 (* Reference (pre-flattening) spellings: list walks over the block, kept
    for the differential tests and for timing the pre-PR inner loop in

@@ -63,9 +63,6 @@ type flat = {
   tot_issued : int;
   ends_branch : bool;
   jcc_affected : bool;
-  form_sig : int;
-      (** order-sensitive hash of the form ids ({!Facile_db.Flat}) of
-          the block's instructions — a cheap memo-key discriminator *)
 }
 
 type t = {
@@ -100,9 +97,6 @@ val issued_uops : t -> int
     or end on a 32-byte boundary? Only meaningful when
     [cfg.jcc_erratum] holds. *)
 val jcc_erratum_affected : t -> bool
-
-(** The block's form-id signature (see {!flat.form_sig}). *)
-val form_sig : t -> int
 
 (** Reference (pre-flattening) spellings of the block accessors: list
     walks kept for differential tests and for timing the pre-PR inner

@@ -312,7 +312,7 @@ let table cfg =
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 
-(* Ids reported by [describe_id] for shapes resolved before the table:
+(* Ids reported by [id_of] for shapes resolved before the table:
    rename-eliminated cases are decided per call (they depend on exact
    register identities the key deliberately ignores). *)
 let id_fallback = -1
@@ -335,28 +335,22 @@ let id_of cfg (i : Inst.t) =
    (support gate, then the rename-eliminated cases), then the O(1)
    table hit.  Allocation-free on hits: the returned descriptor is the
    table's shared view. *)
-let describe_id cfg (i : Inst.t) : Db.t * int =
+let describe cfg (i : Inst.t) : Db.t =
   Db.check_supported cfg i;
   if Db.is_zero_idiom i then
-    ((if is_canonical cfg then (table cfg).elim_zero
-      else Db.eliminated_desc cfg ~zero_idiom:true),
-     id_zero_idiom)
-  else if i.Inst.mnem = Inst.NOP || i.Inst.mnem = Inst.NOPL then
-    ((if is_canonical cfg then (table cfg).elim_plain
-      else Db.eliminated_desc cfg ~zero_idiom:false),
-     id_nop)
-  else if Db.is_reg_move_elimination cfg i then
-    ((if is_canonical cfg then (table cfg).elim_plain
-      else Db.eliminated_desc cfg ~zero_idiom:false),
-     id_mov_elim)
-  else if not (is_canonical cfg) then (Db.describe cfg i, id_fallback)
+    if is_canonical cfg then (table cfg).elim_zero
+    else Db.eliminated_desc cfg ~zero_idiom:true
+  else if i.Inst.mnem = Inst.NOP || i.Inst.mnem = Inst.NOPL
+          || Db.is_reg_move_elimination cfg i
+  then
+    if is_canonical cfg then (table cfg).elim_plain
+    else Db.eliminated_desc cfg ~zero_idiom:false
+  else if not (is_canonical cfg) then Db.describe cfg i
   else
     let t = table cfg in
     match Hashtbl.find t.slots (key i) with
     | id ->
       (match t.descs.(id) with
-       | Some d -> (d, id)
-       | None -> (Db.describe cfg i, id_fallback))
-    | exception Not_found -> (Db.describe cfg i, id_fallback)
-
-let describe cfg i = fst (describe_id cfg i)
+       | Some d -> d
+       | None -> Db.describe cfg i)
+    | exception Not_found -> Db.describe cfg i

@@ -67,13 +67,9 @@ val is_canonical : Config.t -> bool
     nothing. *)
 val describe : Config.t -> Inst.t -> Db.t
 
-(** [describe_id cfg i] additionally returns the form id served, or a
-    negative marker: [-1] fallback, [-2] zero idiom, [-3] NOP,
-    [-4] eliminated move (the rename-eliminated cases are decided per
-    call because they depend on exact register identities the key
-    ignores). *)
-val describe_id : Config.t -> Inst.t -> Db.t * int
-
-(** The form id [describe_id] would serve, without building the
-    descriptor (used for block form signatures). *)
+(** The form id {!describe} serves [i] from, or a negative marker:
+    [-1] fallback, [-2] zero idiom, [-3] NOP, [-4] eliminated move
+    (the rename-eliminated cases are decided per call because they
+    depend on exact register identities the key ignores).  The [flat]
+    check family reports table coverage with it. *)
 val id_of : Config.t -> Inst.t -> int

@@ -12,10 +12,17 @@ module Sync = Facile_core.Sync
 (* chunks without further coordination and each index is claimed by    *)
 (* exactly one domain.                                                 *)
 
-(* The memoization key: keyed on the block's form signature (cheap int
-   hash of its dense form ids) before the bytes, so most lookups
-   reject on an int compare instead of a string compare. *)
-type memo_key = Config.arch * [ `Loop | `Unrolled ] * int * string
+type mode = [ `Loop | `Unrolled | `Auto ]
+
+(* The memo cache is keyed on the request as sent: µarch, requested
+   mode (`Auto is its own key space, not the notion it resolves to)
+   and the exact machine code.  Each entry keeps the block's
+   instruction count beside its prediction, so a caller holding only
+   the bytes can apply a size limit to a hit without analysing the
+   block.  [memo_key] is the persisted spelling of a key and its count
+   together. *)
+type key = Config.arch * mode * string
+type memo_key = Config.arch * mode * int * string
 
 type t = {
   size : int;
@@ -32,7 +39,7 @@ type t = {
      endless distinct traffic cannot grow without limit and concurrent
      requests do not serialize on one cache lock *)
   memoize : bool;
-  memo : (memo_key, Model.prediction) Shard_cache.t;
+  memo : (key, int * Model.prediction) Shard_cache.t;
 }
 
 let rec worker_loop pool seen_epoch =
@@ -54,13 +61,6 @@ let rec worker_loop pool seen_epoch =
     worker_loop pool epoch
 
 let default_cache_cap = 65536
-
-(* Shard selection must mix every key component: form signatures are
-   already FNV-mixed, the arch and notion are small enums folded in so
-   the same bytes on two arches spread over different shards. *)
-let memo_hash ((arch, notion, sig_, _bytes) : memo_key) =
-  let h = sig_ lxor (Hashtbl.hash arch * 0x9e3779b1) in
-  h lxor (match notion with `Loop -> 0x5bd1e995 | `Unrolled -> 0)
 
 let create ?workers ?(memoize = true) ?(cache_cap = default_cache_cap)
     ?cache_shards () =
@@ -86,7 +86,9 @@ let create ?workers ?(memoize = true) ?(cache_cap = default_cache_cap)
     { size; mutex = Mutex.create (); have_work = Condition.create ();
       quiesced = Condition.create (); batch = None; epoch = 0; active = 0;
       stop = false; domains = []; memoize;
-      memo = Shard_cache.create ~shards ~cap:cache_cap ~hash:memo_hash () }
+      (* the shard hash mixes all three key components, the whole byte
+         string included *)
+      memo = Shard_cache.create ~shards ~cap:cache_cap ~hash:Hashtbl.hash () }
   in
   pool.domains <-
     List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool 0));
@@ -161,17 +163,10 @@ let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 (* ------------------------------------------------------------------ *)
 (* Memoized block prediction                                           *)
 
-type mode = [ `Loop | `Unrolled | `Auto ]
-
-let notion_of_block mode (b : Block.t) =
-  match mode with
-  | (`Loop | `Unrolled) as m -> m
-  | `Auto -> if Block.ends_in_branch b then `Loop else `Unrolled
-
-let predict_one notion b =
-  match notion with
-  | `Loop -> Model.predict ~notion:Model.L b
-  | `Unrolled -> Model.predict ~notion:Model.U b
+let notion = function
+  | `Loop -> Model.L
+  | `Unrolled -> Model.U
+  | `Auto -> Model.Auto
 
 (* resolved once; see Facile_obs.Obs — recording is lock-free *)
 let batch_span = Facile_obs.Obs.histogram "engine.batch"
@@ -179,33 +174,38 @@ let predict_span = Facile_obs.Obs.histogram "engine.predict"
 
 (* One pass over the sharded cache: a single lock acquisition settles
    hit / join-flight / own-compute, and duplicates — within a batch or
-   across concurrent requests — coalesce onto one compute. *)
-let memo_predict pool notion b =
-  let key =
-    (b.Block.cfg.Config.arch, notion, Block.form_sig b, b.Block.bytes)
+   across concurrent requests — coalesce onto one compute.  Only the
+   compute analyses the block, so a hit costs the lookup alone. *)
+let memo_predict pool (cfg : Config.t) mode code analyze =
+  let compute () =
+    let b = analyze () in
+    (List.length b.Block.entries, Model.predict ~notion:(notion mode) b)
   in
-  Shard_cache.find_or_compute pool.memo key (fun () -> predict_one notion b)
+  if not pool.memoize then compute ()
+  else
+    Shard_cache.find_or_compute pool.memo (cfg.Config.arch, mode, code)
+      compute
 
-(* Memoized single-block prediction on the calling domain: the serving
-   layer's per-request path, sharing the cross-batch cache (and its
-   hit/miss accounting) with [predict_batch]. *)
-let predict pool ~mode b =
+let predict_code pool cfg ~mode code ~analyze =
   Facile_obs.Obs.timed predict_span @@ fun () ->
   (* fault-injection hook for the serving path; a no-op unless
      FACILE_FAULT is set *)
   Fault.point "predict";
-  let notion = notion_of_block mode b in
-  if not pool.memoize then predict_one notion b
-  else memo_predict pool notion b
+  memo_predict pool cfg mode code analyze
+
+(* Memoized single-block prediction on the calling domain, sharing the
+   cross-batch cache (and its hit/miss accounting) with
+   [predict_batch]. *)
+let predict pool ~mode (b : Block.t) =
+  snd
+    (predict_code pool b.Block.cfg ~mode b.Block.bytes ~analyze:(fun () -> b))
 
 let predict_batch pool ~mode blocks =
   Facile_obs.Obs.timed batch_span @@ fun () ->
-  let blocks = Array.of_list blocks in
-  let f =
-    if not pool.memoize then fun b -> predict_one (notion_of_block mode b) b
-    else fun b -> memo_predict pool (notion_of_block mode b) b
+  let f (b : Block.t) =
+    snd (memo_predict pool b.Block.cfg mode b.Block.bytes (fun () -> b))
   in
-  Array.to_list (map pool f blocks)
+  Array.to_list (map pool f (Array.of_list blocks))
 
 let memo_stats pool =
   let s = Shard_cache.stats pool.memo in
@@ -218,7 +218,10 @@ let memo_stats pool =
    loaded records without touching the hit/miss accounting, so stats
    reflect only this process's traffic. *)
 
-let memo_entries pool = Shard_cache.to_list pool.memo
+let memo_entries pool =
+  List.map
+    (fun ((arch, mode, code), (insts, p)) -> ((arch, mode, insts, code), p))
+    (Shard_cache.to_list pool.memo)
 
 let memo_seed pool entries =
   if pool.memoize then
@@ -226,7 +229,10 @@ let memo_seed pool entries =
        the store preserves); insert oldest first so each shard's LRU
        keeps the same recency and a bounded cache evicts the same cold
        tail *)
-    List.iter (fun (k, v) -> Shard_cache.add pool.memo k v) (List.rev entries)
+    List.iter
+      (fun ((arch, mode, insts, code), p) ->
+        Shard_cache.add pool.memo (arch, mode, code) (insts, p))
+      (List.rev entries)
 
 type cache_stats = {
   hits : int;

@@ -10,10 +10,12 @@
     calling domain, so the pool can be used unconditionally.
 
     [predict_batch] adds a memoization layer keyed on
-    [(arch, throughput notion, block bytes)]: repeated blocks in a
+    [(arch, requested mode, block bytes)]: repeated blocks in a
     corpus — common in BHive-style suites — are predicted once and the
     result is reused, both within a batch and across batches of the
-    same pool.  The cache is sharded ({!Shard_cache}): each key hashes
+    same pool.  The key is what a request sends, so {!predict_code}
+    answers a hit from the bytes alone, without decoding or analysing
+    the block.  The cache is sharded ({!Shard_cache}): each key hashes
     to one of [cache_shards] independently locked bounded LRUs, and
     concurrent misses on the same key coalesce onto a single compute
     (single flight), so N domains predicting distinct blocks never
@@ -82,14 +84,16 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_list t f xs] — [List.map f xs] via {!map}. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** The throughput notion for a batch: [`Loop] forces TP_L, [`Unrolled]
+(** The throughput notion requested: [`Loop] forces TP_L, [`Unrolled]
     forces TP_U, [`Auto] dispatches per block on
-    {!Facile_core.Block.ends_in_branch} (like {!Facile_core.Model.predict}). *)
+    {!Facile_core.Block.ends_in_branch} (like {!Facile_core.Model.predict}).
+    The requested mode, not the notion it resolves to, is part of the
+    memo key: [`Auto] entries are a key space of their own. *)
 type mode = [ `Loop | `Unrolled | `Auto ]
 
 (** [predict_batch t ~mode blocks] predicts every block, in parallel,
-    memoized. The result list is ordered like the input, and is
-    bit-identical to a sequential [List.map] of
+    memoized on [(arch, mode, b.bytes)]. The result list is ordered
+    like the input, and is bit-identical to a sequential [List.map] of
     [Model.predict ~notion] for every pool size and shard count.
     Duplicate blocks within the batch are predicted once: workers that
     race on the same key coalesce through the cache's single-flight
@@ -98,8 +102,26 @@ val predict_batch : t -> mode:mode -> Block.t list -> Model.prediction list
 
 (** [predict t ~mode b] — memoized single-block prediction on the
     calling domain, sharing the cache (and hit/miss accounting) with
-    {!predict_batch}. This is the serving layer's per-request path. *)
+    {!predict_batch}: {!predict_code} on [b.bytes] with [b] as the
+    analysis. *)
 val predict : t -> mode:mode -> Block.t -> Model.prediction
+
+(** [predict_code t cfg ~mode code ~analyze] — memoized prediction of
+    the machine code [code] on [cfg], in one pass over the cache, on
+    the calling domain.  Returns the block's instruction count with
+    its prediction.  A hit returns both from the cache without calling
+    [analyze]; a miss calls [analyze ()], which must return the block
+    of [code] on [cfg] ({!Facile_core.Block.of_bytes} or an equivalent
+    analysis), predicts it, and caches the pair.  When [analyze]
+    raises, the exception propagates and nothing is cached, so a
+    caller can refuse a block (size limit, deadline, bad encoding)
+    from inside it.  Passes the ["predict"] fault point once; the
+    ["engine.predict"] span times the whole call, so on a miss it
+    includes [analyze].  This is the serving layer's per-request
+    path. *)
+val predict_code :
+  t -> Facile_uarch.Config.t -> mode:mode -> string ->
+  analyze:(unit -> Block.t) -> int * Model.prediction
 
 (** [(hits, misses)] of the memoization layer since [create]. A miss is
     a distinct key actually predicted; a hit is a reuse, whether from a
@@ -107,12 +129,13 @@ val predict : t -> mode:mode -> Block.t -> Model.prediction
     earlier batch. *)
 val memo_stats : t -> int * int
 
-(** The memoization key: microarchitecture, resolved throughput
-    notion, the block's form signature ({!Facile_core.Block.form_sig})
-    and its exact bytes.  Exposed so the persistent prediction store
+(** A memo entry's key as persisted: microarchitecture, requested
+    mode, the block's instruction count and its exact bytes.  The
+    cache itself is keyed on [(arch, mode, bytes)] and stores the count
+    with the prediction.  Exposed so the persistent prediction store
     ([Facile_store]) can flush and re-seed the cache across process
     restarts. *)
-type memo_key = Facile_uarch.Config.arch * [ `Loop | `Unrolled ] * int * string
+type memo_key = Facile_uarch.Config.arch * mode * int * string
 
 (** Snapshot of the memo cache in deterministic shard-merge order
     (shard 0 most-recent first, then shard 1, ...). *)

@@ -13,6 +13,18 @@
    per TCP connection — both against the same [t].  Every request is
    handled on the thread of the session that read it.
 
+   The memo cache is keyed on the request as sent: (µarch, requested
+   mode, the bytes of its [hex]).  A [hex] request takes one pass over
+   the cache.  A hit answers from the stored prediction and
+   instruction count, without decoding or analysing the block; a miss
+   decodes, analyses, checks the block against [--max-insts] and the
+   deadline, and runs the model.  Either way the answer is the same,
+   bit for bit, including "too_large" (from the stored count) and
+   "timeout" (the deadline is checked before the lookup).  Fault
+   points: a hit passes "predict" once and skips "decode"; a miss, and
+   every [asm] request, passes "decode" and "predict" once each; every
+   answered line passes "respond".
+
    The pipeline is built to degrade gracefully rather than die:
 
    - the heavy per-request work (decode + predict) runs inside a
@@ -129,16 +141,17 @@ type t = {
 
 let of_config (c : config) =
   if c.queue_cap < 1 then
-    invalid_arg (Printf.sprintf "Serve.create: queue_cap = %d" c.queue_cap);
+    invalid_arg
+      (Printf.sprintf "Serve.of_config: queue_cap = %d" c.queue_cap);
   if c.retry_after_ms < 0 then
     invalid_arg
-      (Printf.sprintf "Serve.create: retry_after_ms = %d" c.retry_after_ms);
+      (Printf.sprintf "Serve.of_config: retry_after_ms = %d" c.retry_after_ms);
   if c.limits.max_line_bytes < 1 || c.limits.max_input_bytes < 1
      || c.limits.max_insts < 1
-  then invalid_arg "Serve.create: limits must be positive";
+  then invalid_arg "Serve.of_config: limits must be positive";
   (match c.flush_every with
    | Some n when n < 1 ->
-     invalid_arg (Printf.sprintf "Serve.create: flush_every = %d" n)
+     invalid_arg (Printf.sprintf "Serve.of_config: flush_every = %d" n)
    | _ -> ());
   { engine =
       Engine.create ?workers:c.workers ~memoize:c.memoize
@@ -147,7 +160,7 @@ let of_config (c : config) =
     limits = c.limits;
     deadline_ns =
       Option.map (fun ms ->
-          if ms < 0 then invalid_arg "Serve.create: deadline_ms < 0"
+          if ms < 0 then invalid_arg "Serve.of_config: deadline_ms < 0"
           else ms * 1_000_000)
         c.deadline_ms;
     queue_cap = c.queue_cap;
@@ -376,59 +389,87 @@ let mode_of_string = function
       (Err.v Err.Unknown_mode
          (Printf.sprintf "unknown mode: %s (expected loop|unroll|auto)" m))
 
-let block_of_request cfg ~hex ~asm =
-  match hex, asm with
-  | Some h, _ ->
-    Result.bind (Hex.decode h) (fun code ->
-        match Block.of_bytes cfg code with
-        | b -> Ok b
-        | exception Decode.Decode_error (m, off) ->
-          Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
-        | exception Facile_db.Db.Unsupported m ->
-          Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-        | exception Failure m -> Error (Err.v Err.Encode_error m))
-  | None, Some a ->
-    (match Asm.parse_block a with
-     | Error m -> Error (Err.v Err.Parse_error m)
-     | Ok insts ->
-       (match Block.of_instructions cfg insts with
-        | b -> Ok b
-        | exception Encode.Unencodable m ->
-          Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
-        | exception Facile_db.Db.Unsupported m ->
-          Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-        | exception Failure m -> Error (Err.v Err.Encode_error m)))
-  | None, None -> assert false
+let block_of_bytes cfg code =
+  match Block.of_bytes cfg code with
+  | b -> Ok b
+  | exception Decode.Decode_error (m, off) ->
+    Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
+  | exception Facile_db.Db.Unsupported m ->
+    Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
+  | exception Failure m -> Error (Err.v Err.Encode_error m)
 
-(* The heavy half of a request: decode + size check + predict, inside
-   the request boundary.  Injected faults and real bugs raise.  The
-   request's deadline is a value of its own, checked before decoding
-   and again before predicting; a spent one answers [`Timeout]. *)
-let compute t cfg ~mode ~hex ~asm =
-  let deadline = Option.map (( + ) (Clock.now_ns ())) t.deadline_ns in
-  let spent () =
-    match deadline with Some d -> Clock.now_ns () >= d | None -> false
-  in
-  Fault.point "decode";
-  if spent () then `Timeout
-  else
-    match block_of_request cfg ~hex ~asm with
-    | Error e -> `Done (Error e)
-    | Ok block ->
-      let n = List.length block.Block.entries in
-      if n > t.limits.max_insts then
-        `Done
-          (Error
-             (Err.v Err.Too_large
-                (Printf.sprintf "block has %d instructions, limit is %d" n
-                   t.limits.max_insts)))
-      else if spent () then `Timeout
-      else `Done (Ok (Engine.predict t.engine ~mode block))
+let block_of_asm cfg a =
+  match Asm.parse_block a with
+  | Error m -> Error (Err.v Err.Parse_error m)
+  | Ok insts ->
+    (match Block.of_instructions cfg insts with
+     | b -> Ok b
+     | exception Encode.Unencodable m ->
+       Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
+     | exception Facile_db.Db.Unsupported m ->
+       Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
+     | exception Failure m -> Error (Err.v Err.Encode_error m))
 
 let timeout_err t =
   Err.v Err.Timeout
     (Printf.sprintf "request exceeded its %dms deadline"
        (match t.deadline_ns with Some ns -> ns / 1_000_000 | None -> 0))
+
+let too_many_insts t n =
+  Err.v Err.Too_large
+    (Printf.sprintf "block has %d instructions, limit is %d" n
+       t.limits.max_insts)
+
+(* A typed refusal raised out of the cache's compute closure, so that
+   nothing is cached for it. *)
+exception Refused of Err.t
+
+let refuse = function Ok v -> v | Error e -> raise (Refused e)
+
+(* The heavy half of a request, inside the request boundary.  Injected
+   faults and real bugs raise.  The request's deadline is a value of
+   its own, checked before the cache lookup and, on a miss, again
+   before predicting; a spent one answers timeout.  A [hex] request
+   takes one pass over the memo cache keyed on its bytes: a hit
+   answers from the stored prediction and instruction count without
+   decoding, and only a miss decodes, analyses and checks the block
+   before the model runs.  [asm] requests are analysed first, since
+   their bytes come from encoding. *)
+let compute t cfg ~mode ~hex ~asm =
+  let deadline = Option.map (( + ) (Clock.now_ns ())) t.deadline_ns in
+  let spent () =
+    match deadline with Some d -> Clock.now_ns () >= d | None -> false
+  in
+  let check_size n =
+    if n > t.limits.max_insts then raise (Refused (too_many_insts t n))
+  in
+  (* the cold path's checks between analysing a block and the model *)
+  let admit block =
+    check_size (List.length block.Block.entries);
+    if spent () then raise (Refused (timeout_err t));
+    block
+  in
+  match
+    if spent () then raise (Refused (timeout_err t));
+    match hex, asm with
+    | Some h, _ ->
+      let code = refuse (Hex.decode h) in
+      let n, p =
+        Engine.predict_code t.engine cfg ~mode code ~analyze:(fun () ->
+            Fault.point "decode";
+            admit (refuse (block_of_bytes cfg code)))
+      in
+      (* a hit skipped [admit]: its stored count meets this server's
+         limit here, exactly as the cold path would have *)
+      check_size n;
+      p
+    | None, Some a ->
+      Fault.point "decode";
+      Engine.predict t.engine ~mode (admit (refuse (block_of_asm cfg a)))
+    | None, None -> assert false
+  with
+  | p -> Ok p
+  | exception Refused e -> Error e
 
 (* Every key a request object may carry; anything else is rejected
    with a bad_request naming the offending key, so protocol typos and
@@ -507,15 +548,14 @@ let handle_request t (req : Json.t) : Json.t =
                        Supervise.run t.sup (fun () ->
                            compute t cfg ~mode ~hex ~asm)
                      with
-                     | Ok (`Done (Error e)) -> err_response t ~id e
-                     | Ok `Timeout -> err_response t ~id (timeout_err t)
+                     | Ok (Error e) -> err_response t ~id e
                      | Error (Fault.Injected p) ->
                        error_response t ~id ~kind:"internal"
                          (Printf.sprintf "injected fault at %s" p)
                      | Error e ->
                        error_response t ~id ~kind:"internal"
                          (Printexc.to_string e)
-                     | Ok (`Done (Ok p)) ->
+                     | Ok (Ok p) ->
                        Atomic.incr t.predicted;
                        Obs.Cmap.bump t.by_arch cfg.Config.abbrev;
                        tick_persist t;

@@ -37,7 +37,9 @@
     boundary ({!Supervise.run}) that answers an escaped exception with
     ["internal"] for that request only; each request carries its own
     optional wall-clock deadline; input sizes are capped; the memo
-    cache is a bounded LRU; EOF/SIGINT/SIGTERM/EPIPE all answer what
+    cache is a bounded LRU keyed on (µarch, requested mode, bytes), so
+    a [hex] hit is answered without decoding the block, and answers
+    exactly what the miss did; EOF/SIGINT/SIGTERM/EPIPE all answer what
     was read and flush a final stats snapshot ([{"final_stats":..}] on
     stderr) before returning.  A dead client stops only its own
     session, never the process.

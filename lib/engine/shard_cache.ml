@@ -96,9 +96,9 @@ let create ~shards ~cap ~hash () =
 
 let shard_count (t : ('k, 'v) t) = Array.length t.shards
 
-(* Scramble the low bits with the high ones before masking: form_sig
-   hashes are well mixed, but the cache is generic and a caller hash
-   with low-bit structure must not collapse every key onto shard 0. *)
+(* Scramble the low bits with the high ones before masking: the cache
+   is generic, and a caller hash with low-bit structure must not
+   collapse every key onto shard 0. *)
 let shard_of (t : ('k, 'v) t) k =
   let h = t.hash k in
   let h = h lxor (h lsr 16) in

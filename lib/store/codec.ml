@@ -1,8 +1,9 @@
 (* Binary record codec.  Layout (all little-endian):
 
      u8   arch code            (SNB=0 .. RKL=8, declaration order)
-     u8   notion               (0 = unrolled/TP_U, 1 = loop/TP_L)
-     i64  form_sig
+     u8   mode                 (0 = unroll, 1 = loop, 2 = auto; as
+                                requested, not as resolved)
+     u32  insts                (the block's instruction count)
      u32  len(bytes) | bytes   (the block's machine code)
      f64  cycles               (IEEE-754 bits)
      u8   fe_path              (decoders=0, lsd=1, dsb=2, none=3)
@@ -18,16 +19,16 @@ module Json = Facile_obs.Json
 
 type record = {
   arch : Config.arch;
-  notion : [ `Loop | `Unrolled ];
-  form_sig : int;
+  mode : Facile_engine.Engine.mode;
+  insts : int;
   bytes : string;
   pred : Model.prediction;
 }
 
-let to_memo r = ((r.arch, r.notion, r.form_sig, r.bytes), r.pred)
+let to_memo r = ((r.arch, r.mode, r.insts, r.bytes), r.pred)
 
-let of_memo ((arch, notion, form_sig, bytes), pred) =
-  { arch; notion; form_sig; bytes; pred }
+let of_memo ((arch, mode, insts, bytes), pred) =
+  { arch; mode; insts; bytes; pred }
 
 (* ----- wire codes ----- *)
 
@@ -55,6 +56,12 @@ let component_of_code = function
 let fe_code = function
   | Model.FE_decoders -> 0 | Model.FE_lsd -> 1 | Model.FE_dsb -> 2
   | Model.FE_none -> 3
+
+let mode_code = function `Unrolled -> 0 | `Loop -> 1 | `Auto -> 2
+
+let mode_of_code = function
+  | 0 -> Some `Unrolled | 1 -> Some `Loop | 2 -> Some `Auto
+  | _ -> None
 
 let fe_of_code = function
   | 0 -> Some Model.FE_decoders | 1 -> Some Model.FE_lsd
@@ -99,8 +106,8 @@ let add_str b s =
 let encode r =
   let b = Buffer.create (64 + String.length r.bytes) in
   add_u8 b (arch_code r.arch);
-  add_u8 b (match r.notion with `Unrolled -> 0 | `Loop -> 1);
-  add_i64 b (Int64.of_int r.form_sig);
+  add_u8 b (mode_code r.mode);
+  add_u32 b r.insts;
   add_str b r.bytes;
   let p = r.pred in
   add_f64 b p.Model.cycles;
@@ -162,13 +169,13 @@ let decode s =
       | Some a -> a
       | None -> raise (Bad "unknown arch code")
     in
-    let notion =
-      match u8 "notion" with
-      | 0 -> `Unrolled
-      | 1 -> `Loop
-      | c -> raise (Bad (Printf.sprintf "unknown notion code %d" c))
+    let mode =
+      let c = u8 "mode" in
+      match mode_of_code c with
+      | Some m -> m
+      | None -> raise (Bad (Printf.sprintf "unknown mode code %d" c))
     in
-    let form_sig = Int64.to_int (i64 "form_sig") in
+    let insts = u32 "insts" in
     let bytes = str "bytes" in
     let cycles = f64 "cycles" in
     let fe_path =
@@ -191,7 +198,7 @@ let decode s =
     in
     if !pos <> n then
       raise (Bad (Printf.sprintf "%d trailing bytes after record" (n - !pos)));
-    { arch; notion; form_sig; bytes;
+    { arch; mode; insts; bytes;
       pred = { Model.cycles; bottlenecks; values; fe_path } }
   with
   | r -> Ok r
@@ -204,13 +211,14 @@ let to_hex s =
     (List.init (String.length s) (fun i ->
          Printf.sprintf "%02x" (Char.code s.[i])))
 
-let notion_name = function `Loop -> "loop" | `Unrolled -> "unroll"
+let mode_name = function
+  | `Loop -> "loop" | `Unrolled -> "unroll" | `Auto -> "auto"
 
 let to_json r =
   Json.Obj
     [ "arch", Json.Str (Config.by_arch r.arch).Config.abbrev;
-      "notion", Json.Str (notion_name r.notion);
-      "form_sig", Json.Int r.form_sig;
+      "mode", Json.Str (mode_name r.mode);
+      "insts", Json.Int r.insts;
       "hex", Json.Str (to_hex r.bytes);
       "prediction", Model.prediction_to_json r.pred ]
 
@@ -235,17 +243,18 @@ let of_json j =
     | Some cfg -> Ok cfg.Config.arch
     | None -> Error (Printf.sprintf "unknown arch %S" arch_s)
   in
-  let* notion_s = str_field "notion" in
-  let* notion =
-    match notion_s with
+  let* mode_s = str_field "mode" in
+  let* mode =
+    match mode_s with
     | "loop" -> Ok `Loop
     | "unroll" -> Ok `Unrolled
-    | s -> Error (Printf.sprintf "unknown notion %S" s)
+    | "auto" -> Ok `Auto
+    | s -> Error (Printf.sprintf "unknown mode %S" s)
   in
-  let* form_sig =
-    match Option.bind (Json.member "form_sig" j) Json.int_opt with
-    | Some i -> Ok i
-    | None -> Error "missing or non-int field \"form_sig\""
+  let* insts =
+    match Option.bind (Json.member "insts" j) Json.int_opt with
+    | Some i when i >= 0 && i <= 0xFFFFFFFF -> Ok i
+    | _ -> Error "missing or out-of-range int field \"insts\""
   in
   let* hex = str_field "hex" in
   let* bytes =
@@ -299,5 +308,5 @@ let of_json j =
     | _ -> Error "prediction: missing \"values\" object"
   in
   Ok
-    { arch; notion; form_sig; bytes;
+    { arch; mode; insts; bytes;
       pred = { Model.cycles; bottlenecks; values; fe_path } }

@@ -1,12 +1,12 @@
 (** Binary codec for one persisted prediction record.
 
     A record is the full memoization unit of the engine —
-    [(arch, notion, form_sig, bytes)] plus the prediction — encoded
-    into a compact little-endian byte string.  Floats are carried as
+    [(arch, mode, insts, bytes)] plus the prediction — encoded into a
+    compact little-endian byte string.  Floats are carried as
     their IEEE-754 bit patterns, so a decode∘encode round trip is
     bit-identical (enforced by the [store] family of [facile check]).
 
-    The codec is strict on decode: unknown arch/notion/component/
+    The codec is strict on decode: unknown arch/mode/component/
     fe-path codes, truncated fields, and trailing bytes are all
     rejected with a reason, so a frame whose CRC passed but whose
     content is skewed is quarantined rather than half-trusted. *)
@@ -16,8 +16,9 @@ open Facile_core
 
 type record = {
   arch : Config.arch;
-  notion : [ `Loop | `Unrolled ];
-  form_sig : int;   (** {!Facile_core.Block.form_sig} of the block *)
+  mode : Facile_engine.Engine.mode;
+      (** the mode as requested; [`Auto] is not resolved *)
+  insts : int;      (** the block's instruction count *)
   bytes : string;   (** the block's machine code, verbatim *)
   pred : Model.prediction;
 }
@@ -38,10 +39,11 @@ val decode : string -> (record, string) result
 
 (** {2 NDJSON exchange format}
 
-    [facile cache export] writes one {!to_json} object per line;
-    [facile cache import] reads them back.  The JSON float printer
-    emits the shortest decimal that round-trips, so the exchange is
-    bit-identical too. *)
+    [facile cache export] writes one {!to_json} object per line —
+    [arch], [mode] ([loop|unroll|auto]), [insts], [hex] and
+    [prediction] — and [facile cache import] reads them back.  The
+    JSON float printer emits the shortest decimal that round-trips, so
+    the exchange is bit-identical too. *)
 
 val to_json : record -> Facile_obs.Json.t
 val of_json : Facile_obs.Json.t -> (record, string) result

@@ -1,5 +1,5 @@
 let magic = "FACSTOR1"
-let version = 1
+let version = 2
 let header_size = 24
 let max_frame = 16 * 1024 * 1024
 

@@ -24,7 +24,9 @@
 val magic : string
 
 (** Current format version.  Any change to the header, frame, or
-    {!Codec} wire layout must bump this. *)
+    {!Codec} wire layout must bump this.  Version 2 records carry the
+    requested mode and the instruction count; version 1 records (the
+    resolved notion and a form signature) are refused as skew. *)
 val version : int
 
 (** Header size in bytes (24). *)

@@ -670,13 +670,7 @@ let flatpath_tests =
                per-call arrays blows well past this) *)
             if d1 > 4096.0 then
               Alcotest.failf "allocation budget exceeded: %.0f words" d1)
-          blocks);
-    Alcotest.test_case "form signature is deterministic" `Quick (fun () ->
-        let insts = parse_block "add rax, rbx\nimul rcx, rdx\nnop" in
-        let a = Block.of_instructions skl insts in
-        let b = Block.of_instructions skl insts in
-        Alcotest.(check int) "same insts, same signature" (Block.form_sig a)
-          (Block.form_sig b)) ]
+          blocks) ]
 
 let region_tests =
   [ Alcotest.test_case "single-block region = block prediction" `Quick

@@ -43,25 +43,27 @@ let block_of_hex cfg h =
 
 (* A real record: run the model so predictions carry genuine
    bottleneck/value structure, not synthetic placeholders. *)
-let mk_record ?(arch = Config.SKL) ?(notion = `Unrolled) hex =
+let mk_record ?(arch = Config.SKL) ?(mode = `Unrolled) hex =
   let cfg = Config.by_arch arch in
   let b = block_of_hex cfg hex in
-  let n = match notion with `Loop -> Model.L | `Unrolled -> Model.U in
+  let notion =
+    match mode with `Loop -> Model.L | `Unrolled -> Model.U | `Auto -> Model.Auto
+  in
   { Codec.arch;
-    notion;
-    form_sig = Block.form_sig b;
+    mode;
+    insts = List.length b.Block.entries;
     bytes = b.Block.bytes;
-    pred = Model.predict ~notion:n b }
+    pred = Model.predict ~notion b }
 
 let records_for_suite () =
   [ mk_record "4801d8";                           (* add rax,rbx *)
-    mk_record ~arch:Config.HSW ~notion:`Loop "4829d8";
-    mk_record ~arch:Config.TGL "48c7c02a000000"; (* mov rax,42 *)
-    mk_record ~arch:Config.ICL ~notion:`Loop "90" ]
+    mk_record ~arch:Config.HSW ~mode:`Loop "4829d8";
+    mk_record ~arch:Config.TGL ~mode:`Auto "48c7c02a000000"; (* mov rax,42 *)
+    mk_record ~arch:Config.ICL ~mode:`Loop "90" ]
 
 let record_equal (a : Codec.record) (b : Codec.record) =
-  a.Codec.arch = b.Codec.arch && a.Codec.notion = b.Codec.notion
-  && a.Codec.form_sig = b.Codec.form_sig
+  a.Codec.arch = b.Codec.arch && a.Codec.mode = b.Codec.mode
+  && a.Codec.insts = b.Codec.insts
   && String.equal a.Codec.bytes b.Codec.bytes
   && Codec.pred_equal a.Codec.pred b.Codec.pred
 
@@ -546,6 +548,20 @@ let cli_tests =
           (Segment.encode_header
              ~fingerprint:(Int64.lognot (Store.fingerprint ()))
           ^ Segment.encode_frame (Codec.encode (mk_record "90")));
+        Alcotest.(check int) "exit 12" 12
+          (run_cli (Printf.sprintf "cache verify %s" (Filename.quote path))));
+    Alcotest.test_case "cache verify: a format-1 store exits 12" `Quick
+      (fun () ->
+        (* format 1 keyed records on a form signature; no migration *)
+        with_temp @@ fun path ->
+        let b =
+          Bytes.of_string
+            (Segment.encode_header ~fingerprint:(Store.fingerprint ()))
+        in
+        Bytes.set_int32_le b 8 1l;
+        Bytes.set_int32_le b 20
+          (Int32.of_int (Crc32.sub (Bytes.to_string b) 0 20));
+        write_file path (Bytes.to_string b);
         Alcotest.(check int) "exit 12" 12
           (run_cli (Printf.sprintf "cache verify %s" (Filename.quote path))));
     Alcotest.test_case "cache verify: corrupt frame exits 10, clean exits 0"

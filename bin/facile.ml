@@ -17,11 +17,12 @@ let ( let* ) = Result.bind
 
 let read_input = function
   | Some path ->
+    (* a directory opens, then fails to read with an errno that does
+       not name it *)
+    if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
     let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
   | None ->
     (* read stdin in 64 KiB chunks: one Buffer.add_channel byte at a
        time costs a bounds-checked refill per byte and makes piping a
@@ -83,14 +84,15 @@ let predict_block block mode =
 let mode_name = function `Loop -> "loop" | `Unrolled -> "unroll"
 
 (* Run a command body; typed errors exit with their kind's code,
-   untyped Failure keeps the generic exit 1. *)
+   untyped Failure and I/O errors (a missing input file, a directory
+   given as one) keep the generic exit 1. *)
 let finish f =
   match f () with
   | Ok () -> 0
   | Error (e : Err.t) | (exception Err.Error e) ->
     prerr_endline ("error: " ^ Err.to_string e);
     Err.exit_code e.Err.kind
-  | exception Failure m ->
+  | exception (Failure m | Sys_error m) ->
     prerr_endline ("error: " ^ m);
     1
 

@@ -1,7 +1,8 @@
 (* Codec sweep, the codec- rule family: exhaustively encode every
    enumerated form and verify the decoder reconstructs it, the declared
-   layout metadata matches the bytes, and the prefix/LCP assumptions
-   the predecoder component builds on actually hold byte-for-byte.
+   layout metadata matches the bytes, the prefix/LCP assumptions the
+   predecoder component builds on actually hold byte-for-byte, and the
+   decoder accepts no other spelling of nearby bytes.
 
    [?encode] lets mutation self-tests inject a corrupted encoder
    (wrong length, flipped LCP flag) and assert the matching rule
@@ -160,6 +161,53 @@ let check_block insts =
         (Printf.sprintf "block[%d insts]" (List.length insts))
         (Printf.sprintf "decode failed at %d: %s" off msg) ]
 
+(* --- canonical form -------------------------------------------------- *)
+
+(* The decoder enforces canonical form itself, without re-encoding, so
+   it must accept exactly the bytes the encoder emits.  Every one-byte
+   substitution of a form's encoding that [decode] accepts is checked
+   against the live encoder: the decoded instructions must re-encode to
+   the same bytes and the same layouts.  One finding per form, naming
+   its first offending substitution.  [?decode] lets the self-test
+   inject a lenient decoder. *)
+let reencodes s layouts =
+  let insts = List.map (fun (l : Encode.layout) -> l.inst) layouts in
+  match Encode.encode_block insts with
+  | s', enc ->
+    s' = s && List.length enc = List.length layouts
+    && List.for_all2 layouts_agree enc layouts
+  | exception Encode.Unencodable _ -> false
+
+let check_canonical ?(decode = Decode.decode_block) inst =
+  match Encode.encode inst with
+  | exception Encode.Unencodable _ -> []  (* reported as codec-encode *)
+  | e ->
+    let b = Bytes.of_string e.bytes in
+    let accepted_non_canonical s =
+      match decode s with
+      | layouts -> not (reencodes s layouts)
+      | exception Decode.Decode_error _ -> false
+    in
+    let rec scan i v =
+      if i = Bytes.length b then None
+      else if v > 255 then scan (i + 1) 0
+      else if v = Char.code e.bytes.[i] then scan i (v + 1)
+      else begin
+        Bytes.set b i (Char.chr v);
+        let s = Bytes.to_string b in
+        Bytes.set b i e.bytes.[i];
+        if accepted_non_canonical s then Some s else scan i (v + 1)
+      end
+    in
+    (match scan 0 0 with
+     | None -> []
+     | Some s ->
+       [ error "codec-canonical" (where inst)
+           (Printf.sprintf
+              "decode_block accepts %s, which does not re-encode to the same \
+               bytes and layouts"
+              (Hex.encode s)) ])
+
 (* --- opcode-table liveness ----------------------------------------- *)
 
 (* Every SSE/VEX table entry must be reachable by the decoder: the
@@ -215,11 +263,22 @@ let check_dead_entries () =
   in
   sse @ vex
 
+let substitutions forms =
+  List.fold_left
+    (fun n inst ->
+      match Encode.encode inst with
+      | e -> n + (255 * String.length e.bytes)
+      | exception Encode.Unencodable _ -> n)
+    0 forms
+
 let run ?encode ?(forms = Forms.all) () =
   List.concat_map (fun i -> check_one ?encode i) forms
   @ check_lcp_controls (Option.value encode ~default:Encode.encode)
   @ List.concat_map check_block (chunks 8 forms)
+  @ List.concat_map check_canonical forms
   @ check_dead_entries ()
   @ [ Finding.info "codec-coverage" "forms"
-        (Printf.sprintf "%d forms encoded and round-tripped"
-           (List.length forms)) ]
+        (Printf.sprintf
+           "%d forms encoded and round-tripped, %d one-byte substitutions \
+            decoded"
+           (List.length forms) (substitutions forms)) ]

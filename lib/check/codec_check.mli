@@ -1,6 +1,7 @@
 (** Codec sweep (rule family [codec-*]): encode/decode identity for
     every enumerated form, layout-metadata agreement, byte-level
-    prefix/LCP validation, and opcode-table liveness. *)
+    prefix/LCP validation, canonical-form acceptance, and opcode-table
+    liveness. *)
 
 open Facile_x86
 
@@ -10,6 +11,13 @@ val check_one : ?encode:(Inst.t -> Encode.encoded) -> Inst.t -> Finding.t list
 
 (** [encode_block] / [decode_block] layout agreement for one block. *)
 val check_block : Inst.t list -> Finding.t list
+
+(** Every one-byte substitution of [inst]'s encoding that [decode]
+    (default {!Decode.decode_block}) accepts must re-encode to the same
+    bytes and layouts.  [?decode] substitutes a lenient decoder in
+    mutation self-tests. *)
+val check_canonical :
+  ?decode:(string -> Encode.layout list) -> Inst.t -> Finding.t list
 
 (** Shadowed/unreachable SSE and VEX opcode-table rows. *)
 val check_dead_entries : unit -> Finding.t list

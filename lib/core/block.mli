@@ -78,8 +78,9 @@ type t = {
     @raise Encode.Unencodable or [Db.Unsupported] on bad input. *)
 val of_instructions : Config.t -> Inst.t list -> t
 
-(** [of_bytes cfg code] decodes machine code and analyzes it.
-    @raise Decode.Decode_error on undecodable input. *)
+(** [of_bytes cfg code] decodes machine code and analyzes it; the
+    layouts come from the decoder, with no re-encode.
+    @raise Decode.Decode_error on undecodable or non-canonical input. *)
 val of_bytes : Config.t -> string -> t
 
 (** Whether the block ends in a (possibly conditional) branch and is

@@ -206,11 +206,6 @@ let decode s =
 
 (* ----- NDJSON exchange ----- *)
 
-let to_hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i ->
-         Printf.sprintf "%02x" (Char.code s.[i])))
-
 let mode_name = function
   | `Loop -> "loop" | `Unrolled -> "unroll" | `Auto -> "auto"
 
@@ -219,7 +214,7 @@ let to_json r =
     [ "arch", Json.Str (Config.by_arch r.arch).Config.abbrev;
       "mode", Json.Str (mode_name r.mode);
       "insts", Json.Int r.insts;
-      "hex", Json.Str (to_hex r.bytes);
+      "hex", Json.Str (Facile_x86.Hex.encode r.bytes);
       "prediction", Model.prediction_to_json r.pred ]
 
 let component_of_name s =

@@ -2,6 +2,12 @@
    layer.  Whitespace is ignored; errors carry the byte offset of the
    offending character in the input as the user wrote it. *)
 
+(* lower-case digits, two per byte, no separators *)
+let encode s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
 let digit_value c =
   match c with
   | '0' .. '9' -> Some (Char.code c - Char.code '0')

@@ -180,7 +180,13 @@ let test_codec_mutations () =
   in
   assert_fires "codec-roundtrip"
     (Codec_check.check_one ~encode:(fun i -> smash (Encode.encode i)) add);
-  assert_clean (Codec_check.check_one add)
+  assert_clean (Codec_check.check_one add);
+  (* a decoder that has lost its canonical-form check accepts, e.g.,
+     the reverse register direction 48 03 D8 *)
+  assert_fires "codec-canonical"
+    (Codec_check.check_canonical ~decode:Reencode_decode.decode_block_lenient
+       add);
+  assert_clean (Codec_check.check_canonical add)
 
 (* ----- model mutations ----- *)
 

@@ -20,10 +20,6 @@ let train_seed = 77
    itself, and variant predictions must not alias default ones. *)
 let engine = lazy (Engine.create ~memoize:false ())
 
-type mode = U | L
-
-let mode_str = function U -> "U" | L -> "L"
-
 (* Machine-readable benchmark records: one `BENCH {...}` line on stdout
    (greppable from CI logs) and the same JSON persisted to
    BENCH_<name>.json in $FACILE_BENCH_DIR (default: the working
@@ -58,7 +54,7 @@ let bench_record name fields =
   Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)
-(* Cached evaluation data: per (arch, mode), the analyzed blocks and    *)
+(* Cached evaluation data: per (arch, notion), the analyzed blocks and  *)
 (* the oracle measurement.                                             *)
 
 type sample = {
@@ -69,7 +65,8 @@ type sample = {
 
 let corpus = lazy (Suite.corpus ~seed:eval_seed ~size:(Suite.default_size ()) ())
 
-let data_cache : (Config.arch * mode, sample list) Hashtbl.t = Hashtbl.create 32
+let data_cache : (Config.arch * [ `Unrolled | `Loop ], sample list) Hashtbl.t =
+  Hashtbl.create 32
 
 let samples cfg mode =
   let key = (cfg.Config.arch, mode) in
@@ -81,7 +78,9 @@ let samples cfg mode =
     let s =
       Engine.map_list (Lazy.force engine)
         (fun (c : Suite.case) ->
-          let insts = match mode with U -> c.Suite.body | L -> c.Suite.loop in
+          let insts =
+            match mode with `Unrolled -> c.Suite.body | `Loop -> c.Suite.loop
+          in
           let block = Block.of_instructions cfg insts in
           match Sim.measure block with
           | m -> Some { case = c; block; measured = m }
@@ -119,7 +118,8 @@ let learned_model cfg =
 
 type predictor = {
   pname : string;
-  notion : mode option; (* the throughput notion it is designed for *)
+  notion : [ `Unrolled | `Loop ] option;
+      (* the throughput notion it is designed for *)
   predict : Config.t -> Block.t -> float;
 }
 
@@ -131,13 +131,13 @@ let predictors =
   [ facile_predictor;
     { pname = "uiCA-like"; notion = None;
       predict = (fun _ b -> Sim.uica_like b) };
-    { pname = "llvm-mca-like"; notion = Some L;
+    { pname = "llvm-mca-like"; notion = Some `Loop;
       predict = (fun _ b -> Baselines.llvm_mca_like b) };
-    { pname = "OSACA-like"; notion = Some L;
+    { pname = "OSACA-like"; notion = Some `Loop;
       predict = (fun _ b -> Baselines.osaca_like b) };
-    { pname = "IACA-like"; notion = Some L;
+    { pname = "IACA-like"; notion = Some `Loop;
       predict = (fun _ b -> Baselines.iaca_like b) };
-    { pname = "learned"; notion = Some U;
+    { pname = "learned"; notion = Some `Unrolled;
       predict = (fun cfg b -> Baselines.predict_learned (learned_model cfg) b) } ]
 
 let accuracy pairs =
@@ -179,8 +179,8 @@ let table2 () =
     (fun (cfg : Config.t) ->
       List.iter
         (fun p ->
-          let mape_u, tau_u = eval_predictor cfg U p in
-          let mape_l, tau_l = eval_predictor cfg L p in
+          let mape_u, tau_u = eval_predictor cfg `Unrolled p in
+          let mape_l, tau_l = eval_predictor cfg `Loop p in
           let mark m =
             (* parenthesize results on the notion the predictor was not
                designed for, like the gray cells in the paper *)
@@ -190,10 +190,10 @@ let table2 () =
           in
           rows :=
             [ cfg.Config.abbrev; p.pname;
-              mark U (Report.Table.pct mape_u);
-              mark U (Report.Table.f4 tau_u);
-              mark L (Report.Table.pct mape_l);
-              mark L (Report.Table.f4 tau_l) ]
+              mark `Unrolled (Report.Table.pct mape_u);
+              mark `Unrolled (Report.Table.f4 tau_u);
+              mark `Loop (Report.Table.pct mape_l);
+              mark `Loop (Report.Table.f4 tau_l) ]
             :: !rows)
         predictors)
     Config.all;
@@ -211,22 +211,23 @@ let table2 () =
 let variant_rows =
   let open Model in
   [ "FACILE", default, `Both;
-    "FACILE w/ SimplePredec", { default with simple_predec = true }, `U;
-    "FACILE w/ SimpleDec", { default with simple_dec = true }, `U;
-    "only Predec", { default with only = Some [ Predec ] }, `U;
-    "only Dec", { default with only = Some [ Dec ] }, `U;
-    "only DSB", { default with only = Some [ DSB ] }, `L;
-    "only LSD", { default with only = Some [ LSD ] }, `L;
+    "FACILE w/ SimplePredec", { default with simple_predec = true }, `Unrolled;
+    "FACILE w/ SimpleDec", { default with simple_dec = true }, `Unrolled;
+    "only Predec", { default with only = Some [ Predec ] }, `Unrolled;
+    "only Dec", { default with only = Some [ Dec ] }, `Unrolled;
+    "only DSB", { default with only = Some [ DSB ] }, `Loop;
+    "only LSD", { default with only = Some [ LSD ] }, `Loop;
     "only Issue", { default with only = Some [ Issue ] }, `Both;
     "only Ports", { default with only = Some [ Ports ] }, `Both;
     "only Precedence", { default with only = Some [ Precedence ] }, `Both;
-    "only Predec+Ports", { default with only = Some [ Predec; Ports ] }, `U;
+    "only Predec+Ports",
+    { default with only = Some [ Predec; Ports ] }, `Unrolled;
     "only Precedence+Ports",
     { default with only = Some [ Precedence; Ports ] }, `Both;
-    "FACILE w/o Predec", { default with without = [ Predec ] }, `U;
-    "FACILE w/o Dec", { default with without = [ Dec ] }, `U;
-    "FACILE w/o DSB", { default with without = [ DSB ] }, `L;
-    "FACILE w/o LSD", { default with without = [ LSD ] }, `L;
+    "FACILE w/o Predec", { default with without = [ Predec ] }, `Unrolled;
+    "FACILE w/o Dec", { default with without = [ Dec ] }, `Unrolled;
+    "FACILE w/o DSB", { default with without = [ DSB ] }, `Loop;
+    "FACILE w/o LSD", { default with without = [ LSD ] }, `Loop;
     "FACILE w/o Issue", { default with without = [ Issue ] }, `Both;
     "FACILE w/o Ports", { default with without = [ Ports ] }, `Both;
     "FACILE w/o Precedence", { default with without = [ Precedence ] }, `Both ]
@@ -242,18 +243,15 @@ let table3 () =
           let cell mode =
             let applies =
               match applicable, mode with
-              | `Both, _ -> true
-              | `U, U -> true
-              | `L, L -> true
+              | `Both, _ | `Unrolled, `Unrolled | `Loop, `Loop -> true
               | _ -> false
             in
             if not applies then ("", "")
             else begin
               let s = samples cfg mode in
               let predict b =
-                match mode with
-                | U -> (Model.predict_u ~variant b).Model.cycles
-                | L -> (Model.predict_l ~variant b).Model.cycles
+                (Model.predict ~variant ~notion:(mode :> Model.notion) b)
+                  .Model.cycles
               in
               let mape, tau =
                 accuracy
@@ -264,8 +262,8 @@ let table3 () =
               (Report.Table.pct mape, Report.Table.f4 tau)
             end
           in
-          let mu, tu = cell U in
-          let ml, tl = cell L in
+          let mu, tu = cell `Unrolled in
+          let ml, tl = cell `Loop in
           rows := [ cfg.Config.abbrev; name; mu; tu; ml; tl ] :: !rows)
         variant_rows)
     archs;
@@ -286,17 +284,19 @@ let table4 () =
   let rows =
     List.map
       (fun (cfg : Config.t) ->
-        let s = samples cfg U in
+        let s = samples cfg `Unrolled in
         let sum f =
           List.fold_left ( +. ) 0.0 (Engine.map_list (Lazy.force engine) f s)
         in
-        let base = sum (fun x -> (Model.predict_u x.block).Model.cycles) in
+        let base =
+          sum (fun x -> (Model.predict ~notion:`Unrolled x.block).Model.cycles)
+        in
         cfg.Config.abbrev
         :: List.map
              (fun (c, _) ->
                let ideal =
                  sum (fun x ->
-                     (Model.predict_u
+                     (Model.predict ~notion:`Unrolled
                         ~variant:{ Model.default with Model.idealized = [ c ] }
                         x.block)
                        .Model.cycles)
@@ -315,7 +315,7 @@ let table4 () =
 
 let fig3 () =
   let cfg = Config.by_arch Config.RKL in
-  let s = samples cfg L in
+  let s = samples cfg `Loop in
   let plot name predict =
     let pairs =
       List.filter_map
@@ -327,7 +327,7 @@ let fig3 () =
     Printf.printf "\nFigure 3 (%s, Rocket Lake, BHive_L):\n%s" name
       (Report.Heatmap.render ~max_value:10.0 ~bins:40 pairs)
   in
-  plot "FACILE" (fun b -> (Model.predict_l b).Model.cycles);
+  plot "FACILE" (fun b -> (Model.predict ~notion:`Loop b).Model.cycles);
   plot "uiCA-like" Sim.uica_like
 
 (* ------------------------------------------------------------------ *)
@@ -353,14 +353,13 @@ let fig4 () =
       describe name
         (List.map (fun x -> 1e6 *. time_one (fun () -> f x.block)) s)
     in
-    let mode_tag = match mode with U -> `Unrolled | L -> `Loop in
     let rows =
       [ describe "overhead (decode+analyze)"
           (List.map
              (fun x -> 1e6 *. time_one (fun () ->
                   Block.of_bytes cfg x.block.Block.bytes))
              s);
-        component "Predec" (fun b -> Predec.throughput ~mode:mode_tag b);
+        component "Predec" (fun b -> Predec.throughput ~mode b);
         component "Dec" Dec.throughput;
         component "DSB" Dsb.throughput;
         component "LSD" Lsd.throughput;
@@ -372,19 +371,19 @@ let fig4 () =
       ~title:
         (Printf.sprintf
            "Figure 4: per-component execution times under TP_%s (microseconds)"
-           (mode_str mode))
+           (match mode with `Unrolled -> "U" | `Loop -> "L"))
       ~header:[ "component"; "p25"; "median"; "mean"; "p90" ]
       rows
   in
-  run U;
-  run L
+  run `Unrolled;
+  run `Loop
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: end-to-end predictor latency comparison                   *)
 
 let fig5 () =
   let cfg = Config.by_arch Config.SKL in
-  let su = samples cfg U and sl = samples cfg L in
+  let su = samples cfg `Unrolled and sl = samples cfg `Loop in
   let all = su @ sl in
   (* make sure the learned model is trained outside the timed region *)
   ignore (learned_model cfg);
@@ -504,7 +503,7 @@ let fig6 () =
 
 let ablations () =
   let cfg = Config.by_arch Config.SKL in
-  let s = samples cfg L @ samples cfg U in
+  let s = samples cfg `Loop @ samples cfg `Unrolled in
   (* 1. Ports: pairwise heuristic vs exhaustive subset enumeration *)
   let t0 = Unix.gettimeofday () in
   let fast = List.map (fun x -> Ports.throughput x.block) s in
@@ -573,9 +572,9 @@ let region () =
     parse "pshufd xmm0, xmm1, 0x1b\npshufd xmm2, xmm0, 0x1b\nadd rdx, 8\njne -16"
   in
   let r =
-    Region.analyze cfg
-      [ { Region.insts = hot; weight = 0.9 };
-        { Region.insts = cold; weight = 0.1 } ]
+    Region.analyze
+      [ { Region.block = Block.of_instructions cfg hot; weight = 0.9 };
+        { Region.block = Block.of_instructions cfg cold; weight = 0.1 } ]
   in
   Printf.printf
     "\nRegion analysis (90%% hot / 10%% cold):\n\
@@ -589,65 +588,6 @@ let region () =
     r.Region.component_values
 
 (* ------------------------------------------------------------------ *)
-(* Engine: sequential vs. parallel batch prediction throughput         *)
-
-let engine_bench () =
-  let cfg = Config.by_arch Config.SKL in
-  let cases = Suite.corpus ~seed:eval_seed ~size:(Suite.default_size ()) () in
-  let blocks =
-    List.concat_map
-      (fun (c : Suite.case) ->
-        [ Block.of_instructions cfg c.Suite.body;
-          Block.of_instructions cfg c.Suite.loop ])
-      cases
-  in
-  (* duplicate the corpus, like a real trace, so memoization has
-     repeats to exploit *)
-  let blocks = blocks @ blocks in
-  let n = List.length blocks in
-  let run ~workers ~memoize =
-    Engine.with_pool ~workers ~memoize (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let preds = Engine.predict_batch pool ~mode:`Auto blocks in
-        let dt = Unix.gettimeofday () -. t0 in
-        ( List.map (fun (p : Model.prediction) -> p.Model.cycles) preds,
-          dt, Engine.memo_stats pool ))
-  in
-  let workers = max 1 (Domain.recommended_domain_count ()) in
-  let seq, t_seq, _ = run ~workers:1 ~memoize:false in
-  let par, t_par, _ = run ~workers ~memoize:false in
-  let memo, t_memo, (hits, misses) = run ~workers ~memoize:true in
-  let identical =
-    List.for_all2 Float.equal seq par && List.for_all2 Float.equal seq memo
-  in
-  let rate t = float_of_int n /. Float.max t 1e-9 in
-  Report.Table.print
-    ~title:
-      (Printf.sprintf
-         "Engine: batch prediction of %d blocks (Skylake, %d worker%s)" n
-         workers
-         (if workers = 1 then "" else "s"))
-    ~header:[ "configuration"; "total s"; "blocks/s"; "speedup" ]
-    [ [ "sequential (1 worker)"; Printf.sprintf "%.3f" t_seq;
-        Printf.sprintf "%.0f" (rate t_seq); "1.00x" ];
-      [ Printf.sprintf "parallel (%d workers)" workers;
-        Printf.sprintf "%.3f" t_par; Printf.sprintf "%.0f" (rate t_par);
-        Printf.sprintf "%.2fx" (t_seq /. Float.max t_par 1e-9) ];
-      [ Printf.sprintf "parallel + memo (%d hits, %d unique)" hits misses;
-        Printf.sprintf "%.3f" t_memo; Printf.sprintf "%.0f" (rate t_memo);
-        Printf.sprintf "%.2fx" (t_seq /. Float.max t_memo 1e-9) ] ];
-  Printf.printf "predictions bit-identical across configurations: %b\n"
-    identical;
-  let module Json = Facile_obs.Json in
-  bench_record "engine"
-    [ "blocks", Json.Int n; "workers", Json.Int workers;
-      "seq_blocks_per_sec", Json.Float (rate t_seq);
-      "par_blocks_per_sec", Json.Float (rate t_par);
-      "memo_blocks_per_sec", Json.Float (rate t_memo);
-      "speedup", Json.Float (t_seq /. Float.max t_par 1e-9);
-      "memo_hits", Json.Int hits; "identical", Json.Bool identical ]
-
-(* ------------------------------------------------------------------ *)
 (* Notion gap: TP_U vs TP_L (the §3.1 motivation)                      *)
 
 let notion () =
@@ -659,8 +599,8 @@ let notion () =
             (fun (c : Suite.case) ->
               let bu = Block.of_instructions cfg c.Suite.body in
               let bl = Block.of_instructions cfg c.Suite.loop in
-              let u = (Model.predict_u bu).Model.cycles in
-              let l = (Model.predict_l bl).Model.cycles in
+              let u = (Model.predict ~notion:`Unrolled bu).Model.cycles in
+              let l = (Model.predict ~notion:`Loop bl).Model.cycles in
               if u > 0.0 && l > 0.0 then Some (u, l) else None)
             (Lazy.force corpus)
           |> List.filter_map Fun.id
@@ -685,113 +625,6 @@ let notion () =
        (geomean of TP_U/TP_L; counts of blocks where each notion is slower)"
     ~header:[ "uArch"; "geomean U/L"; "#U slower"; "#L slower"; "blocks" ]
     rows
-
-(* ------------------------------------------------------------------ *)
-(* Serving mode vs one-shot CLI processes (the point of `facile        *)
-(* serve`: callers stop paying process startup per prediction)         *)
-
-let obs_bench () =
-  let module Serve = Facile_engine.Serve in
-  let module Json = Facile_obs.Json in
-  let cfg = Config.by_arch Config.SKL in
-  let cases = Suite.corpus ~seed:eval_seed ~size:(Suite.default_size ()) () in
-  let hex_of_block (b : Block.t) =
-    String.concat ""
-      (List.init (String.length b.Block.bytes) (fun i ->
-           Printf.sprintf "%02x" (Char.code b.Block.bytes.[i])))
-  in
-  let blocks =
-    List.concat_map
-      (fun (c : Suite.case) ->
-        [ Block.of_instructions cfg c.Suite.body;
-          Block.of_instructions cfg c.Suite.loop ])
-      cases
-  in
-  (* duplicate the corpus, like a real trace, so the service's memo
-     cache has repeats to exploit *)
-  let blocks = blocks @ blocks in
-  let requests =
-    List.mapi
-      (fun i b ->
-        Json.to_string
-          (Json.Obj
-             [ "id", Json.Int i; "arch", Json.Str "SKL";
-               "mode", Json.Str "auto"; "hex", Json.Str (hex_of_block b) ]))
-      blocks
-  in
-  let n = List.length requests in
-  let serve =
-    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
-  in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun line -> ignore (Serve.handle_line serve line)) requests;
-  let dt_serve = Unix.gettimeofday () -. t0 in
-  let stats = Serve.stats_json serve in
-  Serve.shutdown serve;
-  let stat_float path dflt =
-    match
-      List.fold_left
-        (fun acc key -> Option.bind acc (Json.member key))
-        (Some stats) path
-    with
-    | Some v -> Option.value ~default:dflt (Json.float_opt v)
-    | None -> dflt
-  in
-  let p50 = stat_float [ "latency_us"; "p50" ] 0.0 in
-  let p99 = stat_float [ "latency_us"; "p99" ] 0.0 in
-  let hit_rate = stat_float [ "cache"; "hit_rate" ] 0.0 in
-  let served_rps = float_of_int n /. Float.max dt_serve 1e-9 in
-  (* one-shot baseline: a fresh `facile predict` process per request,
-     which is what callers do without a serving mode *)
-  let facile_bin =
-    let candidate =
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        (Filename.concat ".." (Filename.concat "bin" "facile.exe"))
-    in
-    if Sys.file_exists candidate then Some candidate else None
-  in
-  let oneshot_k = 20 in
-  let oneshot_rps =
-    match facile_bin with
-    | None ->
-      print_endline "one-shot baseline skipped: bin/facile.exe not built";
-      0.0
-    | Some bin ->
-      let sample = hex_of_block (List.hd blocks) in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to oneshot_k do
-        ignore
-          (Sys.command
-             (Printf.sprintf
-                "printf '%s' | %s predict -x -a SKL --json >/dev/null 2>&1"
-                sample (Filename.quote bin)))
-      done;
-      float_of_int oneshot_k /. Float.max (Unix.gettimeofday () -. t0) 1e-9
-  in
-  let speedup =
-    if oneshot_rps > 0.0 then served_rps /. oneshot_rps else 0.0
-  in
-  Report.Table.print
-    ~title:
-      (Printf.sprintf
-         "Serving mode: %d NDJSON requests through one persistent service \
-          vs one-shot CLI processes (Skylake)"
-         n)
-    ~header:[ "configuration"; "requests/s"; "p50 us"; "p99 us" ]
-    [ [ "facile serve (persistent)"; Printf.sprintf "%.0f" served_rps;
-        Printf.sprintf "%.1f" p50; Printf.sprintf "%.1f" p99 ];
-      [ "one-shot CLI process";
-        (if oneshot_rps > 0.0 then Printf.sprintf "%.0f" oneshot_rps
-         else "n/a");
-        "-"; "-" ] ];
-  Printf.printf "cache hit rate: %.2f; speedup vs one-shot: %s\n" hit_rate
-    (if speedup > 0.0 then Printf.sprintf "%.1fx" speedup else "n/a");
-  bench_record "obs"
-    [ "requests", Json.Int n; "served_rps", Json.Float served_rps;
-      "oneshot_rps", Json.Float oneshot_rps;
-      "speedup", Json.Float speedup; "p50_us", Json.Float p50;
-      "p99_us", Json.Float p99; "cache_hit_rate", Json.Float hit_rate ]
 
 (* ------------------------------------------------------------------ *)
 (* perf: hot-path ns/block per arch, fast pipeline vs the reference    *)

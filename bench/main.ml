@@ -13,8 +13,6 @@ let experiments =
     "fig5", Experiments.fig5;
     "fig6", Experiments.fig6;
     "microbench", Experiments.microbench;
-    "engine", Experiments.engine_bench;
-    "obs", Experiments.obs_bench;
     "perf", Experiments.perf;
     "ablations", Experiments.ablations;
     "region", Experiments.region;

@@ -12,8 +12,21 @@ open Facile_x86
 open Facile_uarch
 open Facile_core
 module Json = Facile_obs.Json
+module Engine = Facile_engine.Engine
+module Store = Facile_store.Store
+module Store_codec = Facile_store.Codec
 
 let ( let* ) = Result.bind
+
+(* [List.map f l], stopping at the first error *)
+let map_ok f l =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) l
+  |> Result.map List.rev
 
 let read_input = function
   | Some path ->
@@ -40,48 +53,13 @@ let read_input = function
     loop ();
     Buffer.contents buf
 
-let decode_block cfg code =
-  match Block.of_bytes cfg code with
-  | b -> Ok b
-  | exception Decode.Decode_error (m, off) ->
-    Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
-  | exception Facile_db.Db.Unsupported m ->
-    Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-  | exception Failure m -> Error (Err.v Err.Encode_error m)
-
-let parse_asm_block cfg text =
-  match Asm.parse_block text with
-  | Error m -> Error (Err.v Err.Parse_error ("cannot parse assembly: " ^ m))
-  | Ok insts ->
-    (match Block.of_instructions cfg insts with
-     | b -> Ok b
-     | exception Encode.Unencodable m ->
-       Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
-     | exception Facile_db.Db.Unsupported m ->
-       Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-     | exception Failure m -> Error (Err.v Err.Encode_error m))
-
-let load_block cfg ~hex ~file =
+(* The block front end of every command: hex input is un-hexed, then
+   Block.analyze turns every refusal into a typed error. *)
+let load_block cfg ~hex text =
   if hex then
-    let* code = Hex.decode (read_input file) in
-    decode_block cfg code
-  else parse_asm_block cfg (read_input file)
-
-let mode_of_block block = function
-  | "loop" -> Ok `Loop
-  | "unroll" -> Ok `Unrolled
-  | "auto" -> Ok (if Block.ends_in_branch block then `Loop else `Unrolled)
-  | m ->
-    Error
-      (Err.v Err.Unknown_mode
-         ("unknown mode: " ^ m ^ " (expected loop|unroll|auto)"))
-
-let predict_block block mode =
-  Model.predict
-    ~notion:(match mode with `Loop -> Model.L | `Unrolled -> Model.U)
-    block
-
-let mode_name = function `Loop -> "loop" | `Unrolled -> "unroll"
+    let* code = Hex.decode text in
+    Block.analyze cfg (`Code code)
+  else Block.analyze cfg (`Asm text)
 
 (* Run a command body; typed errors exit with their kind's code,
    untyped Failure and I/O errors (a missing input file, a directory
@@ -142,9 +120,13 @@ let arch_arg =
   let doc = "Target microarchitecture (SNB, IVB, HSW, BDW, SKL, CLX, ICL, TGL, RKL)." in
   Arg.(value & opt string "SKL" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
+(* a string, parsed by Model.notion_of_string, so an unknown mode is a
+   typed unknown_mode error (exit 6) rather than a usage error *)
 let mode_arg =
   let doc = "Throughput notion: loop (TP_L), unroll (TP_U), or auto." in
-  Arg.(value & opt string "auto" & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
+  Arg.(value
+       & opt string (Model.notion_name `Auto)
+       & info [ "m"; "mode" ] ~docv:"MODE" ~doc)
 
 let hex_arg =
   let doc = "Treat the input as hex-encoded machine code instead of assembly." in
@@ -165,11 +147,7 @@ let max_input_arg =
   in
   Arg.(value & opt int 0 & info [ "max-input-bytes" ] ~docv:"BYTES" ~doc)
 
-(* Canonical resource options, shared by predict/batch/serve.  The
-   pre-TCP spellings stay accepted as hidden aliases so existing
-   scripts keep working; they are merged canonical-wins. *)
-let deprecated_docs = "DEPRECATED ALIASES"
-
+(* Resource options shared by predict/batch/serve. *)
 let workers_arg =
   let doc =
     "Worker domains (default: the number of cores the runtime \
@@ -177,19 +155,10 @@ let workers_arg =
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let jobs_alias_arg =
-  let doc = "Deprecated alias for $(b,--workers)." in
-  Arg.(value
-       & opt (some int) None
-       & info [ "j"; "jobs" ] ~docv:"N" ~doc ~docs:deprecated_docs)
-
-let merge_workers workers jobs =
-  match workers with Some _ -> workers | None -> jobs
-
 let cache_cap_arg =
   let doc = "Memoization cache capacity in entries (bounded LRU)." in
   Arg.(value
-       & opt int Facile_engine.Engine.default_cache_cap
+       & opt int Engine.default_cache_cap
        & info [ "cache-cap" ] ~docv:"N" ~doc)
 
 let cache_shards_arg =
@@ -219,21 +188,14 @@ let check_input_size limit text =
 let predict_cmd =
   let run arch mode hex json max_input deadline_ms file =
     run_command arch (fun cfg ->
-        (match deadline_ms with
-         | Some ms when ms < 0 ->
-           failwith (Printf.sprintf "--deadline-ms must be >= 0, got %d" ms)
-         | _ -> ());
+        require_opt_at_least ~flag:"--deadline-ms" 0 deadline_ms;
+        let* notion = Model.notion_of_string mode in
         let* text = check_input_size max_input (read_input file) in
         let now = Facile_obs.Clock.now_ns in
         let deadline =
           Option.map (fun ms -> now () + (ms * 1_000_000)) deadline_ms
         in
-        let* block =
-          if hex then
-            let* code = Hex.decode text in
-            decode_block cfg code
-          else parse_asm_block cfg text
-        in
+        let* block = load_block cfg ~hex text in
         (* decode can be the slow half on huge blocks: charge it
            against the same budget as the prediction *)
         match deadline with
@@ -243,14 +205,14 @@ let predict_cmd =
                (Printf.sprintf "prediction exceeded its %dms deadline"
                   (Option.value ~default:0 deadline_ms)))
         | _ ->
-          let* mode = mode_of_block block mode in
-          let p = predict_block block mode in
+          let mode = Model.resolve notion block in
+          let p = Model.predict ~notion block in
           if json then
             print_endline
               (Json.to_string
                  (prediction_with_context
                     [ "arch", Json.Str cfg.Config.abbrev;
-                      "mode", Json.Str (mode_name mode) ]
+                      "mode", Json.Str (Model.notion_name mode) ]
                     p))
           else print_prediction cfg block mode p;
           Ok ())
@@ -264,9 +226,10 @@ let predict_cmd =
 let explain_cmd =
   let run arch mode hex file =
     run_command arch (fun cfg ->
-        let* block = load_block cfg ~hex ~file in
-        let* mode = mode_of_block block mode in
-        let p = predict_block block mode in
+        let* notion = Model.notion_of_string mode in
+        let* block = load_block cfg ~hex (read_input file) in
+        let mode = Model.resolve notion block in
+        let p = Model.predict ~notion block in
         print_prediction cfg block mode p;
         print_newline ();
         if List.mem Model.Precedence p.Model.bottlenecks then begin
@@ -308,23 +271,15 @@ let explain_cmd =
 let sweep_cmd =
   let run mode hex file =
     finish (fun () ->
+        let* notion = Model.notion_of_string mode in
         (* read the input once: stdin cannot be re-read per µarch *)
         let text = read_input file in
-        let build cfg =
-          if hex then
-            let* code = Hex.decode text in
-            decode_block cfg code
-          else parse_asm_block cfg text
-        in
         let* rows =
-          List.fold_left
-            (fun acc cfg ->
-              let* acc = acc in
-              let* block = build cfg in
-              let* m = mode_of_block block mode in
-              Ok ((cfg, predict_block block m) :: acc))
-            (Ok []) Config.all
-          |> Result.map List.rev
+          map_ok
+            (fun cfg ->
+              let* block = load_block cfg ~hex text in
+              Ok (cfg, Model.predict ~notion block))
+            Config.all
         in
         Printf.printf "%-14s %6s  %-24s\n" "uArch" "cycles" "bottlenecks";
         List.iter
@@ -355,117 +310,90 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"PATH" ~doc)
 
+(* deterministic fault injection (store I/O drills, the chaos harness):
+   a no-op unless FACILE_FAULT is set *)
+let configure_faults () =
+  try Facile_engine.Fault.configure_from_env ()
+  with Invalid_argument m -> failwith m
+
+(* open (and crash-recover) the --store, if any *)
+let open_store = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (Store.open_rw path)
+
+(* warm restart: replay the store into the memo cache (file order is
+   recency order, so the LRU comes back as it was) *)
+let warm pool (report : Store.report) =
+  Engine.memo_seed pool (List.rev_map Store_codec.to_memo report.Store.records)
+
 let batch_cmd =
-  let run arch mode workers jobs no_memo cache_cap cache_shards store quiet
-      json file =
-    let jobs = merge_workers workers jobs in
+  let run arch mode workers no_memo cache_cap cache_shards store quiet json
+      file =
     run_command arch (fun cfg ->
         (* flag validation first: a bad flag must fail the same way on
            an empty stdin as on a full corpus *)
-        require_opt_at_least ~flag:"--workers" 1 jobs;
+        require_opt_at_least ~flag:"--workers" 1 workers;
         require_at_least ~flag:"--cache-cap" 1 cache_cap;
         require_opt_at_least ~flag:"--cache-shards" 1 cache_shards;
         if store <> None && no_memo then
           failwith "--store requires memoization (drop --no-memo)";
-        let* engine_mode =
-          match mode with
-          | "loop" -> Ok `Loop
-          | "unroll" -> Ok `Unrolled
-          | "auto" -> Ok `Auto
-          | m ->
-            Error
-              (Err.v Err.Unknown_mode
-                 ("unknown mode: " ^ m ^ " (expected loop|unroll|auto)"))
-        in
+        let* notion = Model.notion_of_string mode in
         (* one block per line: hex machine code, optionally followed by
            ",<measured cycles>"; blank lines and '#' comments skipped *)
-        let exception Line of Err.t in
         let* cases =
-          try
-            Ok
-              (String.split_on_char '\n' (read_input file)
-              |> List.mapi (fun i line -> (i + 1, String.trim line))
-              |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
-              |> List.map (fun (lineno, line) ->
-                     let at_line (e : Err.t) =
-                       Err.v ?pos:e.Err.pos e.Err.kind
-                         (Printf.sprintf "line %d: %s" lineno e.Err.msg)
+          String.split_on_char '\n' (read_input file)
+          |> List.mapi (fun i line -> (i + 1, String.trim line))
+          |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+          |> map_ok (fun (lineno, line) ->
+                 let at_line (e : Err.t) =
+                   Err.v ?pos:e.Err.pos e.Err.kind
+                     (Printf.sprintf "line %d: %s" lineno e.Err.msg)
+                 in
+                 let* hex, measured =
+                   match String.index_opt line ',' with
+                   | None -> Ok (line, None)
+                   | Some i ->
+                     let m =
+                       String.trim
+                         (String.sub line (i + 1) (String.length line - i - 1))
                      in
-                     let hex, measured =
-                       match String.index_opt line ',' with
-                       | None -> (line, None)
-                       | Some i ->
-                         let m =
-                           String.sub line (i + 1) (String.length line - i - 1)
-                         in
-                         (match float_of_string_opt (String.trim m) with
-                          | Some v -> (String.sub line 0 i, Some v)
-                          | None ->
-                            raise
-                              (Line
-                                 (Err.v Err.Parse_error
-                                    (Printf.sprintf
-                                       "line %d: cannot parse measured \
-                                        cycles %S"
-                                       lineno (String.trim m)))))
-                     in
-                     let code =
-                       match Hex.decode hex with
-                       | Ok c -> c
-                       | Error e -> raise (Line (at_line e))
-                     in
-                     let block =
-                       match decode_block cfg code with
-                       | Ok b -> b
-                       | Error e -> raise (Line (at_line e))
-                     in
-                     (lineno, block, measured)))
-          with Line e -> Error e
+                     (match float_of_string_opt m with
+                      | Some v -> Ok (String.sub line 0 i, Some v)
+                      | None ->
+                        Error
+                          (Err.v Err.Parse_error
+                             (Printf.sprintf
+                                "line %d: cannot parse measured cycles %S"
+                                lineno m)))
+                 in
+                 let* block =
+                   Result.map_error at_line (load_block cfg ~hex:true hex)
+                 in
+                 Ok (lineno, block, measured))
         in
         if cases = [] then failwith "no blocks in input";
-        (* deterministic fault injection (store I/O drills): a no-op
-           unless FACILE_FAULT is set *)
-        (try Facile_engine.Fault.configure_from_env ()
-         with Invalid_argument m -> failwith m);
-        let* store =
-          match store with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some (Facile_store.Store.open_rw path)
-        in
+        configure_faults ();
+        let* store = open_store store in
         let blocks = List.map (fun (_, b, _) -> b) cases in
         let pool =
-          Facile_engine.Engine.create ?workers:jobs ~memoize:(not no_memo)
-            ~cache_cap ?cache_shards ()
+          Engine.create ?workers ~memoize:(not no_memo) ~cache_cap
+            ?cache_shards ()
         in
-        (* warm restart: replay the store into the memo cache (file
-           order is recency order, so the LRU comes back as it was) *)
-        (match store with
-         | None -> ()
-         | Some (_, (report : Facile_store.Store.report)) ->
-           Facile_engine.Engine.memo_seed pool
-             (List.rev_map Facile_store.Codec.to_memo
-                report.Facile_store.Store.records));
+        Option.iter (fun (_, report) -> warm pool report) store;
         let t0 = Unix.gettimeofday () in
         let preds =
           Fun.protect
-            ~finally:(fun () -> Facile_engine.Engine.shutdown pool)
-            (fun () ->
-              Facile_engine.Engine.predict_batch pool ~mode:engine_mode blocks)
+            ~finally:(fun () -> Engine.shutdown pool)
+            (fun () -> Engine.predict_batch pool ~mode:notion blocks)
         in
         let dt = Unix.gettimeofday () -. t0 in
         let flushed =
-          match store with
-          | None -> None
-          | Some (w, _) ->
-            let n =
+          Option.map
+            (fun (w, _) ->
               Fun.protect
-                ~finally:(fun () -> Facile_store.Store.close w)
-                (fun () ->
-                  Facile_store.Store.sync_memo w
-                    (Facile_engine.Engine.memo_entries pool))
-            in
-            Some n
+                ~finally:(fun () -> Store.close w)
+                (fun () -> Store.sync_memo w (Engine.memo_entries pool)))
+            store
         in
         if json then
           (* NDJSON, one object per block via the shared encoding; the
@@ -496,13 +424,13 @@ let batch_cmd =
         end;
         let out = if json then stderr else stdout in
         let n = List.length blocks in
-        let hits, misses = Facile_engine.Engine.memo_stats pool in
+        let hits, misses = Engine.memo_stats pool in
         Printf.fprintf out
           "%d blocks on %s in %.3f s (%.0f blocks/s, %d worker%s%s)\n" n
           cfg.Config.name dt
           (float_of_int n /. Float.max dt 1e-9)
-          (Facile_engine.Engine.size pool)
-          (if Facile_engine.Engine.size pool = 1 then "" else "s")
+          (Engine.size pool)
+          (if Engine.size pool = 1 then "" else "s")
           (if no_memo then ""
            else
              Printf.sprintf ", %d unique, %d memo hit%s" misses hits
@@ -544,17 +472,17 @@ let batch_cmd =
          "Predict many blocks in parallel (one hex-encoded block per \
           line, optionally ',<measured cycles>' for aggregate error \
           metrics).")
-    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ jobs_alias_arg
-          $ no_memo_arg $ cache_cap_arg $ cache_shards_arg $ store_arg
-          $ quiet_arg $ json_arg $ file_arg)
+    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ no_memo_arg
+          $ cache_cap_arg $ cache_shards_arg $ store_arg $ quiet_arg
+          $ json_arg $ file_arg)
 
 (* ----- serve: long-running NDJSON prediction service ----- *)
 
 let serve_cmd =
-  let run workers jobs no_memo deadline_ms no_deadline queue_cap cache_cap
+  let run workers no_memo deadline_ms no_deadline queue_cap cache_cap
       cache_shards store store_flush max_input_bytes max_insts tcp max_conns
       conn_rate =
-    let workers = merge_workers workers jobs in
+    finish @@ fun () ->
     require_opt_at_least ~flag:"--workers" 1 workers;
     require_at_least ~flag:"--deadline-ms" 0 deadline_ms;
     require_at_least ~flag:"--queue" 1 queue_cap;
@@ -578,21 +506,11 @@ let serve_cmd =
          | Ok (host, port) -> Some (host, port)
          | Error m -> failwith ("--tcp: " ^ m))
     in
-    (* deterministic fault injection for the chaos harness: a no-op
-       unless FACILE_FAULT is set *)
-    (try Facile_engine.Fault.configure_from_env ()
-     with Invalid_argument m -> failwith m);
-    (* open (and crash-recover) the persistent store before starting
-       any serving machinery: a skewed or corrupt store must refuse
-       with its typed exit code, not after the listener is up *)
-    let store =
-      match store with
-      | None -> None
-      | Some path ->
-        (match Facile_store.Store.open_rw path with
-         | Ok (w, report) -> Some (w, report)
-         | Error e -> raise (Err.Error e))
-    in
+    configure_faults ();
+    (* open the store before starting any serving machinery: a skewed
+       or corrupt store must refuse with its typed exit code, not
+       after the listener is up *)
+    let* store = open_store store in
     let t =
       Facile_engine.Serve.of_config
         { Facile_engine.Serve.default_config with
@@ -611,16 +529,12 @@ let serve_cmd =
     (* warm restart + persistence hook: replay the store into the memo
        cache, then flush new entries back every --store-flush
        predictions and at graceful shutdown *)
-    (match store with
-     | None -> ()
-     | Some (w, (report : Facile_store.Store.report)) ->
-       Facile_engine.Engine.memo_seed engine
-         (List.rev_map Facile_store.Codec.to_memo
-            report.Facile_store.Store.records);
-       Facile_engine.Serve.set_persist t (fun () ->
-           ignore
-             (Facile_store.Store.sync_memo w
-                (Facile_engine.Engine.memo_entries engine))));
+    Option.iter
+      (fun (w, report) ->
+        warm engine report;
+        Facile_engine.Serve.set_persist t (fun () ->
+            ignore (Store.sync_memo w (Engine.memo_entries engine))))
+      store;
     (* one-line effective-config announce on stderr (stdout carries
        only protocol responses): operators and the chaos harness see
        what the flags actually resolved to *)
@@ -629,11 +543,10 @@ let serve_cmd =
          (Json.Obj
             [ "config",
               Json.Obj
-                [ "workers", Json.Int (Facile_engine.Engine.size engine);
+                [ "workers", Json.Int (Engine.size engine);
                   "memoize", Json.Bool (not no_memo);
                   "cache_cap", Json.Int cache_cap;
-                  "cache_shards",
-                  Json.Int (Facile_engine.Engine.cache_shard_count engine);
+                  "cache_shards", Json.Int (Engine.cache_shard_count engine);
                   "deadline_ms",
                   (if no_deadline then Json.Null else Json.Int deadline_ms);
                   "queue", Json.Int queue_cap;
@@ -642,8 +555,7 @@ let serve_cmd =
                   "store",
                   (match store with
                    | None -> Json.Null
-                   | Some (w, _) ->
-                     Json.Str (Facile_store.Store.path w));
+                   | Some (w, _) -> Json.Str (Store.path w));
                   "store_flush",
                   (match store_flush with
                    | None -> Json.Null
@@ -652,17 +564,14 @@ let serve_cmd =
                   (match store with
                    | None -> Json.Null
                    | Some (_, r) ->
-                     Json.Int (List.length r.Facile_store.Store.records)) ] ]));
+                     Json.Int (List.length r.Store.records)) ] ]));
     flush stderr;
     Fun.protect
       ~finally:(fun () ->
         (* Serve.shutdown runs the persistence hook (final flush)
            before the writer is closed *)
         Fun.protect
-          ~finally:(fun () ->
-            match store with
-            | None -> ()
-            | Some (w, _) -> Facile_store.Store.close w)
+          ~finally:(fun () -> Option.iter (fun (w, _) -> Store.close w) store)
           (fun () -> Facile_engine.Serve.shutdown t))
       (fun () ->
         match tcp_endpoint with
@@ -680,7 +589,7 @@ let serve_cmd =
                         Json.Str (Printf.sprintf "%s:%d" host port) ]));
               flush stderr)
             { Facile_engine.Net.host; port; max_conns; conn_rate });
-    0
+    Ok ()
   in
   let deadline_arg =
     let doc =
@@ -811,15 +720,7 @@ let serve_cmd =
        ~doc:
          "Serve predictions over a fault-tolerant NDJSON loop (stdio \
           or multi-client TCP).")
-    Term.(const (fun w j nm dl nodl q cc cs st sf mib mi tcp mc cr ->
-             match run w j nm dl nodl q cc cs st sf mib mi tcp mc cr with
-             | code -> code
-             | exception Failure m ->
-               prerr_endline ("error: " ^ m); 1
-             | exception Err.Error e ->
-               prerr_endline ("error: " ^ Err.to_string e);
-               Err.exit_code e.Err.kind)
-          $ workers_arg $ jobs_alias_arg $ no_memo_arg $ deadline_arg
+    Term.(const run $ workers_arg $ no_memo_arg $ deadline_arg
           $ no_deadline_arg $ queue_arg $ cache_cap_arg $ cache_shards_arg
           $ store_arg $ store_flush_arg $ serve_max_input_arg $ max_insts_arg
           $ tcp_arg $ max_conns_arg $ conn_rate_arg)
@@ -829,9 +730,10 @@ let serve_cmd =
 let simulate_cmd =
   let run arch mode hex file =
     run_command arch (fun cfg ->
-        let* block = load_block cfg ~hex ~file in
-        let* mode = mode_of_block block mode in
-        let p = predict_block block mode in
+        let* notion = Model.notion_of_string mode in
+        let* block = load_block cfg ~hex (read_input file) in
+        let mode = Model.resolve notion block in
+        let p = Model.predict ~notion block in
         let hw =
           Facile_sim.Sim.cycles_per_iteration ~fidelity:Facile_sim.Sim.Hardware
             ~mode block
@@ -920,21 +822,18 @@ let region_cmd =
   let run arch file =
     run_command arch (fun cfg ->
         (* input format: blocks separated by lines "== <weight>" *)
-        let text = read_input file in
         let sections =
-          String.split_on_char '\n' text
+          String.split_on_char '\n' (read_input file)
+          |> List.mapi (fun i line -> (i + 1, line))
           |> List.fold_left
-               (fun acc line ->
+               (fun acc (lineno, line) ->
                  let t = String.trim line in
                  if String.length t >= 2 && String.sub t 0 2 = "==" then
-                   let w =
-                     float_of_string
-                       (String.trim (String.sub t 2 (String.length t - 2)))
-                   in
-                   (w, Buffer.create 64) :: acc
+                   let w = String.trim (String.sub t 2 (String.length t - 2)) in
+                   (lineno, w, Buffer.create 64) :: acc
                  else begin
                    (match acc with
-                    | (_, buf) :: _ ->
+                    | (_, _, buf) :: _ ->
                       Buffer.add_string buf line;
                       Buffer.add_char buf '\n'
                     | [] -> ());
@@ -946,16 +845,23 @@ let region_cmd =
         if sections = [] then
           failwith "no blocks: separate blocks with '== <weight>' lines";
         let* region =
-          List.fold_left
-            (fun acc (w, buf) ->
-              let* acc = acc in
-              match Asm.parse_block (Buffer.contents buf) with
-              | Ok insts -> Ok ({ Region.insts; weight = w } :: acc)
-              | Error m -> Error (Err.v Err.Parse_error m))
-            (Ok []) sections
-          |> Result.map List.rev
+          map_ok
+            (fun (lineno, w, buf) ->
+              let* weight =
+                match float_of_string_opt w with
+                | Some v when Float.is_finite v && v > 0.0 -> Ok v
+                | _ ->
+                  Error
+                    (Err.v Err.Parse_error
+                       (Printf.sprintf
+                          "line %d: weight %S is not a finite positive number"
+                          lineno w))
+              in
+              let* block = Block.analyze cfg (`Asm (Buffer.contents buf)) in
+              Ok { Region.block; weight })
+            sections
         in
-        let r = Region.analyze cfg region in
+        let r = Region.analyze region in
         Printf.printf
           "region of %d blocks on %s:\n\
           \  naive weighted sum:      %.2f cycles\n\
@@ -976,60 +882,63 @@ let region_cmd =
           (blocks separated by '== <weight>' lines).")
     Term.(const run $ arch_arg $ file_arg)
 
-(* ----- check: static self-verification of the data layers ----- *)
+(* ----- check and lint: static self-verification ----- *)
+
+(* The one --only validator: every selected name must be one of [all];
+   none selects them all. *)
+let select_families ~what ~all = function
+  | [] -> Ok all
+  | l ->
+    (match List.filter (fun f -> not (List.mem f all)) l with
+     | [] -> Ok l
+     | bad ->
+       Error
+         (Err.v Err.Parse_error
+            (Printf.sprintf "unknown %s %s (expected %s)" what
+               (String.concat "," bad) (String.concat "|" all))))
+
+(* Print a findings report as JSON or text; any error-severity finding
+   fails with [kind]. *)
+let report_findings ~name ~kind ~json (r : Facile_check.Check.report) =
+  let module Check = Facile_check.Check in
+  if json then print_endline (Json.to_string (Check.report_to_json r))
+  else begin
+    List.iter
+      (fun f -> print_endline (Facile_check.Finding.to_string f))
+      r.Check.findings;
+    Printf.printf "%s: %s\n" name (Check.summary r)
+  end;
+  if Check.ok r then Ok () else Error (Err.v kind (Check.summary r))
 
 let check_cmd =
+  let module Check = Facile_check.Check in
   let run arches families json list =
     finish (fun () ->
         if list then begin
-          List.iter print_endline Facile_check.Check.analyzer_names;
+          List.iter print_endline Check.analyzer_names;
           Ok ()
         end
         else
-        let* cfgs =
-          match arches with
-          | [] -> Ok Config.all
-          | l ->
-            List.fold_left
-              (fun acc a ->
-                let* acc = acc in
-                match Config.of_abbrev a with
-                | Some cfg -> Ok (cfg :: acc)
-                | None ->
-                  Error
-                    (Err.v Err.Unknown_arch
-                       ("unknown microarchitecture: " ^ a)))
-              (Ok []) l
-            |> Result.map List.rev
-        in
-        let* families =
-          match families with
-          | [] -> Ok Facile_check.Check.analyzer_names
-          | l ->
-            let bad =
-              List.filter
-                (fun f -> not (List.mem f Facile_check.Check.analyzer_names))
+          let* cfgs =
+            match arches with
+            | [] -> Ok Config.all
+            | l ->
+              map_ok
+                (fun a ->
+                  match Config.of_abbrev a with
+                  | Some cfg -> Ok cfg
+                  | None ->
+                    Error
+                      (Err.v Err.Unknown_arch
+                         ("unknown microarchitecture: " ^ a)))
                 l
-            in
-            if bad = [] then Ok l
-            else
-              Error
-                (Err.v Err.Parse_error
-                   (Printf.sprintf "unknown analyzer %s (expected %s)"
-                      (String.concat "," bad)
-                      (String.concat "|" Facile_check.Check.analyzer_names)))
-        in
-        let r = Facile_check.Check.run_all ~cfgs ~families () in
-        if json then
-          print_endline (Json.to_string (Facile_check.Check.report_to_json r))
-        else begin
-          List.iter
-            (fun f -> print_endline (Facile_check.Finding.to_string f))
-            r.Facile_check.Check.findings;
-          Printf.printf "check: %s\n" (Facile_check.Check.summary r)
-        end;
-        if Facile_check.Check.ok r then Ok ()
-        else Error (Err.v Err.Check_failed (Facile_check.Check.summary r)))
+          in
+          let* families =
+            select_families ~what:"analyzer" ~all:Check.analyzer_names
+              families
+          in
+          report_findings ~name:"check" ~kind:Err.Check_failed ~json
+            (Check.run_all ~cfgs ~families ()))
   in
   let arches_arg =
     let doc =
@@ -1074,45 +983,21 @@ let check_cmd =
 (* ----- lint: concurrency-discipline analysis of our own sources ----- *)
 
 let lint_cmd =
+  let module Lint = Facile_lint.Lint in
   let run families json list roots =
     finish (fun () ->
         if list then begin
-          List.iter print_endline Facile_lint.Lint.rule_families;
+          List.iter print_endline Lint.rule_families;
           Ok ()
         end
         else
           let* families =
-            match families with
-            | [] -> Ok Facile_lint.Lint.rule_families
-            | l ->
-              let bad =
-                List.filter
-                  (fun f -> not (List.mem f Facile_lint.Lint.rule_families))
-                  l
-              in
-              if bad = [] then Ok l
-              else
-                Error
-                  (Err.v Err.Parse_error
-                     (Printf.sprintf "unknown rule family %s (expected %s)"
-                        (String.concat "," bad)
-                        (String.concat "|" Facile_lint.Lint.rule_families)))
+            select_families ~what:"rule family" ~all:Lint.rule_families
+              families
           in
-          let roots =
-            match roots with [] -> Facile_lint.Lint.default_roots | l -> l
-          in
-          let r = Facile_lint.Lint.run ~families ~roots () in
-          if json then
-            print_endline
-              (Json.to_string (Facile_check.Check.report_to_json r))
-          else begin
-            List.iter
-              (fun f -> print_endline (Facile_check.Finding.to_string f))
-              r.Facile_check.Check.findings;
-            Printf.printf "lint: %s\n" (Facile_check.Check.summary r)
-          end;
-          if Facile_check.Check.ok r then Ok ()
-          else Error (Err.v Err.Lint_failed (Facile_check.Check.summary r)))
+          let roots = match roots with [] -> Lint.default_roots | l -> l in
+          report_findings ~name:"lint" ~kind:Err.Lint_failed ~json
+            (Lint.run ~families ~roots ()))
   in
   let only_arg =
     let doc =
@@ -1159,9 +1044,6 @@ let lint_cmd =
     Term.(const run $ only_arg $ json_arg $ list_arg $ roots_arg)
 
 (* ----- cache: the persistent prediction store ----- *)
-
-module Store = Facile_store.Store
-module Store_codec = Facile_store.Codec
 
 let cache_store_pos =
   let doc = "Store segment file." in
@@ -1248,23 +1130,16 @@ let cache_verify_cmd =
                    let where =
                      Printf.sprintf "record %d (%s)" i cfg.Config.abbrev
                    in
-                   match Block.of_bytes cfg rec_.Store_codec.bytes with
-                   | exception _ ->
-                     [ where ^ ": stored bytes no longer decode" ]
-                   | block ->
+                   match Block.analyze cfg (`Code rec_.Store_codec.bytes) with
+                   | Error _ -> [ where ^ ": stored bytes no longer decode" ]
+                   | Ok block ->
                      (if List.length block.Block.entries
                          <> rec_.Store_codec.insts
                       then [ where ^ ": instruction count changed" ]
                       else [])
                      @
                      let fresh =
-                       Model.predict
-                         ~notion:
-                           (match rec_.Store_codec.mode with
-                            | `Loop -> Model.L
-                            | `Unrolled -> Model.U
-                            | `Auto -> Model.Auto)
-                         block
+                       Model.predict ~notion:rec_.Store_codec.mode block
                      in
                      if Store_codec.pred_equal fresh rec_.Store_codec.pred
                      then []
@@ -1336,24 +1211,15 @@ let cache_export_cmd =
 let cache_import_cmd =
   let run path file =
     finish (fun () ->
-        let exception Line of Err.t in
         let* records =
-          try
-            Ok
-              (String.split_on_char '\n' (read_input file)
-              |> List.mapi (fun i line -> (i + 1, String.trim line))
-              |> List.filter (fun (_, l) -> l <> "")
-              |> List.map (fun (lineno, line) ->
-                     match
-                       Result.bind (Json.parse line) Store_codec.of_json
-                     with
-                     | Ok r -> r
-                     | Error m ->
-                       raise
-                         (Line
-                            (Err.v Err.Parse_error
-                               (Printf.sprintf "line %d: %s" lineno m)))))
-          with Line e -> Error e
+          String.split_on_char '\n' (read_input file)
+          |> List.mapi (fun i line -> (i + 1, String.trim line))
+          |> List.filter (fun (_, l) -> l <> "")
+          |> map_ok (fun (lineno, line) ->
+                 Result.bind (Json.parse line) Store_codec.of_json
+                 |> Result.map_error (fun m ->
+                        Err.v Err.Parse_error
+                          (Printf.sprintf "line %d: %s" lineno m)))
         in
         let* w, _ = Store.open_rw path in
         let appended =
@@ -1413,8 +1279,8 @@ let cache_cmd =
 let disasm_cmd =
   let run arch file =
     run_command arch (fun cfg ->
-        let* code = Hex.decode (read_input file) in
-        let* block = decode_block cfg code in
+        let* block = load_block cfg ~hex:true (read_input file) in
+        let code = block.Block.bytes in
         Printf.printf "%-6s %-4s %-22s %-40s %s\n" "off" "len" "bytes"
           "instruction" "uops/lat";
         List.iter

@@ -67,11 +67,7 @@ let () =
         | `Unrolled -> insts
       in
       let block = Block.of_instructions cfg insts in
-      let p =
-        match mode with
-        | `Loop -> Model.predict_l block
-        | `Unrolled -> Model.predict_u block
-      in
+      let p = Model.predict ~notion:(mode :> Model.notion) block in
       Printf.printf "== %s ==\n" title;
       Printf.printf "   prediction: %.2f cycles/iteration; bottleneck: %s\n"
         p.Model.cycles

@@ -50,4 +50,4 @@ let () =
   let body = List.filteri (fun i _ -> i < List.length insts - 1) insts in
   let unrolled = Block.of_instructions cfg body in
   Printf.printf "without the branch, unrolled (TP_U): %.2f cycles/iteration\n"
-    (Model.predict_u unrolled).Model.cycles
+    (Model.predict ~notion:`Unrolled unrolled).Model.cycles

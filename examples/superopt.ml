@@ -78,7 +78,8 @@ let () =
   let preds = dependence_dag insts in
   let rng = Facile_bhive.Prng.create 2023 in
   let cost insts =
-    (Model.predict_u (Block.of_instructions cfg insts)).Model.cycles
+    (Model.predict ~notion:`Unrolled (Block.of_instructions cfg insts))
+      .Model.cycles
   in
   let baseline = cost insts in
   let candidates = 2000 in
@@ -107,6 +108,6 @@ let () =
   in
   Printf.printf "simulator check: original %.2f -> best %.2f cycles/iter\n"
     (sim insts) (sim !best);
-  let p = Model.predict_u (Block.of_instructions cfg !best) in
+  let p = Model.predict ~notion:`Unrolled (Block.of_instructions cfg !best) in
   Printf.printf "remaining bottleneck: %s\n"
     (String.concat ", " (List.map Model.component_name p.Model.bottlenecks))

@@ -30,7 +30,7 @@ let () =
   List.iter
     (fun (cfg : Config.t) ->
       let block = Block.of_instructions cfg insts in
-      let p = Model.predict_u block in
+      let p = Model.predict ~notion:`Unrolled block in
       let speedup c = Model.speedup_idealizing block c in
       Printf.printf "%-14s %7.2f  %-22s %.2f / %.2f / %.2f / %.2f\n"
         cfg.Config.name p.Model.cycles
@@ -45,7 +45,7 @@ let () =
   List.iter
     (fun (cfg : Config.t) ->
       let block = Block.of_instructions cfg looped in
-      let p = Model.predict_l block in
+      let p = Model.predict ~notion:`Loop block in
       Printf.printf "  %-14s %5.2f cycles via %s\n" cfg.Config.name
         p.Model.cycles
         (match p.Model.fe_path with

@@ -38,7 +38,7 @@ let () =
           let copies = unrolled_copies n insts in
           let looped = Facile_bhive.Genblock.looped copies in
           let block = Block.of_instructions cfg looped in
-          let p = Model.predict_l block in
+          let p = Model.predict ~notion:`Loop block in
           let per_iter = p.Model.cycles /. float_of_int n in
           Printf.printf "  %5dx  %16.3f  %-10s  %s\n" n per_iter
             (match p.Model.fe_path with

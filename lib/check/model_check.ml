@@ -81,10 +81,11 @@ let check_prediction cfg tag ~notion (p : Model.prediction) =
   in
   let fe =
     match notion, p.Model.fe_path with
-    | `U, Model.FE_none -> []
-    | `U, _ -> err "mdl-notion" "TP_U prediction carries a loop front-end path"
-    | `L, Model.FE_none -> err "mdl-notion" "TP_L prediction reports FE_none"
-    | `L, _ -> []
+    | `Unrolled, Model.FE_none -> []
+    | `Unrolled, _ ->
+      err "mdl-notion" "TP_U prediction carries a loop front-end path"
+    | `Loop, Model.FE_none -> err "mdl-notion" "TP_L prediction reports FE_none"
+    | `Loop, _ -> []
   in
   finite @ complete @ max_rule @ bottleneck @ fe
 
@@ -96,9 +97,9 @@ let same_prediction (a : Model.prediction) (b : Model.prediction) =
 let check_block cfg tag insts =
   match Block.of_instructions cfg insts with
   | b ->
-    let pu = Model.predict ~notion:Model.U b in
-    let pl = Model.predict ~notion:Model.L b in
-    let pa = Model.predict ~notion:Model.Auto b in
+    let pu = Model.predict ~notion:`Unrolled b in
+    let pl = Model.predict ~notion:`Loop b in
+    let pa = Model.predict ~notion:`Auto b in
     let dispatch =
       let want = if Block.ends_in_branch b then pl else pu in
       if same_prediction pa want then []
@@ -106,8 +107,8 @@ let check_block cfg tag insts =
         [ error "mdl-notion" (where cfg tag)
             "Auto notion disagrees with ends_in_branch dispatch" ]
     in
-    check_prediction cfg tag ~notion:`U pu
-    @ check_prediction cfg tag ~notion:`L pl
+    check_prediction cfg tag ~notion:`Unrolled pu
+    @ check_prediction cfg tag ~notion:`Loop pl
     @ dispatch
   | exception exn ->
     [ error "mdl-corpus" (where cfg tag)

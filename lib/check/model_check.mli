@@ -11,7 +11,7 @@ open Facile_core
 val check_prediction :
   Config.t ->
   string ->
-  notion:[ `U | `L ] ->
+  notion:[ `Unrolled | `Loop ] ->
   Model.prediction ->
   Finding.t list
 

@@ -256,6 +256,25 @@ let of_instructions cfg insts =
 
 let of_bytes cfg code = build cfg code (Decode.decode_block code)
 
+(* The one place where a failed analysis becomes a typed error: every
+   command and the server analyze their input here, so a refusal reads
+   the same on the command line and on the wire. *)
+let analyze cfg input =
+  match
+    match input with
+    | `Code code -> Ok (of_bytes cfg code)
+    | `Asm text -> Result.map (of_instructions cfg) (Asm.parse_block text)
+  with
+  | Ok b -> Ok b
+  | Error m -> Error (Err.v Err.Parse_error m)
+  | exception Decode.Decode_error (m, off) ->
+    Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
+  | exception Encode.Unencodable m ->
+    Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
+  | exception Db.Unsupported m ->
+    Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
+  | exception Failure m -> Error (Err.v Err.Encode_error m)
+
 let ends_in_branch t = t.flat.ends_branch
 
 let fused_uops t = t.flat.tot_fused

@@ -83,6 +83,16 @@ val of_instructions : Config.t -> Inst.t list -> t
     @raise Decode.Decode_error on undecodable or non-canonical input. *)
 val of_bytes : Config.t -> string -> t
 
+(** [analyze cfg input] — the one typed front end from a request's
+    input to a block: machine code ([`Code], already un-hexed) or
+    Intel-syntax assembly ([`Asm]).  Assembly that does not parse is a
+    [Parse_error]; code that does not decode or is not canonical (at
+    [pos], the offending instruction's offset), instructions with no
+    encoding and instructions [cfg] does not support are an
+    [Encode_error]. *)
+val analyze :
+  Config.t -> [ `Code of string | `Asm of string ] -> (t, Err.t) result
+
 (** Whether the block ends in a (possibly conditional) branch and is
     therefore analyzed as a loop ([TP_L]); otherwise as unrolled
     ([TP_U]). *)

@@ -104,7 +104,27 @@ let combine_masks variant (vals : float array) candidates fe_path =
 
 (* Throughput notion: TP_U (unrolled), TP_L (loop), or pick from the
    block's final instruction, the paper's §3.1 convention. *)
-type notion = U | L | Auto
+type notion = [ `Unrolled | `Loop | `Auto ]
+
+let notion_name = function
+  | `Loop -> "loop"
+  | `Unrolled -> "unroll"
+  | `Auto -> "auto"
+
+let notion_of_string s =
+  let all = [ `Loop; `Unrolled; `Auto ] in
+  match List.find_opt (fun n -> notion_name n = s) all with
+  | Some n -> Ok n
+  | None ->
+    Error
+      (Facile_x86.Err.v Facile_x86.Err.Unknown_mode
+         (Printf.sprintf "unknown mode: %s (expected %s)" s
+            (String.concat "|" (List.map notion_name all))))
+
+let resolve notion b =
+  match notion with
+  | (`Unrolled | `Loop) as n -> n
+  | `Auto -> if Block.ends_in_branch b then `Loop else `Unrolled
 
 let unrolled_candidates = mask_of [ Predec; Dec; Issue; Ports; Precedence ]
 let be_candidates = mask_of [ Issue; Ports; Precedence ]
@@ -127,14 +147,11 @@ let looped a variant b =
 (* The single prediction entry point; every surface (CLI, engine,
    bench, serve) goes through here.  One arena serves the whole
    prediction. *)
-let predict ?(variant = default) ?(notion = Auto) b =
+let predict ?(variant = default) ?(notion = `Auto) b =
   Arena.with_ @@ fun a ->
-  match notion with
-  | U -> unrolled a variant b
-  | L -> looped a variant b
-  | Auto ->
-    if Block.ends_in_branch b then looped a variant b
-    else unrolled a variant b
+  match resolve notion b with
+  | `Unrolled -> unrolled a variant b
+  | `Loop -> looped a variant b
 
 (* ----- reference pipeline ----------------------------------------- *)
 (* The pre-flattening model, verbatim: list-based component values and
@@ -203,20 +220,15 @@ let looped_ref variant b =
     (fe_candidates @ [ Issue; Ports; Precedence ])
     fe_path
 
-let predict_reference ?(variant = default) ?(notion = Auto) b =
+let predict_reference ?(variant = default) ?(notion = `Auto) b =
   match notion with
-  | U -> unrolled_ref variant b
-  | L -> looped_ref variant b
-  | Auto ->
+  | `Unrolled -> unrolled_ref variant b
+  | `Loop -> looped_ref variant b
+  | `Auto ->
     if Block.ends_in_branch_ref b then looped_ref variant b
     else unrolled_ref variant b
 
 (* ------------------------------------------------------------------ *)
-
-(* Deprecated spellings, kept as thin wrappers so existing callers and
-   published snippets keep compiling; prefer [predict ~notion]. *)
-let predict_u ?(variant = default) b = predict ~variant ~notion:U b
-let predict_l ?(variant = default) b = predict ~variant ~notion:L b
 
 let bottleneck ?(variant = default) b =
   let p = predict ~variant b in
@@ -225,9 +237,10 @@ let bottleneck ?(variant = default) b =
   | [] -> Issue (* empty block: arbitrary but stable *)
 
 let speedup_idealizing b c =
-  let base = (predict ~notion:U b).cycles in
+  let base = (predict ~notion:`Unrolled b).cycles in
   let ideal =
-    (predict ~variant:{ default with idealized = [ c ] } ~notion:U b).cycles
+    (predict ~variant:{ default with idealized = [ c ] } ~notion:`Unrolled b)
+      .cycles
   in
   if ideal <= 0.0 then 1.0 else base /. ideal
 

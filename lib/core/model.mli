@@ -37,14 +37,28 @@ type prediction = {
   fe_path : fe_path;
 }
 
-(** Throughput notion: [U] — unrolled (TP_U, Equation 1); [L] — the
+(** Throughput notion: [`Unrolled] — TP_U, Equation 1; [`Loop] — the
     block executed as a loop (TP_L, Equations 2 and 3, including the
-    JCC-erratum and LSD conditions); [Auto] dispatches on
-    {!Block.ends_in_branch} (the paper's §3.1 convention). *)
-type notion = U | L | Auto
+    JCC-erratum and LSD conditions); [`Auto] dispatches on
+    {!Block.ends_in_branch} (the paper's §3.1 convention).  The same
+    tags key the engine's memo cache and the prediction store, where
+    [`Auto] is a key of its own, not the notion it resolves to. *)
+type notion = [ `Unrolled | `Loop | `Auto ]
+
+(** [notion_of_string s] — the one parser of a requested notion, as the
+    CLI's [--mode] and the wire's ["mode"] spell it: ["unroll"],
+    ["loop"] or ["auto"]; anything else is an [Unknown_mode] error. *)
+val notion_of_string : string -> (notion, Facile_x86.Err.t) result
+
+(** The spelling {!notion_of_string} parses. *)
+val notion_name : [< notion ] -> string
+
+(** [resolve n b] — the notion [b] is predicted under: [`Auto] becomes
+    [`Loop] if [b] ends in a branch and [`Unrolled] otherwise. *)
+val resolve : notion -> Block.t -> [ `Unrolled | `Loop ]
 
 (** [predict ?variant ?notion b] — the single prediction entry point;
-    [notion] defaults to [Auto]. *)
+    [notion] defaults to [`Auto]. *)
 val predict : ?variant:variant -> ?notion:notion -> Block.t -> prediction
 
 (** The pre-flattening model pipeline, verbatim: list-based component
@@ -53,14 +67,6 @@ val predict : ?variant:variant -> ?notion:notion -> Block.t -> prediction
     the perf bench as the pre-PR inner loop. *)
 val predict_reference :
   ?variant:variant -> ?notion:notion -> Block.t -> prediction
-
-(** [predict_u b] is [predict ~notion:U b].
-    @deprecated use [predict ~notion:U]. *)
-val predict_u : ?variant:variant -> Block.t -> prediction
-
-(** [predict_l b] is [predict ~notion:L b].
-    @deprecated use [predict ~notion:L]. *)
-val predict_l : ?variant:variant -> Block.t -> prediction
 
 (** [bottleneck b] — the single bottleneck under the paper's
     front-end-first tie-breaking (used for the Figure 6 Sankey). *)

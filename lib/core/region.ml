@@ -1,7 +1,6 @@
-open Facile_x86
 open Facile_uarch
 
-type weighted = { insts : Inst.t list; weight : float }
+type weighted = { block : Block.t; weight : float }
 
 type result = {
   cycles : float;
@@ -53,19 +52,23 @@ let pooled_ports blocks =
       Float.max best (weight_sum /. float_of_int (Port.cardinal comb)))
     0.0 pc'
 
-let analyze cfg (ws : weighted list) =
+let analyze (ws : weighted list) =
   if ws = [] then invalid_arg "Region.analyze: empty region";
   List.iter
     (fun w ->
-      if w.weight <= 0.0 then
-        invalid_arg "Region.analyze: nonpositive weight")
+      (* [nan <= 0.0] is false: test for what a weight must be *)
+      if not (Float.is_finite w.weight && w.weight > 0.0) then
+        invalid_arg "Region.analyze: weight is not finite and positive")
     ws;
-  let total = List.fold_left (fun acc w -> acc +. w.weight) 0.0 ws in
-  let blocks =
-    List.map
-      (fun w -> (Block.of_instructions cfg w.insts, w.weight /. total))
-      ws
+  let sum f = List.fold_left (fun acc w -> acc +. f w.weight) 0.0 ws in
+  (* a sum of finite weights can overflow: then divide by the largest
+     first (dividing by 1.0 keeps every other sum bit for bit) *)
+  let top =
+    if Float.is_finite (sum Fun.id) then 1.0
+    else List.fold_left (fun m w -> Float.max m w.weight) 0.0 ws
   in
+  let total = sum (fun w -> w /. top) in
+  let blocks = List.map (fun w -> (w.block, w.weight /. top /. total)) ws in
   let per_block =
     List.map (fun (b, w) -> (Model.predict b, w)) blocks
   in

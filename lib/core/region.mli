@@ -15,10 +15,9 @@
     resources, and the region bottleneck is identified the same way as
     for single blocks. *)
 
-open Facile_x86
-open Facile_uarch
-
-type weighted = { insts : Inst.t list; weight : float }
+(** One block of the region, analyzed (see {!Block.analyze}), with its
+    execution frequency. *)
+type weighted = { block : Block.t; weight : float }
 
 type result = {
   cycles : float;
@@ -33,9 +32,11 @@ type result = {
   per_block : (Model.prediction * float) list;
 }
 
-(** [analyze cfg blocks] analyzes a region. Weights must be positive;
-    they are normalized to sum to 1 (expected block mix per region
-    iteration). Each block is analyzed under its own notion (loop if it
-    ends in a branch).
-    @raise Invalid_argument on an empty region or nonpositive weight. *)
-val analyze : Config.t -> weighted list -> result
+(** [analyze blocks] analyzes a region of blocks of one
+    microarchitecture. Weights must be finite and positive; they are
+    normalized to sum to 1 (expected block mix per region iteration).
+    Each block is predicted under its own notion (loop if it ends in a
+    branch).
+    @raise Invalid_argument on an empty region or a weight that is not
+    a finite positive number. *)
+val analyze : weighted list -> result

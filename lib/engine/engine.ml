@@ -12,8 +12,6 @@ module Sync = Facile_core.Sync
 (* chunks without further coordination and each index is claimed by    *)
 (* exactly one domain.                                                 *)
 
-type mode = [ `Loop | `Unrolled | `Auto ]
-
 (* The memo cache is keyed on the request as sent: µarch, requested
    mode (`Auto is its own key space, not the notion it resolves to)
    and the exact machine code.  Each entry keeps the block's
@@ -21,8 +19,8 @@ type mode = [ `Loop | `Unrolled | `Auto ]
    the bytes can apply a size limit to a hit without analysing the
    block.  [memo_key] is the persisted spelling of a key and its count
    together. *)
-type key = Config.arch * mode * string
-type memo_key = Config.arch * mode * int * string
+type key = Config.arch * Model.notion * string
+type memo_key = Config.arch * Model.notion * int * string
 
 type t = {
   size : int;
@@ -163,11 +161,6 @@ let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 (* ------------------------------------------------------------------ *)
 (* Memoized block prediction                                           *)
 
-let notion = function
-  | `Loop -> Model.L
-  | `Unrolled -> Model.U
-  | `Auto -> Model.Auto
-
 (* resolved once; see Facile_obs.Obs — recording is lock-free *)
 let batch_span = Facile_obs.Obs.histogram "engine.batch"
 let predict_span = Facile_obs.Obs.histogram "engine.predict"
@@ -179,7 +172,7 @@ let predict_span = Facile_obs.Obs.histogram "engine.predict"
 let memo_predict pool (cfg : Config.t) mode code analyze =
   let compute () =
     let b = analyze () in
-    (List.length b.Block.entries, Model.predict ~notion:(notion mode) b)
+    (List.length b.Block.entries, Model.predict ~notion:mode b)
   in
   if not pool.memoize then compute ()
   else

@@ -84,27 +84,23 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_list t f xs] — [List.map f xs] via {!map}. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** The throughput notion requested: [`Loop] forces TP_L, [`Unrolled]
-    forces TP_U, [`Auto] dispatches per block on
-    {!Facile_core.Block.ends_in_branch} (like {!Facile_core.Model.predict}).
-    The requested mode, not the notion it resolves to, is part of the
-    memo key: [`Auto] entries are a key space of their own. *)
-type mode = [ `Loop | `Unrolled | `Auto ]
-
 (** [predict_batch t ~mode blocks] predicts every block, in parallel,
-    memoized on [(arch, mode, b.bytes)]. The result list is ordered
-    like the input, and is bit-identical to a sequential [List.map] of
-    [Model.predict ~notion] for every pool size and shard count.
+    memoized on [(arch, mode, b.bytes)]: the notion as requested, so
+    [`Auto] entries are a key space of their own, not the notion they
+    resolve to. The result list is ordered like the input, and is
+    bit-identical to a sequential [List.map] of
+    [Model.predict ~notion:mode] for every pool size and shard count.
     Duplicate blocks within the batch are predicted once: workers that
     race on the same key coalesce through the cache's single-flight
     path instead of probing and re-adding under two lock rounds. *)
-val predict_batch : t -> mode:mode -> Block.t list -> Model.prediction list
+val predict_batch :
+  t -> mode:Model.notion -> Block.t list -> Model.prediction list
 
 (** [predict t ~mode b] — memoized single-block prediction on the
     calling domain, sharing the cache (and hit/miss accounting) with
     {!predict_batch}: {!predict_code} on [b.bytes] with [b] as the
     analysis. *)
-val predict : t -> mode:mode -> Block.t -> Model.prediction
+val predict : t -> mode:Model.notion -> Block.t -> Model.prediction
 
 (** [predict_code t cfg ~mode code ~analyze] — memoized prediction of
     the machine code [code] on [cfg], in one pass over the cache, on
@@ -120,7 +116,7 @@ val predict : t -> mode:mode -> Block.t -> Model.prediction
     includes [analyze].  This is the serving layer's per-request
     path. *)
 val predict_code :
-  t -> Facile_uarch.Config.t -> mode:mode -> string ->
+  t -> Facile_uarch.Config.t -> mode:Model.notion -> string ->
   analyze:(unit -> Block.t) -> int * Model.prediction
 
 (** [(hits, misses)] of the memoization layer since [create]. A miss is
@@ -135,7 +131,7 @@ val memo_stats : t -> int * int
     with the prediction.  Exposed so the persistent prediction store
     ([Facile_store]) can flush and re-seed the cache across process
     restarts. *)
-type memo_key = Facile_uarch.Config.arch * mode * int * string
+type memo_key = Facile_uarch.Config.arch * Model.notion * int * string
 
 (** Snapshot of the memo cache in deterministic shard-merge order
     (shard 0 most-recent first, then shard 1, ...). *)

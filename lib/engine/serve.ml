@@ -380,36 +380,6 @@ let stats_json t =
 
 (* ----- request handling ----- *)
 
-let mode_of_string = function
-  | "loop" -> Ok `Loop
-  | "unroll" -> Ok `Unrolled
-  | "auto" -> Ok `Auto
-  | m ->
-    Error
-      (Err.v Err.Unknown_mode
-         (Printf.sprintf "unknown mode: %s (expected loop|unroll|auto)" m))
-
-let block_of_bytes cfg code =
-  match Block.of_bytes cfg code with
-  | b -> Ok b
-  | exception Decode.Decode_error (m, off) ->
-    Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
-  | exception Facile_db.Db.Unsupported m ->
-    Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-  | exception Failure m -> Error (Err.v Err.Encode_error m)
-
-let block_of_asm cfg a =
-  match Asm.parse_block a with
-  | Error m -> Error (Err.v Err.Parse_error m)
-  | Ok insts ->
-    (match Block.of_instructions cfg insts with
-     | b -> Ok b
-     | exception Encode.Unencodable m ->
-       Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
-     | exception Facile_db.Db.Unsupported m ->
-       Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-     | exception Failure m -> Error (Err.v Err.Encode_error m))
-
 let timeout_err t =
   Err.v Err.Timeout
     (Printf.sprintf "request exceeded its %dms deadline"
@@ -457,7 +427,7 @@ let compute t cfg ~mode ~hex ~asm =
       let n, p =
         Engine.predict_code t.engine cfg ~mode code ~analyze:(fun () ->
             Fault.point "decode";
-            admit (refuse (block_of_bytes cfg code)))
+            admit (refuse (Block.analyze cfg (`Code code))))
       in
       (* a hit skipped [admit]: its stored count meets this server's
          limit here, exactly as the cold path would have *)
@@ -465,7 +435,8 @@ let compute t cfg ~mode ~hex ~asm =
       p
     | None, Some a ->
       Fault.point "decode";
-      Engine.predict t.engine ~mode (admit (refuse (block_of_asm cfg a)))
+      let block = refuse (Block.analyze cfg (`Asm a)) in
+      Engine.predict t.engine ~mode (admit block)
     | None, None -> assert false
   with
   | p -> Ok p
@@ -525,7 +496,6 @@ let handle_request t (req : Json.t) : Json.t =
                   "request needs a \"hex\" or \"asm\" field"
               | Ok arch, Ok mode, Ok hex, Ok asm ->
                 let arch = Option.value ~default:"SKL" arch in
-                let mode = Option.value ~default:"auto" mode in
                 let input_bytes =
                   String.length (Option.value ~default:"" hex)
                   + String.length (Option.value ~default:"" asm)
@@ -537,7 +507,12 @@ let handle_request t (req : Json.t) : Json.t =
                           "input of %d bytes exceeds the %d-byte limit"
                           input_bytes t.limits.max_input_bytes))
                 else begin
-                  match Config.of_abbrev arch, mode_of_string mode with
+                  match
+                    ( Config.of_abbrev arch,
+                      match mode with
+                      | None -> Ok `Auto
+                      | Some m -> Model.notion_of_string m )
+                  with
                   | None, _ ->
                     err_response t ~id
                       (Err.v Err.Unknown_arch

@@ -19,7 +19,7 @@ module Json = Facile_obs.Json
 
 type record = {
   arch : Config.arch;
-  mode : Facile_engine.Engine.mode;
+  mode : Model.notion;
   insts : int;
   bytes : string;
   pred : Model.prediction;
@@ -206,13 +206,10 @@ let decode s =
 
 (* ----- NDJSON exchange ----- *)
 
-let mode_name = function
-  | `Loop -> "loop" | `Unrolled -> "unroll" | `Auto -> "auto"
-
 let to_json r =
   Json.Obj
     [ "arch", Json.Str (Config.by_arch r.arch).Config.abbrev;
-      "mode", Json.Str (mode_name r.mode);
+      "mode", Json.Str (Model.notion_name r.mode);
       "insts", Json.Int r.insts;
       "hex", Json.Str (Facile_x86.Hex.encode r.bytes);
       "prediction", Model.prediction_to_json r.pred ]
@@ -240,11 +237,8 @@ let of_json j =
   in
   let* mode_s = str_field "mode" in
   let* mode =
-    match mode_s with
-    | "loop" -> Ok `Loop
-    | "unroll" -> Ok `Unrolled
-    | "auto" -> Ok `Auto
-    | s -> Error (Printf.sprintf "unknown mode %S" s)
+    Model.notion_of_string mode_s
+    |> Result.map_error (fun _ -> Printf.sprintf "unknown mode %S" mode_s)
   in
   let* insts =
     match Option.bind (Json.member "insts" j) Json.int_opt with

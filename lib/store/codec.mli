@@ -16,7 +16,7 @@ open Facile_core
 
 type record = {
   arch : Config.arch;
-  mode : Facile_engine.Engine.mode;
+  mode : Model.notion;
       (** the mode as requested; [`Auto] is not resolved *)
   insts : int;      (** the block's instruction count *)
   bytes : string;   (** the block's machine code, verbatim *)

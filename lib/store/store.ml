@@ -109,6 +109,9 @@ let err kind fmt = Printf.ksprintf (fun msg -> Error (Err.v kind msg)) fmt
 
 let read_file path =
   match
+    (* a directory opens, then fails to read with an errno that does
+       not name it *)
+    if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)

@@ -18,7 +18,7 @@ let behaviour_tests =
         (* an LCP-heavy block is predecoder-bound; the back-end-only
            model cannot see that *)
         let b = block skl "add ax, 0x1234\nmov bx, 300\nadd cx, 0x7fff" in
-        let facile = (Model.predict_u b).Model.cycles in
+        let facile = (Model.predict ~notion:`Unrolled b).Model.cycles in
         let mca = Baselines.llvm_mca_like b in
         Alcotest.(check bool)
           (Printf.sprintf "facile %.2f > mca %.2f" facile mca)
@@ -33,7 +33,7 @@ let behaviour_tests =
         in
         let insts = Facile_bhive.Genblock.looped (parse_block body) in
         let b = Block.of_instructions skl insts in
-        let facile = (Model.predict_l b).Model.cycles in
+        let facile = (Model.predict ~notion:`Loop b).Model.cycles in
         let mca = Baselines.llvm_mca_like b in
         Alcotest.(check bool) "fusion-blind is slower" true (mca > facile));
     Alcotest.test_case "osaca-like spreads uops uniformly" `Quick (fun () ->
@@ -50,7 +50,7 @@ let behaviour_tests =
         (* a two-instruction dependence cycle through imul+mov: cycle
            latency 3, but no single RMW instruction shows it *)
         let b = block skl "imul rax, rbx, 9\nmov rbx, rax" in
-        let facile = (Model.predict_u b).Model.cycles in
+        let facile = (Model.predict ~notion:`Unrolled b).Model.cycles in
         let iaca = Baselines.iaca_like b in
         Alcotest.(check bool)
           (Printf.sprintf "facile %.2f > iaca %.2f" facile iaca)
@@ -97,7 +97,8 @@ let learned_tests =
         let facile_mape =
           Facile_stats.Error_metrics.mape
             (List.map
-               (fun (b, m) -> (m, (Model.predict_u b).Model.cycles))
+               (fun (b, m) ->
+                 (m, (Model.predict ~notion:`Unrolled b).Model.cycles))
                test)
         in
         if facile_mape > mape then
@@ -125,7 +126,9 @@ let ranking =
         Facile_stats.Error_metrics.mape
           (List.map (fun (b, m) -> (m, f b)) samples)
       in
-      let facile = mape (fun b -> (Model.predict_l b).Model.cycles) in
+      let facile =
+        mape (fun b -> (Model.predict ~notion:`Loop b).Model.cycles)
+      in
       let mca = mape Baselines.llvm_mca_like in
       let osaca = mape Baselines.osaca_like in
       let iaca = mape Baselines.iaca_like in

@@ -198,24 +198,24 @@ let test_mdl_mutations () =
           [ Operand.Reg (Register.Gpr (Register.W64, Register.RAX));
             Operand.Reg (Register.Gpr (Register.W64, Register.RBX)) ] ]
   in
-  let p = Model.predict ~notion:Model.U block in
-  assert_clean (Model_check.check_prediction skl "t" ~notion:`U p);
+  let p = Model.predict ~notion:`Unrolled block in
+  assert_clean (Model_check.check_prediction skl "t" ~notion:`Unrolled p);
   (* prediction no longer the max over its candidates *)
   assert_fires "mdl-max"
-    (Model_check.check_prediction skl "t" ~notion:`U
+    (Model_check.check_prediction skl "t" ~notion:`Unrolled
        { p with Model.cycles = p.Model.cycles +. 1.0 });
   (* a non-finite component bound *)
   assert_fires "mdl-finite"
-    (Model_check.check_prediction skl "t" ~notion:`U
+    (Model_check.check_prediction skl "t" ~notion:`Unrolled
        { p with Model.values = (Model.Ports, Float.nan) :: p.Model.values });
   (* bottleneck list inconsistent with cycles: emptied despite a
      positive prediction *)
   assert_fires "mdl-bottleneck"
-    (Model_check.check_prediction skl "t" ~notion:`U
+    (Model_check.check_prediction skl "t" ~notion:`Unrolled
        { p with Model.bottlenecks = [] });
   (* and a listed bottleneck whose bound does not equal cycles *)
   assert_fires "mdl-bottleneck"
-    (Model_check.check_prediction skl "t" ~notion:`U
+    (Model_check.check_prediction skl "t" ~notion:`Unrolled
        { p with
          Model.values =
            List.map
@@ -227,7 +227,7 @@ let test_mdl_mutations () =
          Model.bottlenecks = Model.all_components });
   (* notion/front-end-path contradiction *)
   assert_fires "mdl-notion"
-    (Model_check.check_prediction skl "t" ~notion:`L
+    (Model_check.check_prediction skl "t" ~notion:`Loop
        { p with Model.fe_path = Model.FE_none })
 
 (* ----- no false positives on generated blocks ----- *)

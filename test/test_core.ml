@@ -196,7 +196,7 @@ let fusion_tests =
 
 let model_tests =
   [ Alcotest.test_case "TP_U combination" `Quick (fun () ->
-        let p = Model.predict_u (block skl four_adds) in
+        let p = Model.predict ~notion:`Unrolled (block skl four_adds) in
         (* Predec 1.25 dominates Dec/Issue/Ports/Precedence (all 1.0) *)
         checkf "cycles" 1.25 p.Model.cycles;
         Alcotest.(check bool) "predec bottleneck" true
@@ -205,12 +205,12 @@ let model_tests =
         let insts = parse_block four_adds in
         let looped = Facile_bhive.Genblock.looped insts in
         let b = Block.of_instructions hsw looped in
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:`Loop b in
         Alcotest.(check bool) "fe path lsd" true (p.Model.fe_path = Model.FE_lsd));
     Alcotest.test_case "TP_L uses DSB on SKL (LSD off)" `Quick (fun () ->
         let insts = parse_block four_adds in
         let b = Block.of_instructions skl (Facile_bhive.Genblock.looped insts) in
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:`Loop b in
         (* the 5-byte loop ends well inside the first 32-byte window;
            no erratum trigger at offset 12 *)
         Alcotest.(check bool) "fe path dsb" true (p.Model.fe_path = Model.FE_dsb));
@@ -230,26 +230,26 @@ let model_tests =
         let b = Block.of_instructions skl looped in
         Alcotest.(check bool) "erratum detected" true
           (Block.jcc_erratum_affected b);
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:`Loop b in
         Alcotest.(check bool) "decoders path" true
           (p.Model.fe_path = Model.FE_decoders);
         (* same block on RKL (no erratum): front end via LSD/DSB *)
         let b2 = Block.of_instructions rkl looped in
-        let p2 = Model.predict_l b2 in
+        let p2 = Model.predict ~notion:`Loop b2 in
         Alcotest.(check bool) "no erratum on RKL" true
           (p2.Model.fe_path <> Model.FE_decoders));
     Alcotest.test_case "variants" `Quick (fun () ->
         let b = block skl four_adds in
-        let base = (Model.predict_u b).Model.cycles in
+        let base = (Model.predict ~notion:`Unrolled b).Model.cycles in
         let without_predec =
-          (Model.predict_u
+          (Model.predict ~notion:`Unrolled
              ~variant:{ Model.default with Model.without = [ Model.Predec ] }
              b).Model.cycles
         in
         Alcotest.(check bool) "removing the bottleneck lowers tp" true
           (without_predec < base);
         let only_ports =
-          (Model.predict_u
+          (Model.predict ~notion:`Unrolled
              ~variant:{ Model.default with Model.only = Some [ Model.Ports ] }
              b).Model.cycles
         in
@@ -263,11 +263,11 @@ let model_tests =
         List.iter
           (fun (c : Facile_bhive.Suite.case) ->
             let b = Block.of_instructions skl c.Facile_bhive.Suite.body in
-            let base = (Model.predict_u b).Model.cycles in
+            let base = (Model.predict ~notion:`Unrolled b).Model.cycles in
             List.iter
               (fun comp ->
                 let v =
-                  (Model.predict_u
+                  (Model.predict ~notion:`Unrolled
                      ~variant:{ Model.default with Model.without = [ comp ] } b)
                     .Model.cycles
                 in
@@ -275,7 +275,7 @@ let model_tests =
                   Alcotest.failf "removing %s raised tp on case %d"
                     (Model.component_name comp) c.Facile_bhive.Suite.id;
                 let ideal =
-                  (Model.predict_u
+                  (Model.predict ~notion:`Unrolled
                      ~variant:{ Model.default with Model.idealized = [ comp ] }
                      b).Model.cycles
                 in
@@ -312,8 +312,8 @@ let model_tests =
               (fun (c : Facile_bhive.Suite.case) ->
                 let bu = Block.of_instructions cfg c.Facile_bhive.Suite.body in
                 let bl = Block.of_instructions cfg c.Facile_bhive.Suite.loop in
-                let pu = Model.predict_u bu in
-                let pl = Model.predict_l bl in
+                let pu = Model.predict ~notion:`Unrolled bu in
+                let pl = Model.predict ~notion:`Loop bl in
                 if not (pu.Model.cycles > 0.0) then
                   Alcotest.failf "zero TP_U on %s case %d" cfg.Config.abbrev
                     c.Facile_bhive.Suite.id;
@@ -361,7 +361,7 @@ let invariant_tests =
                     (Dec.throughput b) (Dec.simple b) c.Facile_bhive.Suite.id
                     cfg.Config.abbrev;
                 (* the prediction equals the max over its bottlenecks *)
-                let p = Model.predict_l b in
+                let p = Model.predict ~notion:`Loop b in
                 (match p.Model.bottlenecks with
                  | [] -> Alcotest.fail "no bottleneck reported"
                  | bn :: _ ->
@@ -406,7 +406,7 @@ let invariant_tests =
               List.iter
                 (fun cfg ->
                   let b = Block.of_instructions cfg [ i ] in
-                  let p = Model.predict_u b in
+                  let p = Model.predict ~notion:`Unrolled b in
                   if not (p.Model.cycles > 0.0) then
                     Alcotest.failf "zero prediction for %s" (Inst.to_string i))
                 Config.all
@@ -576,11 +576,8 @@ let qcheck_flat_pipeline =
               QCheck.Test.fail_reportf
                 "fast %h <> reference %h on %s (notion %s)" f.Model.cycles
                 r.Model.cycles cfg.Config.abbrev
-                (match notion with
-                 | Model.U -> "U"
-                 | Model.L -> "L"
-                 | Model.Auto -> "auto"))
-          [ Model.U; Model.L; Model.Auto ]
+                (Model.notion_name notion))
+          [ `Unrolled; `Loop; `Auto ]
       in
       List.for_all
         (fun cfg ->
@@ -672,52 +669,56 @@ let flatpath_tests =
               Alcotest.failf "allocation budget exceeded: %.0f words" d1)
           blocks) ]
 
+(* a region of Skylake blocks, given as (assembly, weight) pairs *)
+let region ws =
+  Region.analyze
+    (List.map
+       (fun (src, weight) ->
+         { Region.block = Block.of_instructions skl (parse_block src); weight })
+       ws)
+
 let region_tests =
   [ Alcotest.test_case "single-block region = block prediction" `Quick
       (fun () ->
-        let insts = parse_block "imul rax, rbx\nadd rax, rcx" in
-        let r = Region.analyze skl [ { Region.insts; weight = 1.0 } ] in
-        let p = Model.predict (Block.of_instructions skl insts) in
+        let src = "imul rax, rbx\nadd rax, rcx" in
+        let r = region [ (src, 1.0) ] in
+        let p = Model.predict (Block.of_instructions skl (parse_block src)) in
         checkf "naive equals prediction" p.Model.cycles r.Region.naive;
         (* the aggregated bound cannot exceed the naive sum by much, and
            dominates each pooled resource *)
         Alcotest.(check bool) "bounded" true
           (r.Region.cycles <= r.Region.naive +. 1e-9));
     Alcotest.test_case "weights are normalized" `Quick (fun () ->
-        let a = parse_block "add rax, rbx" in
-        let b = parse_block "imul rcx, rdx" in
-        let r1 =
-          Region.analyze skl
-            [ { Region.insts = a; weight = 1.0 };
-              { Region.insts = b; weight = 3.0 } ]
-        in
-        let r2 =
-          Region.analyze skl
-            [ { Region.insts = a; weight = 10.0 };
-              { Region.insts = b; weight = 30.0 } ]
-        in
-        checkf "scale invariant" r1.Region.cycles r2.Region.cycles);
+        let a = "add rax, rbx" and b = "imul rcx, rdx" in
+        let r1 = region [ (a, 1.0); (b, 3.0) ] in
+        let r2 = region [ (a, 10.0); (b, 30.0) ] in
+        checkf "scale invariant" r1.Region.cycles r2.Region.cycles;
+        (* finite weights whose sum overflows normalize too *)
+        let r3 = region [ (a, Float.max_float); (b, Float.max_float) ] in
+        checkf "overflowing sum" (region [ (a, 1.0); (b, 1.0) ]).Region.cycles
+          r3.Region.cycles);
     Alcotest.test_case "pooled ports exceed per-block weighting" `Quick
       (fun () ->
         (* two blocks that each fill different ports lightly still share
            the same p5 shuffle unit; the pooled bound sees that *)
-        let a = parse_block "pshufd xmm0, xmm1, 0\npshufd xmm2, xmm3, 0" in
-        let b = parse_block "pshufd xmm4, xmm5, 0\npshufd xmm6, xmm7, 0" in
         let r =
-          Region.analyze skl
-            [ { Region.insts = a; weight = 1.0 };
-              { Region.insts = b; weight = 1.0 } ]
+          region
+            [ ("pshufd xmm0, xmm1, 0\npshufd xmm2, xmm3, 0", 1.0);
+              ("pshufd xmm4, xmm5, 0\npshufd xmm6, xmm7, 0", 1.0) ]
         in
         checkf "p5 pressure pooled" 2.0
           (List.assoc Model.Ports r.Region.component_values));
     Alcotest.test_case "invalid regions rejected" `Quick (fun () ->
-        (match Region.analyze skl [] with
+        (match Region.analyze [] with
          | _ -> Alcotest.fail "empty region"
          | exception Invalid_argument _ -> ());
-        let a = parse_block "add rax, rbx" in
-        match Region.analyze skl [ { Region.insts = a; weight = 0.0 } ] with
-        | _ -> Alcotest.fail "zero weight"
-        | exception Invalid_argument _ -> ()) ]
+        (* [nan <= 0.0] is false, so nan needs a test of its own *)
+        List.iter
+          (fun w ->
+            match region [ ("add rax, rbx", w) ] with
+            | _ -> Alcotest.failf "weight %g accepted" w
+            | exception Invalid_argument _ -> ())
+          [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ]) ]
 
 let suite =
   [ "core.components", component_tests;

@@ -345,26 +345,42 @@ let no_drift =
 (* Model.predict ~notion unification                                   *)
 
 let notion_tests =
-  [ Alcotest.test_case "predict ~notion matches the deprecated entry points"
+  [ Alcotest.test_case "predict ~notion matches the notion Model.resolve picks"
       `Quick (fun () ->
         let cfg = Config.by_arch Config.SKL in
-        let b =
-          match Asm.parse_block "add rax, rbx\nimul rcx, rdx" with
-          | Ok insts -> Block.of_instructions cfg insts
-          | Error m -> Alcotest.failf "parse: %s" m
-        in
-        Alcotest.(check (float 1e-12)) "U"
-          (Model.predict_u b).Model.cycles
-          (Model.predict ~notion:Model.U b).Model.cycles;
-        Alcotest.(check (float 1e-12)) "L"
-          (Model.predict_l b).Model.cycles
-          (Model.predict ~notion:Model.L b).Model.cycles;
-        let auto = (Model.predict ~notion:Model.Auto b).Model.cycles in
-        let expect =
-          if Block.ends_in_branch b then (Model.predict_l b).Model.cycles
-          else (Model.predict_u b).Model.cycles
-        in
-        Alcotest.(check (float 1e-12)) "Auto dispatch" expect auto) ]
+        List.iter
+          (fun src ->
+            let b =
+              match Block.analyze cfg (`Asm src) with
+              | Ok b -> b
+              | Error e -> Alcotest.failf "analyze: %s" (Err.to_string e)
+            in
+            let resolved = Model.resolve `Auto b in
+            Alcotest.(check string) (src ^ ": Auto resolves on the branch")
+              (if Block.ends_in_branch b then "loop" else "unroll")
+              (Model.notion_name resolved);
+            List.iter
+              (fun n ->
+                Alcotest.(check string) (src ^ ": a forced notion stands")
+                  (Model.notion_name n)
+                  (Model.notion_name (Model.resolve n b)))
+              [ `Unrolled; `Loop ];
+            Alcotest.(check (float 1e-12)) (src ^ ": Auto dispatch")
+              (Model.predict ~notion:(resolved :> Model.notion) b).Model.cycles
+              (Model.predict ~notion:`Auto b).Model.cycles)
+          [ "add rax, rbx\nimul rcx, rdx";
+            "add rax, 8\ncmp rax, rbx\njne -10" ];
+        (* the one parser round-trips the one printer *)
+        List.iter
+          (fun n ->
+            Alcotest.(check bool) (Model.notion_name n) true
+              (Model.notion_of_string (Model.notion_name n) = Ok n))
+          [ `Unrolled; `Loop; `Auto ];
+        match Model.notion_of_string "spin" with
+        | Error e ->
+          Alcotest.(check bool) "unknown_mode" true
+            (e.Err.kind = Err.Unknown_mode)
+        | Ok _ -> Alcotest.fail "spin parsed as a notion") ]
 
 let suite =
   let serve =

@@ -134,9 +134,7 @@ let optimism =
                   in
                   let b = Block.of_instructions cfg insts in
                   let p =
-                    (match mode with
-                     | `Loop -> Model.predict_l b
-                     | `Unrolled -> Model.predict_u b)
+                    (Model.predict ~notion:(mode :> Model.notion) b)
                       .Model.cycles
                   in
                   let hw = Sim.cycles_per_iteration ~mode b in

@@ -46,14 +46,11 @@ let block_of_hex cfg h =
 let mk_record ?(arch = Config.SKL) ?(mode = `Unrolled) hex =
   let cfg = Config.by_arch arch in
   let b = block_of_hex cfg hex in
-  let notion =
-    match mode with `Loop -> Model.L | `Unrolled -> Model.U | `Auto -> Model.Auto
-  in
   { Codec.arch;
     mode;
     insts = List.length b.Block.entries;
     bytes = b.Block.bytes;
-    pred = Model.predict ~notion b }
+    pred = Model.predict ~notion:mode b }
 
 let records_for_suite () =
   [ mk_record "4801d8";                           (* add rax,rbx *)
@@ -538,6 +535,19 @@ let run_cli args =
   Sys.command
     (Printf.sprintf "%s %s </dev/null >/dev/null 2>&1" facile_exe args)
 
+(* exit code and stderr of one run, [stdin] on its input *)
+let run_cli_err ?(stdin = "") args =
+  let tmp ext = Filename.temp_file "facile_store_cli" ext in
+  let inp = tmp ".in" and err = tmp ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove inp; Sys.remove err) @@ fun () ->
+  write_file inp stdin;
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s <%s >/dev/null 2>%s" facile_exe args
+         (Filename.quote inp) (Filename.quote err))
+  in
+  (rc, In_channel.with_open_bin err In_channel.input_all)
+
 let cli_tests =
   [ Alcotest.test_case "--cache-cap 0 exits 1 before reading input" `Quick
       (fun () ->
@@ -574,7 +584,22 @@ let cli_tests =
                 (Filename.quote path)));
         flip_bit path (Segment.header_size + 8);
         Alcotest.(check int) "corrupt store fails" 10
-          (run_cli (Printf.sprintf "cache verify %s" (Filename.quote path)))) ]
+          (run_cli (Printf.sprintf "cache verify %s" (Filename.quote path))));
+    Alcotest.test_case "a directory as the store is refused by name" `Quick
+      (fun () ->
+        let dir = Filename.get_temp_dir_name () in
+        List.iter
+          (fun (cmd, stdin) ->
+            let args = Printf.sprintf "%s %s" cmd (Filename.quote dir) in
+            let rc, err = run_cli_err ~stdin args in
+            Alcotest.(check int) (args ^ ": exit code") 11 rc;
+            Alcotest.(check string) (args ^ ": stderr")
+              ("error: " ^ dir ^ ": Is a directory (internal)\n") err)
+          [ ("cache stat", "");
+            ("cache verify", "");
+            ("cache import", "");
+            ("batch --store", "4801d8\n");
+            ("serve --store", "") ]) ]
 
 let suite =
   [ "store.crc32", crc_tests;

@@ -628,28 +628,42 @@ let notion () =
 
 (* ------------------------------------------------------------------ *)
 (* perf: hot-path ns/block per arch, fast pipeline vs the reference    *)
-(* (pre-flattening) pipeline, with a CI regression gate against the    *)
+(* (pre-flattening) pipeline, plus block analysis from bytes and the   *)
+(* minor words both allocate, with CI regression gates against the     *)
 (* committed bench/baseline_perf.json.                                 *)
 
 exception Perf_regression of string
+
+(* Minor-heap words [f] allocates per element of [xs], after one
+   untimed pass (arenas, flat tables and histograms warm).  A count,
+   not a time: it repeats exactly from run to run and host to host. *)
+let minor_words_per f xs =
+  List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+  let w0 = Gc.minor_words () in
+  List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int (List.length xs)
+
+(* Slack of the word-count gates over their committed counts. *)
+let words_slack = 1.1
 
 let perf () =
   let module Json = Facile_obs.Json in
   let cases = Suite.corpus ~seed:eval_seed ~size:100 () in
   let reps = 5 in
-  let measure f blocks =
+  let measure f xs =
     (* one untimed pass warms the arenas and the memo-free caches; the
        fastest of [reps] timed passes is reported, so transient
        scheduler interference cannot fake a regression *)
-    List.iter (fun b -> ignore (f b)) blocks;
+    List.iter (fun x -> ignore (f x)) xs;
     let best = ref infinity in
     for _ = 1 to reps do
       let t0 = Unix.gettimeofday () in
-      List.iter (fun b -> ignore (f b)) blocks;
+      List.iter (fun x -> ignore (f x)) xs;
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt
     done;
-    !best *. 1e9 /. float_of_int (List.length blocks)
+    !best *. 1e9 /. float_of_int (List.length xs)
   in
   let rows =
     List.map
@@ -661,24 +675,39 @@ let perf () =
         in
         let fast = measure (fun b -> Model.predict b) blocks in
         let refn = measure (fun b -> Model.predict_reference b) blocks in
-        (cfg, fast, refn, refn /. Float.max fast 1e-9))
+        (* the same corpus re-encoded to bytes: the embedded path
+           (`facile batch`, a linked compiler) analyzes from code *)
+        let codes = List.map (fun (b : Block.t) -> b.Block.bytes) blocks in
+        let analyze code = Block.of_bytes cfg code in
+        let of_bytes_ns = measure analyze codes in
+        let of_bytes_words = minor_words_per analyze codes in
+        let predict_words =
+          minor_words_per (fun b -> Model.predict b) (List.map analyze codes)
+        in
+        (cfg, fast, refn, of_bytes_ns, of_bytes_words, predict_words))
       Config.all
   in
   Report.Table.print
     ~title:
       (Printf.sprintf
-         "Hot path: ns per predicted block (loop notion, %d blocks x %d reps)"
+         "Hot path: ns per predicted block (loop notion, %d blocks x %d reps); \
+          block analysis from bytes; minor words per block"
          (List.length cases) reps)
-    ~header:[ "uArch"; "ns/block"; "reference ns/block"; "speedup" ]
+    ~header:
+      [ "uArch"; "ns/block"; "reference ns/block"; "speedup";
+        "of_bytes ns/block"; "of_bytes words"; "predict words" ]
     (List.map
-       (fun (cfg, fast, refn, s) ->
+       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w) ->
          [ cfg.Config.abbrev; Printf.sprintf "%.0f" fast;
-           Printf.sprintf "%.0f" refn; Printf.sprintf "%.2fx" s ])
+           Printf.sprintf "%.0f" refn;
+           Printf.sprintf "%.2fx" (refn /. Float.max fast 1e-9);
+           Printf.sprintf "%.0f" ob_ns; Printf.sprintf "%.1f" ob_w;
+           Printf.sprintf "%.1f" pr_w ])
        rows);
   List.iter
-    (fun (cfg, fast, _, s) ->
+    (fun (cfg, fast, refn, _, _, _) ->
       Printf.printf "%s ns/block %.0f (%.2fx vs reference)\n" cfg.Config.abbrev
-        fast s)
+        fast (refn /. Float.max fast 1e-9))
     rows;
   bench_record "perf"
     [ "corpus", Json.Int (List.length cases);
@@ -686,16 +715,20 @@ let perf () =
       ( "arches",
         Json.Arr
           (List.map
-             (fun (cfg, fast, refn, s) ->
+             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w) ->
                Json.Obj
                  [ "arch", Json.Str cfg.Config.abbrev;
                    "ns_per_block", Json.Float fast;
                    "ref_ns_per_block", Json.Float refn;
-                   "speedup", Json.Float s ])
+                   "speedup", Json.Float (refn /. Float.max fast 1e-9);
+                   "of_bytes_ns_per_block", Json.Float ob_ns;
+                   "of_bytes_words_per_block", Json.Float ob_w;
+                   "predict_words_per_block", Json.Float pr_w ])
              rows) ) ];
-  (* Regression gate: each arch's ns/block may exceed its committed
-     baseline by at most 20%.  FACILE_PERF_BASELINE overrides the
-     baseline path; an absent file skips the gate (fresh checkouts
+  (* Regression gates: each arch's ns/block may exceed its committed
+     baseline by at most 20%, and each word count its committed count
+     by at most [words_slack].  FACILE_PERF_BASELINE overrides the
+     baseline path; an absent file skips the gates (fresh checkouts
      regenerate it with `main.exe perf`). *)
   let baseline_path =
     match Sys.getenv_opt "FACILE_PERF_BASELINE" with
@@ -714,27 +747,35 @@ let perf () =
       | Ok j -> j
       | Error e -> raise (Perf_regression ("unreadable baseline: " ^ e))
     in
-    let baseline_ns arch =
+    let baseline_field field arch =
       match Json.member "arches" baseline with
       | Some (Json.Arr entries) ->
         List.find_map
           (fun e ->
             match Json.member "arch" e with
             | Some (Json.Str a) when a = arch ->
-              Option.bind (Json.member "ns_per_block" e) Json.float_opt
+              Option.bind (Json.member field e) Json.float_opt
             | _ -> None)
           entries
       | _ -> None
     in
+    let gate (cfg : Config.t) field ~unit_ ~slack v =
+      match baseline_field field cfg.Config.abbrev with
+      | Some base when v > base *. slack ->
+        Some
+          (Printf.sprintf "%s: %s %.1f > baseline %.1f x %g" cfg.Config.abbrev
+             unit_ v base slack)
+      | _ -> None
+    in
     let failures =
-      List.filter_map
-        (fun ((cfg : Config.t), fast, _, _) ->
-          match baseline_ns cfg.Config.abbrev with
-          | Some base when fast > base *. 1.2 ->
-            Some
-              (Printf.sprintf "%s: %.0f ns/block > baseline %.0f x 1.2"
-                 cfg.Config.abbrev fast base)
-          | _ -> None)
+      List.concat_map
+        (fun (cfg, fast, _, _, ob_w, pr_w) ->
+          List.filter_map Fun.id
+            [ gate cfg "ns_per_block" ~unit_:"ns/block" ~slack:1.2 fast;
+              gate cfg "of_bytes_words_per_block"
+                ~unit_:"Block.of_bytes words/block" ~slack:words_slack ob_w;
+              gate cfg "predict_words_per_block"
+                ~unit_:"Model.predict words/block" ~slack:words_slack pr_w ])
         rows
     in
     match failures with

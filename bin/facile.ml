@@ -94,7 +94,7 @@ let run_command arch f =
 
 let print_prediction cfg block mode (p : Model.prediction) =
   Printf.printf "block: %d instructions, %d bytes, %d fused-domain uops\n"
-    (List.length block.Block.entries)
+    (Block.instruction_count block)
     block.Block.len (Block.fused_uops block);
   Printf.printf "uarch: %s (%s), mode: %s\n" cfg.Config.name cfg.Config.abbrev
     (match mode with `Loop -> "loop (TP_L)" | `Unrolled -> "unrolled (TP_U)");
@@ -1133,7 +1133,7 @@ let cache_verify_cmd =
                    match Block.analyze cfg (`Code rec_.Store_codec.bytes) with
                    | Error _ -> [ where ^ ": stored bytes no longer decode" ]
                    | Ok block ->
-                     (if List.length block.Block.entries
+                     (if Block.instruction_count block
                          <> rec_.Store_codec.insts
                       then [ where ^ ": instruction count changed" ]
                       else [])
@@ -1302,7 +1302,7 @@ let disasm_cmd =
               (if lay.Encode.lcp then ", LCP" else "")
               (if d.Facile_db.Db.eliminated then ", eliminated" else "")
               (if e.Block.fuses_with_next then ", fuses with next" else ""))
-          block.Block.entries;
+          (Block.entries block);
         Ok ())
   in
   Cmd.v

@@ -15,14 +15,13 @@ let defused_cfg (cfg : Config.t) =
     mov_elim_vec = false }
 
 let reanalyze cfg' (b : Block.t) =
-  Block.of_instructions cfg' (List.map (fun (e : Block.entry) -> e.Block.inst)
-                                b.Block.entries)
+  Block.of_instructions cfg' (Array.to_list b.Block.insts)
 
 let dispatched_uops (b : Block.t) =
   List.fold_left
     (fun acc (l : Block.logical) ->
       if l.Block.eliminated then acc else acc + List.length l.Block.dispatched)
-    0 b.Block.logicals
+    0 (Block.logicals b)
 
 (* ------------------------------------------------------------------ *)
 (* llvm-mca-like                                                       *)
@@ -35,12 +34,9 @@ let latency_delta (l : Block.logical) =
   | [] -> 0
 
 let perturb_latencies (b : Block.t) =
-  { b with
-    Block.logicals =
-      List.map
-        (fun (l : Block.logical) ->
-          { l with Block.latency = max 0 (l.Block.latency + latency_delta l) })
-        b.Block.logicals }
+  Block.map_latency
+    (fun (l : Block.logical) -> max 0 (l.Block.latency + latency_delta l))
+    b
 
 let llvm_mca_like (b : Block.t) =
   let b' = perturb_latencies (reanalyze (defused_cfg b.Block.cfg) b) in
@@ -67,7 +63,7 @@ let osaca_like (b : Block.t) =
             let share = 1.0 /. float_of_int (max 1 (List.length ports)) in
             List.iter (fun p -> load.(p) <- load.(p) +. share) ports)
           l.Block.dispatched)
-    b'.Block.logicals;
+    (Block.logicals b');
   let port_bound = Array.fold_left Float.max 0.0 load in
   Float.max port_bound (Precedence.throughput b')
 
@@ -88,7 +84,7 @@ let iaca_like (b : Block.t) =
           List.exists (fun w -> List.mem w l.Block.reads) l.Block.writes
         in
         if rmw && not l.Block.eliminated then max acc l.Block.latency else acc)
-      0 b.Block.logicals
+      0 (Block.logicals b)
   in
   List.fold_left Float.max 0.0
     [ issue; Ports.throughput b; float_of_int self_chain ]
@@ -99,7 +95,7 @@ let iaca_like (b : Block.t) =
 type learned = float array
 
 let featurize (b : Block.t) =
-  let logicals = b.Block.logicals in
+  let logicals = Block.logicals b in
   let count f = float_of_int (List.length (List.filter f logicals)) in
   let sum f = float_of_int (List.fold_left (fun a l -> a + f l) 0 logicals) in
   let maxi f = float_of_int (List.fold_left (fun a l -> max a (f l)) 0 logicals) in
@@ -115,7 +111,7 @@ let featurize (b : Block.t) =
   let lcp =
     List.length
       (List.filter (fun (e : Block.entry) -> e.Block.layout.Encode.lcp)
-         b.Block.entries)
+         (Block.entries b))
   in
   (* fractional pressure per port: a sequence model could learn this
      from the opcode mix *)

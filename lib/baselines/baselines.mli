@@ -8,6 +8,12 @@
 
 open Facile_core
 
+(** [defused_cfg cfg] is [cfg] with the features llvm-mca and OSACA do
+    not model turned off: macro fusion and move elimination.  It is not
+    one of [Config.all]'s records, so blocks built against it take
+    [Db.describe] instead of the flat tables. *)
+val defused_cfg : Facile_uarch.Config.t -> Facile_uarch.Config.t
+
 (** llvm-mca-like: back-end-only scheduling model. No front end, no
     macro or micro fusion, no move elimination (the omissions the paper
     quotes for llvm-mca), and deterministically perturbed latencies

@@ -1,4 +1,5 @@
-(* Per-computation scratch buffers for the prediction hot path.
+(* Per-computation scratch buffers for the prediction hot path and
+   block analysis.
 
    Every component predictor used to allocate its working arrays per
    call; the arena keeps one growable buffer per use site instead.  An
@@ -25,18 +26,10 @@ type t = {
   (* Ports: multiplicity of each deduplicated mask *)
   mutable ports_cnt : int array;
   (* Precedence: node-id table (generation-stamped so it needs no
-     per-call clear), flattened per-logical read/write resource codes,
-     write-set bitmasks, and edge-push buffers *)
+     per-call clear) and edge-push buffers *)
   mutable prec_nodes : int array;
   mutable prec_gen : int array;
   mutable prec_generation : int;
-  mutable prec_roff : int array;
-  mutable prec_rcode : int array;
-  mutable prec_rlat : int array;
-  mutable prec_woff : int array;
-  mutable prec_wcode : int array;
-  mutable prec_wlo : int array;
-  mutable prec_whi : int array;
   mutable prec_src : int array;
   mutable prec_dst : int array;
   mutable prec_w : float array;
@@ -45,6 +38,12 @@ type t = {
   howard : Facile_graph.Cycle_ratio.scratch;
   (* Model: the seven component bounds of the current prediction *)
   vals : float array;
+  (* Block analysis: per-logical values, read and write codes and port
+     sets of the block being built, before the copy to exact size *)
+  mutable blk_log : int array;
+  mutable blk_rcode : int array;
+  mutable blk_wcode : int array;
+  mutable blk_ports : Facile_uarch.Port.t array;
 }
 
 let create () =
@@ -59,19 +58,16 @@ let create () =
     prec_nodes = [||];
     prec_gen = [||];
     prec_generation = 0;
-    prec_roff = [||];
-    prec_rcode = [||];
-    prec_rlat = [||];
-    prec_woff = [||];
-    prec_wcode = [||];
-    prec_wlo = [||];
-    prec_whi = [||];
     prec_src = [||];
     prec_dst = [||];
     prec_w = [||];
     prec_cnt = [||];
     howard = Facile_graph.Cycle_ratio.create_scratch ();
-    vals = Array.make 7 0.0 }
+    vals = Array.make 7 0.0;
+    blk_log = [||];
+    blk_rcode = [||];
+    blk_wcode = [||];
+    blk_ports = [||] }
 
 (* Arenas not owned by any computation.  A lock-free stack of immutable
    cons cells: every push allocates a fresh cell, so a compare-and-set

@@ -1,4 +1,5 @@
-(** Per-computation scratch buffers for the prediction hot path.
+(** Per-computation scratch buffers for the prediction hot path and
+    for block analysis.
 
     Each component predictor owns a few named growable buffers here
     instead of allocating working arrays per call.  An arena belongs
@@ -20,13 +21,6 @@ type t = {
   mutable prec_nodes : int array;
   mutable prec_gen : int array;
   mutable prec_generation : int;
-  mutable prec_roff : int array;
-  mutable prec_rcode : int array;
-  mutable prec_rlat : int array;
-  mutable prec_woff : int array;
-  mutable prec_wcode : int array;
-  mutable prec_wlo : int array;
-  mutable prec_whi : int array;
   mutable prec_src : int array;
   mutable prec_dst : int array;
   mutable prec_w : float array;
@@ -34,6 +28,12 @@ type t = {
   howard : Facile_graph.Cycle_ratio.scratch;
       (** working storage of {!Facile_graph.Cycle_ratio.howard_flat} *)
   vals : float array;  (** the seven component bounds, see {!Model} *)
+  mutable blk_log : int array;
+  mutable blk_rcode : int array;
+  mutable blk_wcode : int array;
+  mutable blk_ports : Facile_uarch.Port.t array;
+      (** {!Block}'s fill: per-logical values, codes and port sets
+          before the copy to exact size *)
 }
 
 (** [with_ f] runs [f] with an arena no other computation holds — a

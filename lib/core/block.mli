@@ -2,7 +2,10 @@
     instruction descriptors + macro-fusion pairing.
 
     This is the input representation shared by all of Facile's component
-    predictors, the baselines, and the pipeline simulator. *)
+    predictors, the baselines, and the pipeline simulator.  A block
+    keeps its instructions and the flat arrays the model reads
+    ({!flat}); the per-instruction lists ({!entries}, {!logicals}) are
+    views computed from them when asked for. *)
 
 open Facile_x86
 open Facile_db
@@ -37,15 +40,19 @@ type logical = {
   loads : bool;
 }
 
-(** The flattened view of the block, decoded once at build time: plain
-    arrays of everything the component predictors read per logical
-    instruction ([l_*]), per raw entry ([e_*]), plus block-level
-    precomputed facts. The hot path indexes these instead of walking
-    [entries]/[logicals].
+(** The block as the component predictors read it: plain arrays per
+    logical instruction ([l_*] and the code segments [r_*]/[w_*]), per
+    raw instruction ([e_*]) and block-level totals, filled in one pass
+    over the decoder's (or encoder's) layouts when the block is built.
+    [Model.predict] and every component's fast path read only [cfg],
+    [len] and [flat].
 
-    [flat] mirrors the lists except for per-logical latency, which
-    {!Precedence} re-reads from [logicals] so that ablation blocks built
-    with [{ b with logicals }] (perturbed latencies) stay correct. *)
+    Logical [i]'s reads are [r_code.(r_off.(i)) .. r_code.(r_off.(i+1) - 1)]
+    and its writes the same over [w_off]/[w_code], as
+    {!Facile_x86.Semantics.res_code}s in the order and with the
+    de-duplication of the {!logicals} view's [reads]/[writes]: a zero
+    idiom reads nothing; a fused pair reads its first instruction's
+    reads, then the Jcc's reads that the first does not write. *)
 type flat = {
   l_fused : int array;  (** fused-domain µops per logical *)
   l_complex : bool array;  (** needs the complex decoder *)
@@ -53,6 +60,13 @@ type flat = {
   l_branch : bool array;
   l_mfused : bool array;  (** macro-fused pair *)
   l_addr_mask : int array;  (** GPR bitmask of load-address registers *)
+  l_latency : int array;  (** result latency (a pair: its first's) *)
+  r_off : int array;  (** [n + 1] offsets into [r_code] *)
+  r_code : int array;  (** read resource codes *)
+  w_off : int array;  (** [n + 1] offsets into [w_code] *)
+  w_code : int array;  (** written resource codes *)
+  w_lo : int array;  (** per logical: bit [c] for written codes [c < 63] *)
+  w_hi : int array;  (** per logical: bit [c - 63] for the others *)
   port_masks : Port.t array;
       (** port sets of all dispatched µops of non-eliminated logicals,
           empty sets dropped — the [Ports] component's input *)
@@ -67,11 +81,10 @@ type flat = {
 
 type t = {
   cfg : Config.t;
-  entries : entry list;
-  logicals : logical list;
+  insts : Inst.t array;  (** the raw instructions, in program order *)
   bytes : string;
   len : int;  (** block length in bytes *)
-  flat : flat;  (** flattened hot-path view, see {!flat} *)
+  flat : flat;  (** see {!flat} *)
 }
 
 (** [of_instructions cfg insts] encodes and analyzes a block.
@@ -93,6 +106,11 @@ val of_bytes : Config.t -> string -> t
 val analyze :
   Config.t -> [ `Code of string | `Asm of string ] -> (t, Err.t) result
 
+(** Raw instructions in the block (a macro-fused pair counts two): the
+    count the prediction store records and the [too_large] limit
+    bounds. *)
+val instruction_count : t -> int
+
 (** Whether the block ends in a (possibly conditional) branch and is
     therefore analyzed as a loop ([TP_L]); otherwise as unrolled
     ([TP_U]). *)
@@ -109,10 +127,30 @@ val issued_uops : t -> int
     [cfg.jcc_erratum] holds. *)
 val jcc_erratum_affected : t -> bool
 
+(** {1 List views}
+
+    Derived on demand from [insts], [cfg] and [flat] on every call, for
+    the reference pipeline, the simulator, the baselines, regions and
+    the CLI's [explain] and [disasm]; nothing on the prediction path
+    calls them.  They are not cached: a caller that walks one several
+    times binds it once. *)
+
+(** The raw instructions with their layouts and descriptors, macro-fused
+    pairs marked. *)
+val entries : t -> entry list
+
+(** The logical instructions; latencies are [flat.l_latency]'s. *)
+val logicals : t -> logical list
+
+(** [map_latency f b] is [b] with each logical [l]'s latency replaced by
+    [f l], in [flat] and so in the {!logicals} view (the llvm-mca-like
+    baseline's perturbed latencies). *)
+val map_latency : (logical -> int) -> t -> t
+
 (** Reference (pre-flattening) spellings of the block accessors: list
-    walks kept for differential tests and for timing the pre-PR inner
-    loop in the perf bench. Semantically identical to the array-backed
-    accessors above. *)
+    walks over the views, kept for differential tests and for the perf
+    bench's reference pipeline. Semantically identical to the
+    array-backed accessors above. *)
 
 val ends_in_branch_ref : t -> bool
 val fused_uops_ref : t -> int

@@ -6,18 +6,17 @@ let complex_cycles (l : Block.logical) =
   complex_cycles_of_fused l.Block.fused_uops
 
 let simple (b : Block.t) =
-  let items = b.Block.logicals in
-  if items = [] then 0.0
+  let fl = b.Block.flat in
+  let n = Array.length fl.Block.l_fused in
+  if n = 0 then 0.0
   else begin
     let d = b.Block.cfg.Config.n_decoders in
-    let n = List.length items in
-    let c =
-      List.fold_left
-        (fun acc l ->
-          if l.Block.complex_decode then acc + complex_cycles l else acc)
-        0 items
-    in
-    Float.max (float_of_int n /. float_of_int d) (float_of_int c)
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      if fl.Block.l_complex.(i) then
+        c := !c + complex_cycles_of_fused fl.Block.l_fused.(i)
+    done;
+    Float.max (float_of_int n /. float_of_int d) (float_of_int !c)
   end
 
 let span = Facile_obs.Obs.histogram "model.dec"
@@ -105,7 +104,7 @@ let throughput b = Arena.with_ (fun a -> throughput_in a b)
    tests and the perf bench. *)
 let throughput_ref (b : Block.t) =
   Facile_obs.Obs.timed span @@ fun () ->
-  let items = Array.of_list b.Block.logicals in
+  let items = Array.of_list (Block.logicals b) in
   let n_items = Array.length items in
   if n_items = 0 then 0.0
   else begin

@@ -10,7 +10,7 @@ let uop_masks (b : Block.t) =
             if Port.is_empty u.Facile_db.Db.ports then None
             else Some u.Facile_db.Db.ports)
           l.Block.dispatched)
-    b.Block.logicals
+    (Block.logicals b)
 
 let dedup l =
   List.fold_left

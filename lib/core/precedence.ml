@@ -9,7 +9,7 @@ let resource_name = function
 type node_key = int * Semantics.resource * [ `Consumed | `Produced ]
 
 let build (b : Block.t) =
-  let logs = Array.of_list b.Block.logicals in
+  let logs = Array.of_list (Block.logicals b) in
   let n = Array.length logs in
   let load_lat = b.Block.cfg.Facile_uarch.Config.load_latency in
   let tbl : (node_key, int) Hashtbl.t = Hashtbl.create 64 in
@@ -116,115 +116,55 @@ let span = Facile_obs.Obs.histogram "model.precedence"
 
 (* ------------------------------------------------------------------ *)
 (* Fast path: the same graph, built without labels, without the
-   polymorphic node-key hashtable and without edge lists.
+   polymorphic node-key hashtable and without edge lists, from the
+   read/write code segments and latencies of [Block.flat].
 
-   Node identity is the integer [((i * n_res) + res_code r) * 2 + dir]
-   resolved through a flat arena table; [res_code] is injective on
-   resources (Flags, every width x GPR, every XMM/YMM register), so the
-   node table is exactly the reference hashtable. Nodes are discovered
-   and edges pushed in the reference order, and the push buffer is
-   reversed before the Howard run because the reference build adds its
-   accumulated edge list in reverse push order — [Cycle_ratio.howard_flat]
-   therefore sees bit-identical input and returns bit-identical floats.
+   Node identity is the integer [((i * Semantics.n_res) + code) * 2 + dir]
+   resolved through a flat arena table; [Semantics.res_code] is
+   injective, so the node table is exactly the reference hashtable.
+   The code segments list each logical's reads and writes in the order
+   and with the de-duplication of its [reads]/[writes] lists, so nodes
+   are discovered and edges pushed in the reference order; the push
+   buffer is reversed before the Howard run because the reference build
+   adds its accumulated edge list in reverse push order —
+   [Cycle_ratio.howard_flat] therefore sees bit-identical input and
+   returns bit-identical floats. *)
 
-   Latency is read from [b.logicals] (not from [Block.flat]) on purpose:
-   ablation baselines perturb latencies via [{ b with logicals }]. *)
+(* Is code [c] a load-address register of the logical with GPR mask
+   [mask]?  Address resources are always full-width GPRs, whose codes
+   run from RAX's upwards in [gpr_index] order. *)
+let rax_code =
+  Semantics.res_code (Semantics.Reg (Register.Gpr (Register.W64, Register.RAX)))
 
-let n_res = 97
-
-let res_code = function
-  | Semantics.Flags -> 0
-  | Semantics.Reg (Register.Gpr (w, g)) ->
-    let wi =
-      match w with
-      | Register.W8 -> 0
-      | Register.W16 -> 1
-      | Register.W32 -> 2
-      | Register.W64 -> 3
-    in
-    1 + (wi * 16) + Register.gpr_index g
-  | Semantics.Reg (Register.Xmm n) -> 65 + n
-  | Semantics.Reg (Register.Ymm n) -> 81 + n
-
-(* Is [r] a load-address register of the logical with GPR mask [mask]?
-   Address resources are always full-width GPRs. *)
-let in_addr mask = function
-  | Semantics.Reg (Register.Gpr (Register.W64, g)) ->
-    mask land (1 lsl Register.gpr_index g) <> 0
-  | _ -> false
+let in_addr mask c =
+  c >= rax_code && c < rax_code + 16
+  && mask land (1 lsl (c - rax_code)) <> 0
 
 let throughput_in (a : Arena.t) b =
   Facile_obs.Obs.timed span @@ fun () ->
-  let logicals = b.Block.logicals in
-  let n = List.length logicals in
+  let fl = b.Block.flat in
+  let lat = fl.Block.l_latency in
+  let n = Array.length lat in
   if n = 0 then 0.0
   else begin
     let load_lat = b.Block.cfg.Facile_uarch.Config.load_latency in
-    let amask = b.Block.flat.Block.l_addr_mask in
-    (* Pre-pass: flatten every logical's reads and writes to resource
-       codes (reads with their load-latency-adjusted edge weight) and
-       build per-logical write-set bitmasks, so the two edge passes
-       below run on ints only. *)
-    let total_r = ref 0 and total_w = ref 0 in
-    List.iter
-      (fun (l : Block.logical) ->
-        total_r := !total_r + List.length l.Block.reads;
-        total_w := !total_w + List.length l.Block.writes)
-      logicals;
-    let roff = Arena.ints a.Arena.prec_roff (n + 1) in
-    a.Arena.prec_roff <- roff;
-    let rcode = Arena.ints a.Arena.prec_rcode (max !total_r 1) in
-    a.Arena.prec_rcode <- rcode;
-    let rlat = Arena.ints a.Arena.prec_rlat (max !total_r 1) in
-    a.Arena.prec_rlat <- rlat;
-    let woff = Arena.ints a.Arena.prec_woff (n + 1) in
-    a.Arena.prec_woff <- woff;
-    let wcode = Arena.ints a.Arena.prec_wcode (max !total_w 1) in
-    a.Arena.prec_wcode <- wcode;
-    let wlo = Arena.ints a.Arena.prec_wlo n in
-    a.Arena.prec_wlo <- wlo;
-    let whi = Arena.ints a.Arena.prec_whi n in
-    a.Arena.prec_whi <- whi;
-    let nr = ref 0 and nw = ref 0 in
-    List.iteri
-      (fun i (l : Block.logical) ->
-        roff.(i) <- !nr;
-        woff.(i) <- !nw;
-        let mask = amask.(i) in
-        List.iter
-          (fun r ->
-            rcode.(!nr) <- res_code r;
-            rlat.(!nr) <-
-              l.Block.latency + (if in_addr mask r then load_lat else 0);
-            incr nr)
-          l.Block.reads;
-        let lo = ref 0 and hi = ref 0 in
-        List.iter
-          (fun w ->
-            let c = res_code w in
-            wcode.(!nw) <- c;
-            incr nw;
-            if c < 63 then lo := !lo lor (1 lsl c)
-            else hi := !hi lor (1 lsl (c - 63)))
-          l.Block.writes;
-        wlo.(i) <- !lo;
-        whi.(i) <- !hi)
-      logicals;
-    roff.(n) <- !nr;
-    woff.(n) <- !nw;
+    let amask = fl.Block.l_addr_mask in
+    let roff = fl.Block.r_off and rcode = fl.Block.r_code in
+    let woff = fl.Block.w_off and wcode = fl.Block.w_code in
+    let wlo = fl.Block.w_lo and whi = fl.Block.w_hi in
     (* Node ids through the generation-stamped table: a slot is valid
        only when its stamp equals this call's generation, so the table
        never needs clearing. *)
     let gen = a.Arena.prec_generation + 1 in
     a.Arena.prec_generation <- gen;
-    let ntab = n * n_res * 2 in
+    let ntab = n * Semantics.n_res * 2 in
     let nodes = Arena.ints a.Arena.prec_nodes ntab in
     a.Arena.prec_nodes <- nodes;
     let stamps = Arena.ints a.Arena.prec_gen ntab in
     a.Arena.prec_gen <- stamps;
     let counter = ref 0 in
     let node i rc dir =
-      let k = (((i * n_res) + rc) * 2) + dir in
+      let k = (((i * Semantics.n_res) + rc) * 2) + dir in
       if stamps.(k) = gen then nodes.(k)
       else begin
         let id = !counter in
@@ -264,16 +204,17 @@ let throughput_in (a : Arena.t) b =
     (* intra-instruction edges (see [build] for the load-latency rule) *)
     for i = 0 to n - 1 do
       for ri = roff.(i) to roff.(i + 1) - 1 do
-        let src = node i rcode.(ri) 0 in
-        let w = rlat.(ri) in
+        let rc = rcode.(ri) in
+        let src = node i rc 0 in
+        let w = lat.(i) + (if in_addr amask.(i) rc then load_lat else 0) in
         for wi = woff.(i) to woff.(i + 1) - 1 do
           push src (node i wcode.(wi) 1) w 0
         done
       done
     done;
     (* dependency edges: producer -> consumer. The last-writer scan is
-       a bitmask test against each candidate's write set — [res_code]
-       is injective, so this is exactly the reference [List.mem]. *)
+       a bitmask test against each candidate's write set — codes are
+       injective, so this is exactly the reference [List.mem]. *)
     let writes_res i blo bhi =
       (wlo.(i) land blo) lor (whi.(i) land bhi) <> 0
     in

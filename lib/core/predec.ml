@@ -89,6 +89,7 @@ let throughput_ref ~mode (b : Block.t) =
     let last_count = Array.make n 0 in
     let opcode_count = Array.make n 0 in
     let lcp_count = Array.make n 0 in
+    let entries = Block.entries b in
     for copy = 0 to u - 1 do
       List.iter
         (fun (e : Block.entry) ->
@@ -101,7 +102,7 @@ let throughput_ref ~mode (b : Block.t) =
           if opc_b <> last_b then
             opcode_count.(opc_b) <- opcode_count.(opc_b) + 1;
           if lay.Encode.lcp then lcp_count.(opc_b) <- lcp_count.(opc_b) + 1)
-        b.Block.entries
+        entries
     done;
     total_cycles ~width ~n ~u last_count opcode_count lcp_count
   end

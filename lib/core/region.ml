@@ -26,7 +26,7 @@ let pooled_ports blocks =
                   if Port.is_empty u.Facile_db.Db.ports then None
                   else Some (u.Facile_db.Db.ports, w))
                 l.Block.dispatched)
-          b.Block.logicals)
+          (Block.logicals b))
       blocks
   in
   let pc =

@@ -65,92 +65,68 @@ let mnem_code : (Inst.mnemonic, int) Hashtbl.t =
 
 let n_key_bits = 12
 
-(* Mirrors [Db.int_width]: width of the first GPR or memory operand. *)
-let int_width_code (ops : Operand.t list) =
-  let rec go = function
-    | [] -> 3
-    | Operand.Reg (Register.Gpr (w, _)) :: _ ->
-      (match w with
-       | Register.W8 -> 0
-       | Register.W16 -> 1
-       | Register.W32 -> 2
-       | Register.W64 -> 3)
-    | Operand.Mem m :: _ ->
-      (match m.Operand.width with 1 -> 0 | 2 -> 1 | 4 -> 2 | _ -> 3)
-    | _ :: rest -> go rest
-  in
-  go ops
+let width_code = function
+  | Register.W8 -> 0
+  | Register.W16 -> 1
+  | Register.W32 -> 2
+  | Register.W64 -> 3
+
+let mem_width_code = function 1 -> 0 | 2 -> 1 | 4 -> 2 | _ -> 3
+
+(* The operand features [Db.describe] dispatches on, in one walk that
+   allocates nothing ([describe] computes a key for every instruction
+   of every analyzed block).  Bits: 1 a memory source (operand 1 or
+   later), 2 a memory destination (operand 0), 4 indexed addressing, 8
+   ymm width (a YMM register or a 32-byte memory operand), 64 an
+   immediate second operand, 128 any immediate, 256 two or more
+   register operands, 512 a three-component LEA address, 1024 XMM
+   operand 0, 2048 XMM operand 1; bits 4-5 the width of the first GPR
+   or memory operand, as [Db.int_width] (64 bits when there is none).
+   [k] is the operand position, [regs] the register operands so far,
+   [w] the width code or -1 before the first GPR or memory operand. *)
+let rec features ~lea k bits regs w = function
+  | [] ->
+    ((if w < 0 then 3 else w) lsl 4)
+    lor bits
+    lor (if regs >= 2 then 256 else 0)
+  | Operand.Reg (Register.Gpr (gw, _)) :: rest ->
+    features ~lea (k + 1) bits (regs + 1)
+      (if w < 0 then width_code gw else w) rest
+  | Operand.Reg (Register.Ymm _) :: rest ->
+    features ~lea (k + 1) (bits lor 8) (regs + 1) w rest
+  | Operand.Reg (Register.Xmm _) :: rest ->
+    let xmm = if k = 0 then 1024 else if k = 1 then 2048 else 0 in
+    features ~lea (k + 1) (bits lor xmm) (regs + 1) w rest
+  | Operand.Mem m :: rest ->
+    let indexed = match m.Operand.index with Some _ -> true | None -> false in
+    let lea3 =
+      match m.Operand.base with
+      | Some _ -> lea && indexed && m.Operand.disp <> 0
+      | None -> false
+    in
+    let bits =
+      bits
+      lor (if k = 0 then 2 else 1)
+      lor (if indexed then 4 else 0)
+      lor (if m.Operand.width = 32 then 8 else 0)
+      lor (if lea3 then 512 else 0)
+    in
+    features ~lea (k + 1) bits regs
+      (if w < 0 then mem_width_code m.Operand.width else w) rest
+  | Operand.Imm _ :: rest ->
+    features ~lea (k + 1) (bits lor 128 lor (if k = 1 then 64 else 0)) regs w
+      rest
 
 let key (i : Inst.t) =
   let mc =
-    match Hashtbl.find_opt mnem_code i.Inst.mnem with
-    | Some c -> c
-    | None -> assert false (* [all_mnemonics] is exhaustive *)
+    match Hashtbl.find mnem_code i.Inst.mnem with
+    | c -> c
+    | exception Not_found -> assert false (* [all_mnemonics] is exhaustive *)
   in
-  let ops = i.Inst.ops in
-  let mem_dst = match ops with Operand.Mem _ :: _ -> true | _ -> false in
-  let mem_src =
-    match ops with
-    | _ :: rest ->
-      List.exists (function Operand.Mem _ -> true | _ -> false) rest
-    | [] -> false
-  in
-  let mem_indexed =
-    List.exists
-      (function
-        | Operand.Mem m -> m.Operand.index <> None
-        | _ -> false)
-      ops
-  in
-  let ymm =
-    List.exists
-      (function
-        | Operand.Reg (Register.Ymm _) -> true
-        | Operand.Mem m -> m.Operand.width = 32
-        | _ -> false)
-      ops
-  in
-  let second_imm =
-    match ops with _ :: Operand.Imm _ :: _ -> true | _ -> false
-  in
-  let any_imm =
-    List.exists (function Operand.Imm _ -> true | _ -> false) ops
-  in
-  let reg_sources =
-    List.length
-      (List.filter (function Operand.Reg _ -> true | _ -> false) ops)
-  in
-  let lea3 =
-    i.Inst.mnem = Inst.LEA
-    && List.exists
-         (function
-           | Operand.Mem m ->
-             m.Operand.base <> None && m.Operand.index <> None
-             && m.Operand.disp <> 0
-           | _ -> false)
-         ops
-  in
-  let xmm0 =
-    match ops with Operand.Reg (Register.Xmm _) :: _ -> true | _ -> false
-  in
-  let xmm1 =
-    match ops with
-    | _ :: Operand.Reg (Register.Xmm _) :: _ -> true
-    | _ -> false
-  in
-  let b = ref (int_width_code ops lsl 4) in
-  let set bit cond = if cond then b := !b lor bit in
-  set 1 mem_src;
-  set 2 mem_dst;
-  set 4 mem_indexed;
-  set 8 ymm;
-  set 64 second_imm;
-  set 128 any_imm;
-  set 256 (reg_sources >= 2);
-  set 512 lea3;
-  set 1024 xmm0;
-  set 2048 xmm1;
-  (mc lsl n_key_bits) lor !b
+  (mc lsl n_key_bits)
+  lor features
+        ~lea:(match i.Inst.mnem with Inst.LEA -> true | _ -> false)
+        0 0 0 (-1) i.Inst.ops
 
 (* ------------------------------------------------------------------ *)
 (* Per-arch table: parallel arrays over the dense form-id space.       *)

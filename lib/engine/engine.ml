@@ -172,7 +172,7 @@ let predict_span = Facile_obs.Obs.histogram "engine.predict"
 let memo_predict pool (cfg : Config.t) mode code analyze =
   let compute () =
     let b = analyze () in
-    (List.length b.Block.entries, Model.predict ~notion:mode b)
+    (Block.instruction_count b, Model.predict ~notion:mode b)
   in
   if not pool.memoize then compute ()
   else

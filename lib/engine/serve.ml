@@ -415,7 +415,7 @@ let compute t cfg ~mode ~hex ~asm =
   in
   (* the cold path's checks between analysing a block and the model *)
   let admit block =
-    check_size (List.length block.Block.entries);
+    check_size (Block.instruction_count block);
     if spent () then raise (Refused (timeout_err t));
     block
   in

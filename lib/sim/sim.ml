@@ -86,7 +86,8 @@ let predecode_schedule (b : Block.t) ~mode =
   let n_blocks =
     match mode with `Unrolled -> u * l / 16 | `Loop -> (l + 15) / 16
   in
-  let n_entries = List.length b.Block.entries in
+  let entries = Block.entries b in
+  let n_entries = List.length entries in
   let last_count = Array.make n_blocks 0 in
   let opcode_count = Array.make n_blocks 0 in
   let lcp_count = Array.make n_blocks 0 in
@@ -106,7 +107,7 @@ let predecode_schedule (b : Block.t) ~mode =
         if opc_b <> last_b then
           opcode_count.(opc_b) <- opcode_count.(opc_b) + 1;
         if lay.Encode.lcp then lcp_count.(opc_b) <- lcp_count.(opc_b) + 1)
-      b.Block.entries
+      entries
   done;
   let cyc_nlcp bi =
     (last_count.(bi) + opcode_count.(bi) + width - 1) / width
@@ -138,9 +139,9 @@ let decode_stream (b : Block.t) ~mode ~branch_bubble =
       | _ :: rest -> entry_idx :: walk (entry_idx + 1) rest
       | [] -> []
     in
-    Array.of_list (walk 0 b.Block.entries)
+    Array.of_list (walk 0 (Block.entries b))
   in
-  let logicals = Array.of_list b.Block.logicals in
+  let logicals = Array.of_list (Block.logicals b) in
   let predec_time iter idx =
     let q = iter / u and copy = iter mod u in
     (q * period) + predec_time_entry copy logical_last_entry.(idx)
@@ -182,7 +183,7 @@ let decode_stream (b : Block.t) ~mode ~branch_bubble =
 let dsb_stream (b : Block.t) =
   let cfg = b.Block.cfg in
   let w = cfg.Config.dsb_width in
-  let logicals = Array.of_list b.Block.logicals in
+  let logicals = Array.of_list (Block.logicals b) in
   (* 32-byte window of each logical, by the offset of its first inst *)
   let offsets =
     let rec walk off = function
@@ -194,7 +195,7 @@ let dsb_stream (b : Block.t) =
       | a :: rest -> off :: walk (off + a.Block.layout.Encode.len) rest
       | [] -> []
     in
-    Array.of_list (walk 0 b.Block.entries)
+    Array.of_list (walk 0 (Block.entries b))
   in
   let cycle = ref 0 in
   let budget = ref 0 in
@@ -228,7 +229,7 @@ let lsd_stream (b : Block.t) =
   let iw = cfg.Config.issue_width in
   let n_uops = Block.fused_uops b in
   let unroll = Config.lsd_unroll cfg n_uops in
-  let logicals = Array.of_list b.Block.logicals in
+  let logicals = Array.of_list (Block.logicals b) in
   let cycle = ref 0 in
   let budget = ref 0 in
   let in_virtual = ref 0 in
@@ -364,7 +365,7 @@ exception Did_not_converge
 
 let cycles_per_iteration ?(fidelity = Hardware) ?(warmup = 64) ?(measure = 48)
     ~mode (b : Block.t) =
-  let logicals = Array.of_list b.Block.logicals in
+  let logicals = Array.of_list (Block.logicals b) in
   let n = Array.length logicals in
   if n = 0 then 0.0
   else begin

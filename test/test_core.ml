@@ -154,22 +154,22 @@ let fusion_tests =
   [ Alcotest.test_case "macro fusion" `Quick (fun () ->
         let b = block skl "cmp rax, rbx\njne -10" in
         Alcotest.(check int) "one logical inst" 1
-          (List.length b.Block.logicals);
+          (List.length (Block.logicals b));
         Alcotest.(check int) "one fused µop" 1 (Block.fused_uops b);
         (* SNB fuses CMP but the pair still exists *)
         let b2 = block snb "cmp rax, rbx\njne -10" in
         Alcotest.(check int) "SNB fuses cmp+jcc" 1
-          (List.length b2.Block.logicals);
+          (List.length (Block.logicals b2));
         (* inc+jcc does not fuse on SNB *)
         let b3 = block snb "inc rax\njne -10" in
         Alcotest.(check int) "SNB no inc fusion" 2
-          (List.length b3.Block.logicals);
+          (List.length (Block.logicals b3));
         let b4 = block skl "inc rax\njne -10" in
         Alcotest.(check int) "SKL inc fusion" 1
-          (List.length b4.Block.logicals));
+          (List.length (Block.logicals b4)));
     Alcotest.test_case "mov elimination" `Quick (fun () ->
         let elim cfg s =
-          (List.hd (block cfg s).Block.logicals).Block.eliminated
+          (List.hd (Block.logicals (block cfg s))).Block.eliminated
         in
         Alcotest.(check bool) "SKL eliminates mov r,r" true
           (elim skl "mov rax, rbx");
@@ -182,16 +182,16 @@ let fusion_tests =
     Alcotest.test_case "unlamination" `Quick (fun () ->
         (* indexed RMW unlaminates everywhere *)
         let b = block hsw "add qword ptr [rax+rbx*8], rcx" in
-        let l = List.hd b.Block.logicals in
+        let l = List.hd (Block.logicals b) in
         Alcotest.(check int) "HSW fused" 2 l.Block.fused_uops;
         Alcotest.(check int) "HSW issued" 4 l.Block.issued_uops;
         (* simple addressing stays fused *)
         let b2 = block hsw "add qword ptr [rax], rcx" in
-        let l2 = List.hd b2.Block.logicals in
+        let l2 = List.hd (Block.logicals b2) in
         Alcotest.(check int) "simple stays fused" 2 l2.Block.issued_uops;
         (* SKL keeps an indexed load-op with one register source fused *)
         let b3 = block skl "add rcx, qword ptr [rax+rbx*8]" in
-        let l3 = List.hd b3.Block.logicals in
+        let l3 = List.hd (Block.logicals b3) in
         Alcotest.(check int) "SKL load-op" 1 l3.Block.fused_uops) ]
 
 let model_tests =
@@ -425,7 +425,7 @@ let distinct_port_masks (b : Block.t) =
             if Port.is_empty u.Facile_db.Db.ports then None
             else Some u.Facile_db.Db.ports)
           l.Block.dispatched)
-    b.Block.logicals
+    (Block.logicals b)
   |> List.sort_uniq Port.compare
 
 (* The pairwise heuristic only considers unions of pairs of occurring

@@ -48,7 +48,7 @@ let mk_record ?(arch = Config.SKL) ?(mode = `Unrolled) hex =
   let b = block_of_hex cfg hex in
   { Codec.arch;
     mode;
-    insts = List.length b.Block.entries;
+    insts = Block.instruction_count b;
     bytes = b.Block.bytes;
     pred = Model.predict ~notion:mode b }
 

@@ -365,7 +365,9 @@ let fig4 () =
         component "LSD" Lsd.throughput;
         component "Issue" Issue.throughput;
         component "Ports" Ports.throughput;
-        component "Precedence" Precedence.throughput ]
+        component "Precedence (max-plus)" Precedence.throughput;
+        (* the paper's algorithm: Howard on the full dependence graph *)
+        component "Precedence (Howard)" Precedence.throughput_ref ]
     in
     Report.Table.print
       ~title:
@@ -514,13 +516,22 @@ let ablations () =
   let agree =
     List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) fast exact
   in
-  (* 2. Precedence: Howard vs Lawler *)
+  (* 2. Precedence: the max-plus matrix over the loop-carried
+     resources, Howard and Lawler on the full dependence graph *)
   let t0 = Unix.gettimeofday () in
-  let howard = List.map (fun x -> Precedence.throughput x.block) s in
+  let maxplus = List.map (fun x -> Precedence.throughput x.block) s in
+  let t_maxplus = Unix.gettimeofday () -. t0 in
+  let t0 = Unix.gettimeofday () in
+  let howard = List.map (fun x -> Precedence.throughput_ref x.block) s in
   let t_howard = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let lawler = List.map (fun x -> Precedence.throughput_lawler x.block) s in
   let t_lawler = Unix.gettimeofday () -. t0 in
+  let maxplus_agree =
+    List.for_all2
+      (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+      maxplus howard
+  in
   let prec_agree =
     List.for_all2 (fun a b -> abs_float (a -. b) < 1e-5) howard lawler
   in
@@ -549,6 +560,8 @@ let ablations () =
               "same bound?" ]
     [ [ "Ports pairwise"; us t_fast; "exhaustive subsets"; us t_exact;
         string_of_bool agree ];
+      [ "Precedence max-plus"; us t_maxplus; "Howard, full graph";
+        us t_howard; string_of_bool maxplus_agree ^ " (bitwise)" ];
       [ "Precedence Howard"; us t_howard; "Lawler bin-search"; us t_lawler;
         string_of_bool prec_agree ];
       [ "Predec full"; us t_predec; "SimplePredec"; us t_spredec; "no" ];

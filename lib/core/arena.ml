@@ -25,17 +25,11 @@ type t = {
   mutable ports_pairs : Facile_uarch.Port.t array;
   (* Ports: multiplicity of each deduplicated mask *)
   mutable ports_cnt : int array;
-  (* Precedence: node-id table (generation-stamped so it needs no
-     per-call clear) and edge-push buffers *)
-  mutable prec_nodes : int array;
-  mutable prec_gen : int array;
-  mutable prec_generation : int;
-  mutable prec_src : int array;
-  mutable prec_dst : int array;
-  mutable prec_w : float array;
-  mutable prec_cnt : int array;
-  (* Precedence: Howard's working storage *)
-  howard : Facile_graph.Cycle_ratio.scratch;
+  (* Precedence: per resource code, its loop-carried index and its
+     current producer; then the max-plus matrix, Karp's table and one
+     path vector per logical *)
+  mutable prec_codes : int array;
+  mutable prec_paths : int array;
   (* Model: the seven component bounds of the current prediction *)
   vals : float array;
   (* Block analysis: per-logical values, read and write codes and port
@@ -55,14 +49,8 @@ let create () =
     ports_dedup = [||];
     ports_pairs = [||];
     ports_cnt = [||];
-    prec_nodes = [||];
-    prec_gen = [||];
-    prec_generation = 0;
-    prec_src = [||];
-    prec_dst = [||];
-    prec_w = [||];
-    prec_cnt = [||];
-    howard = Facile_graph.Cycle_ratio.create_scratch ();
+    prec_codes = [||];
+    prec_paths = [||];
     vals = Array.make 7 0.0;
     blk_log = [||];
     blk_rcode = [||];
@@ -109,5 +97,3 @@ let ints buf n = if Array.length buf >= n then buf else Array.make (cap n) 0
 let ports buf n =
   if Array.length buf >= n then buf
   else Array.make (cap n) Facile_uarch.Port.empty
-
-let floats buf n = if Array.length buf >= n then buf else Array.make (cap n) 0.0

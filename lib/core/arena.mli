@@ -18,15 +18,10 @@ type t = {
   mutable ports_dedup : Facile_uarch.Port.t array;
   mutable ports_pairs : Facile_uarch.Port.t array;
   mutable ports_cnt : int array;
-  mutable prec_nodes : int array;
-  mutable prec_gen : int array;
-  mutable prec_generation : int;
-  mutable prec_src : int array;
-  mutable prec_dst : int array;
-  mutable prec_w : float array;
-  mutable prec_cnt : int array;
-  howard : Facile_graph.Cycle_ratio.scratch;
-      (** working storage of {!Facile_graph.Cycle_ratio.howard_flat} *)
+  mutable prec_codes : int array;
+  mutable prec_paths : int array;
+      (** {!Precedence}'s per-code tables, and its matrix, Karp's
+          table and path vectors *)
   vals : float array;  (** the seven component bounds, see {!Model} *)
   mutable blk_log : int array;
   mutable blk_rcode : int array;
@@ -42,11 +37,10 @@ type t = {
     [f] must not keep the arena after it returns. *)
 val with_ : (t -> 'a) -> 'a
 
-(** [ints buf n] ([ports buf n], [floats buf n]) is [buf] if it already
+(** [ints buf n] ([ports buf n]) is [buf] if it already
     holds [n] elements, else a fresh larger buffer; the caller stores
     the result back into the arena field it came from. Contents are
     unspecified. *)
 val ints : int array -> int -> int array
 
 val ports : Facile_uarch.Port.t array -> int -> Facile_uarch.Port.t array
-val floats : float array -> int -> float array

@@ -44,8 +44,6 @@ type flat = {
   r_code : int array;
   w_off : int array;
   w_code : int array;
-  w_lo : int array;
-  w_hi : int array;
   port_masks : Port.t array;
   e_last : int array;
   e_opc : int array;
@@ -93,7 +91,7 @@ let touches s e = s / 32 <> (e - 1) / 32 || e mod 32 = 0
 
 (* Per-logical scratch: [stride] ints per logical, copied out into
    exact-size arrays once the pairing has fixed the logical count. *)
-let stride = 9
+let stride = 7
 let s_fused = 0
 let s_avail = 1
 let s_addr = 2
@@ -101,8 +99,6 @@ let s_latency = 3
 let s_flags = 4 (* [f_*] bits *)
 let s_r_end = 5
 let s_w_end = 6
-let s_w_lo = 7
-let s_w_hi = 8
 let f_complex = 1
 let f_branch = 2
 let f_mfused = 4
@@ -190,7 +186,7 @@ let build cfg bytes (layouts : Encode.layout list) =
     e_lcp.(k) <- l.Encode.lcp
   in
   (* Close logical [li]: its descriptor values (a fused pair takes its
-     first instruction's), its code segments and write bitmasks. *)
+     first instruction's) and its code segments. *)
   let logical li (d : Db.t) ~flags ~addr =
     let o = li * stride in
     lg.(o + s_fused) <- d.Db.fused_uops;
@@ -200,13 +196,6 @@ let build cfg bytes (layouts : Encode.layout list) =
     lg.(o + s_flags) <- flags lor (if d.Db.complex_decode then f_complex else 0);
     lg.(o + s_r_end) <- s.nr;
     lg.(o + s_w_end) <- s.nw;
-    let lo = ref 0 and hi = ref 0 in
-    for k = s.w0 to s.nw - 1 do
-      let c = s.wbuf.(k) in
-      if c < 63 then lo := !lo lor (1 lsl c) else hi := !hi lor (1 lsl (c - 63))
-    done;
-    lg.(o + s_w_lo) <- !lo;
-    lg.(o + s_w_hi) <- !hi;
     s.r0 <- s.nr;
     s.w0 <- s.nw;
     tot_fused := !tot_fused + d.Db.fused_uops;
@@ -287,8 +276,6 @@ let build cfg bytes (layouts : Encode.layout list) =
       r_code = Array.sub s.rbuf 0 s.nr;
       w_off = offsets s_w_end;
       w_code = Array.sub s.wbuf 0 s.nw;
-      w_lo = column s_w_lo;
-      w_hi = column s_w_hi;
       port_masks = Array.sub s.pbuf 0 s.np;
       e_last; e_opc; e_lcp;
       tot_fused = !tot_fused;

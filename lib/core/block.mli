@@ -65,8 +65,6 @@ type flat = {
   r_code : int array;  (** read resource codes *)
   w_off : int array;  (** [n + 1] offsets into [w_code] *)
   w_code : int array;  (** written resource codes *)
-  w_lo : int array;  (** per logical: bit [c] for written codes [c < 63] *)
-  w_hi : int array;  (** per logical: bit [c - 63] for the others *)
   port_masks : Port.t array;
       (** port sets of all dispatched µops of non-eliminated logicals,
           empty sets dropped — the [Ports] component's input *)

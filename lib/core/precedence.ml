@@ -115,20 +115,20 @@ let graph = build
 let span = Facile_obs.Obs.histogram "model.precedence"
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: the same graph, built without labels, without the
-   polymorphic node-key hashtable and without edge lists, from the
-   read/write code segments and latencies of [Block.flat].
+(* Fast path: the same bound from a max-plus matrix over the
+   loop-carried resources, in one forward pass over [Block.flat].
 
-   Node identity is the integer [((i * Semantics.n_res) + code) * 2 + dir]
-   resolved through a flat arena table; [Semantics.res_code] is
-   injective, so the node table is exactly the reference hashtable.
-   The code segments list each logical's reads and writes in the order
-   and with the de-duplication of its [reads]/[writes] lists, so nodes
-   are discovered and edges pushed in the reference order; the push
-   buffer is reversed before the Howard run because the reference build
-   adds its accumulated edge list in reverse push order —
-   [Cycle_ratio.howard_flat] therefore sees bit-identical input and
-   returns bit-identical floats. *)
+   Every edge of [build]'s graph stays inside one logical or goes
+   forward in program order, except those of count 1, which run from
+   the block's last writer of a resource to the reads of it that come
+   before any write.  So every cycle crosses the loop back edge, and
+   Precedence is the maximum cycle mean of the k x k matrix whose
+   entry (u, v) is the longest path from u's value at iteration entry
+   to v's value at iteration exit, over the k loop-carried resources:
+   read before any write, and written somewhere.  Karp's algorithm
+   gives it as one correctly rounded division of two integers whose
+   ratio is the maximum, as Howard's does on the full graph, so the two
+   return the same float. *)
 
 (* Is code [c] a load-address register of the logical with GPR mask
    [mask]?  Address resources are always full-width GPRs, whose codes
@@ -145,138 +145,85 @@ let throughput_in (a : Arena.t) b =
   let fl = b.Block.flat in
   let lat = fl.Block.l_latency in
   let n = Array.length lat in
-  if n = 0 then 0.0
+  let load_lat = b.Block.cfg.Facile_uarch.Config.load_latency in
+  let amask = fl.Block.l_addr_mask in
+  let roff = fl.Block.r_off and rcode = fl.Block.r_code in
+  let woff = fl.Block.w_off and wcode = fl.Block.w_code in
+  (* [codes.(c)]: first bit 1 = read before any write, bit 2 = written;
+     then c's loop-carried index, or -1.  [codes.(nr + c)]: the logical
+     whose result c holds, or -1 for its value at iteration entry. *)
+  let nr = Semantics.n_res in
+  let codes = Arena.ints a.Arena.prec_codes (2 * nr) in
+  a.Arena.prec_codes <- codes;
+  Array.fill codes 0 nr 0;
+  for i = 0 to n - 1 do
+    for ri = roff.(i) to roff.(i + 1) - 1 do
+      if codes.(rcode.(ri)) = 0 then codes.(rcode.(ri)) <- 1
+    done;
+    for wi = woff.(i) to woff.(i + 1) - 1 do
+      codes.(wcode.(wi)) <- codes.(wcode.(wi)) lor 2
+    done
+  done;
+  let k = ref 0 in
+  for c = 0 to nr - 1 do
+    if codes.(c) = 3 then begin
+      codes.(c) <- !k;
+      incr k
+    end
+    else codes.(c) <- -1;
+    codes.(nr + c) <- -1
+  done;
+  let k = !k in
+  if k = 0 then 0.0
   else begin
-    let load_lat = b.Block.cfg.Facile_uarch.Config.load_latency in
-    let amask = fl.Block.l_addr_mask in
-    let roff = fl.Block.r_off and rcode = fl.Block.r_code in
-    let woff = fl.Block.w_off and wcode = fl.Block.w_code in
-    let wlo = fl.Block.w_lo and whi = fl.Block.w_hi in
-    (* Node ids through the generation-stamped table: a slot is valid
-       only when its stamp equals this call's generation, so the table
-       never needs clearing. *)
-    let gen = a.Arena.prec_generation + 1 in
-    a.Arena.prec_generation <- gen;
-    let ntab = n * Semantics.n_res * 2 in
-    let nodes = Arena.ints a.Arena.prec_nodes ntab in
-    a.Arena.prec_nodes <- nodes;
-    let stamps = Arena.ints a.Arena.prec_gen ntab in
-    a.Arena.prec_gen <- stamps;
-    let counter = ref 0 in
-    let node i rc dir =
-      let k = (((i * Semantics.n_res) + rc) * 2) + dir in
-      if stamps.(k) = gen then nodes.(k)
-      else begin
-        let id = !counter in
-        incr counter;
-        stamps.(k) <- gen;
-        nodes.(k) <- id;
-        id
-      end
-    in
-    let m = ref 0 in
-    let grow_edges () =
-      let c = max 64 (2 * Array.length a.Arena.prec_src) in
-      let ns = Array.make c 0 in
-      Array.blit a.Arena.prec_src 0 ns 0 !m;
-      a.Arena.prec_src <- ns;
-      let nd = Array.make c 0 in
-      Array.blit a.Arena.prec_dst 0 nd 0 !m;
-      a.Arena.prec_dst <- nd;
-      let nw = Array.make c 0.0 in
-      Array.blit a.Arena.prec_w 0 nw 0 !m;
-      a.Arena.prec_w <- nw;
-      let nc = Array.make c 0 in
-      Array.blit a.Arena.prec_cnt 0 nc 0 !m;
-      a.Arena.prec_cnt <- nc
-    in
-    (* [push] takes the weight as an int so no boxed float crosses the
-       closure boundary (all edge weights are integral latencies) *)
-    let push src dst wi c =
-      if !m >= Array.length a.Arena.prec_src then grow_edges ();
-      let k = !m in
-      a.Arena.prec_src.(k) <- src;
-      a.Arena.prec_dst.(k) <- dst;
-      a.Arena.prec_w.(k) <- float_of_int wi;
-      a.Arena.prec_cnt.(k) <- c;
-      incr m
-    in
-    (* intra-instruction edges (see [build] for the load-latency rule) *)
+    (* [paths]: the matrix and Karp's table ([k * (2k + 1)] ints), then
+       per logical that writes, the longest path from each loop-carried
+       entry value to its result, -1 where there is none (latencies are
+       non-negative, so every path weighs at least 0) *)
+    let base = k * ((2 * k) + 1) in
+    let paths = Arena.ints a.Arena.prec_paths (base + (n * k)) in
+    a.Arena.prec_paths <- paths;
     for i = 0 to n - 1 do
-      for ri = roff.(i) to roff.(i + 1) - 1 do
-        let rc = rcode.(ri) in
-        let src = node i rc 0 in
-        let w = lat.(i) + (if in_addr amask.(i) rc then load_lat else 0) in
-        for wi = woff.(i) to woff.(i + 1) - 1 do
-          push src (node i wcode.(wi) 1) w 0
-        done
-      done
-    done;
-    (* dependency edges: producer -> consumer. The last-writer scan is
-       a bitmask test against each candidate's write set — codes are
-       injective, so this is exactly the reference [List.mem]. *)
-    let writes_res i blo bhi =
-      (wlo.(i) land blo) lor (whi.(i) land bhi) <> 0
-    in
-    for j = 0 to n - 1 do
-      for ri = roff.(j) to roff.(j + 1) - 1 do
-        let rc = rcode.(ri) in
-        let blo = if rc < 63 then 1 lsl rc else 0
-        and bhi = if rc < 63 then 0 else 1 lsl (rc - 63) in
-        let i = ref (j - 1) in
-        while !i >= 0 && not (writes_res !i blo bhi) do
-          decr i
-        done;
-        let i, c =
-          if !i >= 0 then (!i, 0)
-          else begin
-            let i = ref (n - 1) in
-            while !i >= 0 && not (writes_res !i blo bhi) do
-              decr i
-            done;
-            (!i, 1)
+      if woff.(i + 1) > woff.(i) then begin
+        let o = base + (i * k) in
+        Array.fill paths o k (-1);
+        for ri = roff.(i) to roff.(i + 1) - 1 do
+          let c = rcode.(ri) in
+          (* [build]'s intra-instruction edge weight *)
+          let w = lat.(i) + (if in_addr amask.(i) c then load_lat else 0) in
+          let p = codes.(nr + c) in
+          if p >= 0 then begin
+            let po = base + (p * k) in
+            for t = 0 to k - 1 do
+              let d = paths.(po + t) in
+              if d >= 0 && d + w > paths.(o + t) then paths.(o + t) <- d + w
+            done
           end
-        in
-        if i >= 0 then begin
-          let src = node i rc 1 in
-          let dst = node j rc 0 in
-          push src dst 0 c
-        end
-      done
+          else begin
+            let t = codes.(c) in
+            if t >= 0 && w > paths.(o + t) then paths.(o + t) <- w
+          end
+        done;
+        for wi = woff.(i) to woff.(i + 1) - 1 do
+          codes.(nr + wcode.(wi)) <- i
+        done
+      end
     done;
-    (* the reference build adds its accumulated list in reverse push
-       order; mirror that so the Howard run sees identical input *)
-    let mm = !m in
-    let src = a.Arena.prec_src
-    and dst = a.Arena.prec_dst
-    and w = a.Arena.prec_w
-    and cnt = a.Arena.prec_cnt in
-    for k = 0 to (mm / 2) - 1 do
-      let k' = mm - 1 - k in
-      let t = src.(k) in
-      src.(k) <- src.(k');
-      src.(k') <- t;
-      let t = dst.(k) in
-      dst.(k) <- dst.(k');
-      dst.(k') <- t;
-      let t = w.(k) in
-      w.(k) <- w.(k');
-      w.(k') <- t;
-      let t = cnt.(k) in
-      cnt.(k) <- cnt.(k');
-      cnt.(k') <- t
+    (* row v: the last writer's paths into v's exit value — the matrix
+       transposed, which has the same cycle means *)
+    for c = 0 to nr - 1 do
+      let v = codes.(c) in
+      if v >= 0 then
+        Array.blit paths (base + (codes.(nr + c) * k)) paths (v * k) k
     done;
-    match
-      Cycle_ratio.howard_flat ~scratch:a.Arena.howard ~n:!counter ~m:mm ~src
-        ~dst ~weight:w ~count:cnt
-    with
+    match Cycle_ratio.karp ~n:k paths with
     | Some r when r > 0.0 -> r
     | _ -> 0.0
   end
 
 let throughput b = Arena.with_ (fun a -> throughput_in a b)
 
-(* Reference path: labeled hashtable build + list-based Howard. *)
+(* Reference path: labeled hashtable build + Howard on the full graph. *)
 let throughput_ref b =
   Facile_obs.Obs.timed span @@ fun () ->
   let g, _ = build b in

@@ -58,10 +58,49 @@ let is_canonical cfg = canonical.(arch_index cfg.Config.arch) == cfg
 (* Shape key: every feature [Db.describe] dispatches on, packed into   *)
 (* one immediate int (mnemonic code * 4096 + 12 feature bits).         *)
 
-let mnem_code : (Inst.mnemonic, int) Hashtbl.t =
-  let h = Hashtbl.create 256 in
-  List.iteri (fun i mn -> Hashtbl.add h mn i) Inst.all_mnemonics;
-  h
+(* A distinct code per mnemonic.  The match is exhaustive, so a
+   mnemonic added to [Inst] does not compile until it has a code. *)
+let mnem_code : Inst.mnemonic -> int =
+  let open Inst in
+  function
+  | ADD -> 0 | SUB -> 1 | ADC -> 2 | SBB -> 3 | AND -> 4 | OR -> 5 | XOR -> 6
+  | CMP -> 7 | MOV -> 8 | TEST -> 9 | LEA -> 10 | INC -> 11 | DEC -> 12
+  | NEG -> 13 | NOT -> 14 | IMUL -> 15 | MUL -> 16 | DIV -> 17 | IDIV -> 18
+  | SHL -> 19 | SHR -> 20 | SAR -> 21 | ROL -> 22 | ROR -> 23 | MOVZX -> 24
+  | MOVSX -> 25 | MOVSXD -> 26 | XCHG -> 27 | BSWAP -> 28 | PUSH -> 29
+  | POP -> 30 | BSF -> 31 | BSR -> 32 | POPCNT -> 33 | LZCNT -> 34
+  | TZCNT -> 35 | CDQ -> 36 | CQO -> 37 | CWDE -> 38 | CDQE -> 39 | NOP -> 40
+  | NOPL -> 41 | SHLD -> 42 | SHRD -> 43 | BT -> 44 | BTS -> 45 | BTR -> 46
+  | BTC -> 47 | MOVBE -> 48 | CLC -> 49 | STC -> 50 | CMC -> 51 | ANDN -> 52
+  | BZHI -> 53 | SHLX -> 54 | SHRX -> 55 | SARX -> 56 | JMP -> 57
+  | MOVAPS -> 58 | MOVUPS -> 59 | MOVAPD -> 60 | MOVSS -> 61 | MOVSD -> 62
+  | MOVDQA -> 63 | MOVDQU -> 64 | MOVD -> 65 | MOVQ -> 66 | ADDPS -> 67
+  | ADDPD -> 68 | ADDSS -> 69 | ADDSD -> 70 | SUBPS -> 71 | SUBPD -> 72
+  | SUBSS -> 73 | SUBSD -> 74 | MULPS -> 75 | MULPD -> 76 | MULSS -> 77
+  | MULSD -> 78 | DIVPS -> 79 | DIVPD -> 80 | DIVSS -> 81 | DIVSD -> 82
+  | MINPS -> 83 | MAXPS -> 84 | MINPD -> 85 | MAXPD -> 86 | MINSS -> 87
+  | MAXSS -> 88 | MINSD -> 89 | MAXSD -> 90 | SQRTPS -> 91 | SQRTPD -> 92
+  | SQRTSS -> 93 | SQRTSD -> 94 | ANDPS -> 95 | ANDPD -> 96 | ORPS -> 97
+  | XORPS -> 98 | XORPD -> 99 | UCOMISS -> 100 | UCOMISD -> 101 | HADDPS -> 102
+  | ROUNDSD -> 103 | SHUFPS -> 104 | UNPCKHPS -> 105 | UNPCKLPD -> 106
+  | PXOR -> 107 | POR -> 108 | PAND -> 109 | PADDB -> 110 | PADDD -> 111
+  | PADDQ -> 112 | PSUBD -> 113 | PMULLD -> 114 | PMULUDQ -> 115
+  | PCMPEQB -> 116 | PCMPEQD -> 117 | PCMPGTD -> 118 | PMAXSD -> 119
+  | PMINSD -> 120 | PMAXUB -> 121 | PMINUB -> 122 | PSHUFB -> 123
+  | PALIGNR -> 124 | PACKSSDW -> 125 | PUNPCKLDQ -> 126 | PSHUFD -> 127
+  | PSLLD -> 128 | PSRLD -> 129 | PSLLDQ -> 130 | PSRLDQ -> 131
+  | CVTSI2SD -> 132 | CVTSI2SS -> 133 | CVTTSD2SI -> 134 | CVTSS2SD -> 135
+  | CVTSD2SS -> 136 | CVTDQ2PS -> 137 | CVTPS2DQ -> 138 | CVTTPS2DQ -> 139
+  | VMOVAPS -> 140 | VMOVUPS -> 141 | VMOVDQA -> 142 | VMOVDQU -> 143
+  | VADDPS -> 144 | VADDPD -> 145 | VSUBPS -> 146 | VMULPS -> 147
+  | VMULPD -> 148 | VDIVPS -> 149 | VSQRTPS -> 150 | VXORPS -> 151
+  | VANDPS -> 152 | VMINPS -> 153 | VMAXPS -> 154 | VPXOR -> 155
+  | VPADDD -> 156 | VPMULLD -> 157 | VPAND -> 158 | VPOR -> 159
+  | VFMADD231PS -> 160 | VFMADD231PD -> 161 | VFMADD231SS -> 162
+  | VFMADD231SD -> 163 | VFMADD132PS -> 164 | VFMADD213PS -> 165
+  | Jcc c -> 166 + cond_code c
+  | SETcc c -> 182 + cond_code c
+  | CMOVcc c -> 198 + cond_code c
 
 let n_key_bits = 12
 
@@ -118,12 +157,7 @@ let rec features ~lea k bits regs w = function
       rest
 
 let key (i : Inst.t) =
-  let mc =
-    match Hashtbl.find mnem_code i.Inst.mnem with
-    | c -> c
-    | exception Not_found -> assert false (* [all_mnemonics] is exhaustive *)
-  in
-  (mc lsl n_key_bits)
+  (mnem_code i.Inst.mnem lsl n_key_bits)
   lor features
         ~lea:(match i.Inst.mnem with Inst.LEA -> true | _ -> false)
         0 0 0 (-1) i.Inst.ops

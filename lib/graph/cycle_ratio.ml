@@ -139,23 +139,31 @@ let howard g =
                     else minus_huge
                   else !sum_w /. float_of_int !sum_t
                 in
-                (* set d around the cycle: root = e.dst with d = 0, then
-                   in reverse cycle order *)
+                (* set d around the cycle: d = 0 at its smallest node,
+                   then backwards from that node's predecessor.  Rooted
+                   at the node the walk closes on instead, a cycle the
+                   policy keeps would get other potentials whenever a
+                   walk entered it elsewhere, and the improvement step
+                   could switch edges back and forth until the guard. *)
                 List.iter (fun v -> r.(v) <- rc; state.(v) <- 2) cyc;
-                d.(e.Digraph.dst) <- 0.0;
-                let rev = List.rev cyc in
-                (* rev = [ u_k; ...; u_1; root ], where policy u_k = root *)
-                List.iter
-                  (fun v ->
-                    if v <> e.Digraph.dst then
-                      match policy.(v) with
-                      | Some pe ->
-                        d.(v) <-
-                          pe.Digraph.weight
-                          -. (rc *. float_of_int pe.Digraph.count)
-                          +. d.(pe.Digraph.dst)
-                      | None -> assert false)
-                  rev;
+                let ring = Array.of_list cyc in
+                (* ring.(j) -> ring.(j + 1) and the last -> ring.(0) *)
+                let len = Array.length ring in
+                let root = ref 0 in
+                Array.iteri
+                  (fun j v -> if v < ring.(!root) then root := j)
+                  ring;
+                d.(ring.(!root)) <- 0.0;
+                for t = 1 to len - 1 do
+                  let v = ring.((!root - t + len) mod len) in
+                  match policy.(v) with
+                  | Some pe ->
+                    d.(v) <-
+                      pe.Digraph.weight
+                      -. (rc *. float_of_int pe.Digraph.count)
+                      +. d.(pe.Digraph.dst)
+                  | None -> assert false
+                done;
                 stop := true
               end
               else if state.(e.Digraph.dst) = 2 then begin
@@ -241,288 +249,55 @@ let howard g =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Howard's algorithm on raw edge arrays.
+(* Karp's maximum cycle mean of a small dense graph.                   *)
 
-   [howard_flat] is the allocation-free spelling used by the Precedence
-   hot path: the caller supplies the graph as parallel arrays (edges in
-   insertion order, exactly as [Digraph.add_edge] would have received
-   them) and all working storage lives in a caller-owned scratch that
-   only grows. The control flow and, crucially, every iteration order
-   (out-edges in insertion order, path unwinding from the top of the
-   stack, cycle summation from the cycle root forward) mirror [howard]
-   above, so the two return bit-identical floats on the same graph —
-   property-tested in test/test_graph.ml. *)
-
-type scratch = {
-  mutable s_alive : bool array;
-  mutable s_off0 : int array;  (* full CSR offsets (n+1) *)
-  mutable s_adj0 : int array;  (* full CSR edge ids, insertion order *)
-  mutable s_off : int array;  (* alive-filtered CSR offsets (n+1) *)
-  mutable s_adj : int array;
-  mutable s_cur : int array;  (* CSR fill cursors *)
-  mutable s_policy : int array;  (* edge id, or -1 for sinks *)
-  mutable s_r : float array;
-  mutable s_d : float array;
-  mutable s_state : int array;
-  mutable s_stack : int array;
-  s_tmp : float array;
-      (* running float accumulators; OCaml float refs box on every
-         update, float-array cells don't *)
-}
-
-let create_scratch () =
-  { s_alive = [||]; s_off0 = [||]; s_adj0 = [||]; s_off = [||];
-    s_adj = [||]; s_cur = [||]; s_policy = [||]; s_r = [||];
-    s_d = [||]; s_state = [||]; s_stack = [||];
-    s_tmp = Array.make 4 0.0 }
-
-let cap n =
-  let c = ref 16 in
-  while !c < n do
-    c := !c * 2
+(* D_j(v), the heaviest walk of exactly j edges ending at v (starting
+   anywhere: D_0 = 0), sits at [a.(n*n + j*n + v)], -1 when there is
+   none; weights are non-negative, so every walk weighs at least 0.
+   Karp (1978): the maximum cycle mean is
+     max over v with D_n(v) >= 0 of
+       min over j < n with D_j(v) >= 0 of (D_n(v) - D_j(v)) / (n - j).
+   Candidates are compared exactly as fractions, and only the winner
+   is divided. *)
+let karp ~n a =
+  let nn = n * n in
+  for v = 0 to n - 1 do
+    a.(nn + v) <- 0
   done;
-  !c
-
-let grow_i buf n = if Array.length buf >= n then buf else Array.make (cap n) 0
-
-let grow_b buf n =
-  if Array.length buf >= n then buf else Array.make (cap n) false
-
-let grow_f buf n =
-  if Array.length buf >= n then buf else Array.make (cap n) 0.0
-
-let howard_flat ~scratch:s ~n ~m ~src ~dst ~weight ~count =
-  if n = 0 then None
-  else begin
-    (* Full CSR over all edges, per-source buckets in insertion order. *)
-    let off0 = grow_i s.s_off0 (n + 1) in
-    s.s_off0 <- off0;
-    let adj0 = grow_i s.s_adj0 (max m 1) in
-    s.s_adj0 <- adj0;
-    let cur = grow_i s.s_cur (n + 1) in
-    s.s_cur <- cur;
-    Array.fill off0 0 (n + 1) 0;
-    for k = 0 to m - 1 do
-      off0.(src.(k) + 1) <- off0.(src.(k) + 1) + 1
-    done;
-    for u = 1 to n do
-      off0.(u) <- off0.(u) + off0.(u - 1)
-    done;
-    Array.blit off0 0 cur 0 n;
-    for k = 0 to m - 1 do
-      let u = src.(k) in
-      adj0.(cur.(u)) <- k;
-      cur.(u) <- cur.(u) + 1
-    done;
-    (* Trim to the cyclic core (same fixpoint as [howard]). *)
-    let alive = grow_b s.s_alive n in
-    s.s_alive <- alive;
-    Array.fill alive 0 n true;
-    let changed = ref true in
-    while !changed do
-      changed := false;
+  for j = 1 to n do
+    let prev = nn + ((j - 1) * n) and cur = nn + (j * n) in
+    for v = 0 to n - 1 do
+      let best = ref (-1) in
       for u = 0 to n - 1 do
-        if alive.(u) then begin
-          let has_out = ref false in
-          for k = off0.(u) to off0.(u + 1) - 1 do
-            if alive.(dst.(adj0.(k))) then has_out := true
-          done;
-          if not !has_out then begin
-            alive.(u) <- false;
-            changed := true
-          end
+        let w = a.((u * n) + v) and du = a.(prev + u) in
+        if w >= 0 && du >= 0 && du + w > !best then best := du + w
+      done;
+      a.(cur + v) <- !best
+    done
+  done;
+  (* the best (max over v) of the worst (min over j) ratio so far; a
+     ratio for some v may be negative, the maximum never is *)
+  let cyclic = ref false and num = ref 0 and den = ref 1 in
+  for v = 0 to n - 1 do
+    let dn = a.(nn + nn + v) in
+    if dn >= 0 then begin
+      (* j = 0 first: D_0(v) = 0 always counts *)
+      let vnum = ref dn and vden = ref n in
+      for j = 1 to n - 1 do
+        let dj = a.(nn + (j * n) + v) in
+        if dj >= 0 && (dn - dj) * !vden < !vnum * (n - j) then begin
+          vnum := dn - dj;
+          vden := n - j
         end
-      done
-    done;
-    (* Alive-filtered CSR; dead sources keep empty buckets. *)
-    let off = grow_i s.s_off (n + 1) in
-    s.s_off <- off;
-    let adj = grow_i s.s_adj (max m 1) in
-    s.s_adj <- adj;
-    Array.fill off 0 (n + 1) 0;
-    for k = 0 to m - 1 do
-      if alive.(src.(k)) && alive.(dst.(k)) then
-        off.(src.(k) + 1) <- off.(src.(k) + 1) + 1
-    done;
-    for u = 1 to n do
-      off.(u) <- off.(u) + off.(u - 1)
-    done;
-    Array.blit off 0 cur 0 n;
-    for k = 0 to m - 1 do
-      let u = src.(k) in
-      if alive.(u) && alive.(dst.(k)) then begin
-        adj.(cur.(u)) <- k;
-        cur.(u) <- cur.(u) + 1
+      done;
+      if (not !cyclic) || !vnum * !den > !num * !vden then begin
+        cyclic := true;
+        num := !vnum;
+        den := !vden
       end
-    done;
-    let policy = grow_i s.s_policy n in
-    s.s_policy <- policy;
-    for u = 0 to n - 1 do
-      policy.(u) <- (if off.(u + 1) > off.(u) then adj.(off.(u)) else -1)
-    done;
-    let r = grow_f s.s_r n in
-    s.s_r <- r;
-    let d = grow_f s.s_d n in
-    s.s_d <- d;
-    let state = grow_i s.s_state n in
-    s.s_state <- state;
-    let stack = grow_i s.s_stack n in
-    s.s_stack <- stack;
-    let tmp = s.s_tmp in
-    let evaluate () =
-      Array.fill state 0 n 0;
-      (* 0 = white, 1 = on current path, 2 = done *)
-      Array.fill r 0 n minus_huge;
-      Array.fill d 0 n 0.0;
-      for s0 = 0 to n - 1 do
-        if state.(s0) = 0 then begin
-          let sp = ref 0 in
-          let u = ref s0 in
-          let stop = ref false in
-          while not !stop do
-            state.(!u) <- 1;
-            stack.(!sp) <- !u;
-            incr sp;
-            let pe = policy.(!u) in
-            if pe < 0 then begin
-              (* sink: ratio minus_huge *)
-              state.(!u) <- 2;
-              stop := true
-            end
-            else begin
-              let v = dst.(pe) in
-              if state.(v) = 1 then begin
-                (* found a new cycle: v .. !u on top of the stack *)
-                let root = ref (!sp - 1) in
-                while stack.(!root) <> v do
-                  decr root
-                done;
-                tmp.(0) <- 0.0;
-                let sum_t = ref 0 in
-                for j = !root to !sp - 1 do
-                  let p = policy.(stack.(j)) in
-                  tmp.(0) <- tmp.(0) +. weight.(p);
-                  sum_t := !sum_t + count.(p)
-                done;
-                let rc =
-                  if !sum_t = 0 then
-                    if tmp.(0) > eps then
-                      failwith "Cycle_ratio.howard: cycle with zero count"
-                    else minus_huge
-                  else tmp.(0) /. float_of_int !sum_t
-                in
-                for j = !root to !sp - 1 do
-                  r.(stack.(j)) <- rc;
-                  state.(stack.(j)) <- 2
-                done;
-                d.(v) <- 0.0;
-                for j = !sp - 1 downto !root do
-                  let x = stack.(j) in
-                  if x <> v then begin
-                    let p = policy.(x) in
-                    d.(x) <-
-                      weight.(p)
-                      -. (rc *. float_of_int count.(p))
-                      +. d.(dst.(p))
-                  end
-                done;
-                stop := true
-              end
-              else if state.(v) = 2 then begin
-                state.(!u) <- 2;
-                stop := true
-              end
-              else u := v
-            end
-          done;
-          (* unwind the path: propagate from each node's successor *)
-          for j = !sp - 1 downto 0 do
-            let v = stack.(j) in
-            if state.(v) = 1 || (state.(v) = 2 && r.(v) = minus_huge) then begin
-              let p = policy.(v) in
-              (if p < 0 then begin
-                 r.(v) <- minus_huge;
-                 d.(v) <- 0.0
-               end
-               else begin
-                 let w = dst.(p) in
-                 if r.(w) <= minus_huge /. 2.0 then begin
-                   r.(v) <- minus_huge;
-                   d.(v) <- 0.0
-                 end
-                 else begin
-                   r.(v) <- r.(w);
-                   d.(v) <-
-                     weight.(p)
-                     -. (r.(w) *. float_of_int count.(p))
-                     +. d.(w)
-                 end
-               end);
-              state.(v) <- 2
-            end
-          done
-        end
-      done
-    in
-    let improve () =
-      let improved = ref false in
-      for u = 0 to n - 1 do
-        let curp = policy.(u) in
-        if curp >= 0 then begin
-          let best = ref curp in
-          (* tmp.(1) = best ratio, tmp.(2) = best value *)
-          tmp.(1) <- r.(dst.(curp));
-          tmp.(2) <-
-            weight.(curp)
-            -. (r.(dst.(curp)) *. float_of_int count.(curp))
-            +. d.(dst.(curp));
-          for k = off.(u) to off.(u + 1) - 1 do
-            let e = adj.(k) in
-            let r2 = r.(dst.(e)) in
-            let v2 =
-              weight.(e) -. (r2 *. float_of_int count.(e)) +. d.(dst.(e))
-            in
-            if
-              r2 > tmp.(1) +. eps
-              || (abs_float (r2 -. tmp.(1)) <= eps && v2 > tmp.(2) +. 1e-6)
-            then begin
-              best := e;
-              tmp.(1) <- r2;
-              tmp.(2) <- v2
-            end
-          done;
-          if !best <> curp then begin
-            policy.(u) <- !best;
-            improved := true
-          end
-        end
-      done;
-      !improved
-    in
-    let guard = ref ((n * m) + 64) in
-    evaluate ();
-    while improve () && !guard > 0 do
-      decr guard;
-      evaluate ()
-    done;
-    if !guard <= 0 then begin
-      (* extremely defensive: fall back to the parametric search on a
-         materialized graph (never reached on dependence graphs) *)
-      let g = Digraph.create ~n in
-      for k = 0 to m - 1 do
-        Digraph.add_edge g ~src:src.(k) ~dst:dst.(k) ~weight:weight.(k)
-          ~count:count.(k)
-      done;
-      lawler g
     end
-    else begin
-      tmp.(3) <- minus_huge;
-      for u = 0 to n - 1 do
-        if r.(u) > tmp.(3) then tmp.(3) <- r.(u)
-      done;
-      if tmp.(3) <= minus_huge /. 2.0 then None else Some tmp.(3)
-    end
-  end
+  done;
+  if !cyclic then Some (float_of_int !num /. float_of_int !den) else None
 
 (* ------------------------------------------------------------------ *)
 

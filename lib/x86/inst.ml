@@ -56,12 +56,10 @@ let equal (a : t) (b : t) = a = b
 
 let all_conds = [ O; NO; B; NB; E; NE; BE; NBE; S; NS; P; NP; L; NL; LE; NLE ]
 
-let cond_code c =
-  let rec idx i = function
-    | [] -> assert false
-    | x :: rest -> if x = c then i else idx (i + 1) rest
-  in
-  idx 0 all_conds
+let cond_code = function
+  | O -> 0 | NO -> 1 | B -> 2 | NB -> 3 | E -> 4 | NE -> 5 | BE -> 6
+  | NBE -> 7 | S -> 8 | NS -> 9 | P -> 10 | NP -> 11 | L -> 12 | NL -> 13
+  | LE -> 14 | NLE -> 15
 
 let cond_of_code n =
   match List.nth_opt all_conds n with

@@ -27,8 +27,6 @@ let build_flat (es : Block.entry list) (ls : Block.logical list) =
   let l_latency = Array.make n_log 0 in
   let r_off = Array.make (n_log + 1) 0 in
   let w_off = Array.make (n_log + 1) 0 in
-  let w_lo = Array.make n_log 0 in
-  let w_hi = Array.make n_log 0 in
   let r_code = ref [] and w_code = ref [] in
   let tot_fused = ref 0 in
   let tot_issued = ref 0 in
@@ -66,11 +64,6 @@ let build_flat (es : Block.entry list) (ls : Block.logical list) =
       w_off.(i + 1) <- w_off.(i) + List.length writes;
       r_code := List.rev_append reads !r_code;
       w_code := List.rev_append writes !w_code;
-      List.iter
-        (fun c ->
-          if c < 63 then w_lo.(i) <- w_lo.(i) lor (1 lsl c)
-          else w_hi.(i) <- w_hi.(i) lor (1 lsl (c - 63)))
-        writes;
       tot_fused := !tot_fused + l.fused_uops;
       tot_issued := !tot_issued + l.issued_uops;
       if not l.eliminated then
@@ -98,7 +91,6 @@ let build_flat (es : Block.entry list) (ls : Block.logical list) =
     r_code = Array.of_list (List.rev !r_code);
     w_off;
     w_code = Array.of_list (List.rev !w_code);
-    w_lo; w_hi;
     port_masks = Array.of_list (List.rev !port_masks);
     e_last = Array.of_list e_last;
     e_opc =
@@ -129,8 +121,6 @@ let diff_flat (a : Block.flat) (b : Block.flat) =
       "r_code" <?> (a.r_code = b.r_code);
       "w_off" <?> (a.w_off = b.w_off);
       "w_code" <?> (a.w_code = b.w_code);
-      "w_lo" <?> (a.w_lo = b.w_lo);
-      "w_hi" <?> (a.w_hi = b.w_hi);
       "port_masks" <?> (a.port_masks = b.port_masks);
       "e_last" <?> (a.e_last = b.e_last);
       "e_opc" <?> (a.e_opc = b.e_opc);

@@ -223,7 +223,18 @@ let qcheck_flat_differential =
             insts)
         Config.all)
 
+(* [Flat.key] packs a per-mnemonic code above the operand features: on
+   one operand list, every mnemonic must get its own key. *)
+let mnemonic_keys =
+  Alcotest.test_case "Flat.key tells every mnemonic apart" `Quick (fun () ->
+      let keys =
+        List.map (fun m -> Flat.key (Inst.make m [])) Inst.all_mnemonics
+      in
+      Alcotest.(check int) "distinct keys" (List.length Inst.all_mnemonics)
+        (List.length (List.sort_uniq compare keys)))
+
 let suite =
   [ "db.instructions", db_tests;
     "db.uarch", uarch_tests;
-    "db.flat", [ QCheck_alcotest.to_alcotest qcheck_flat_differential ] ]
+    "db.flat",
+    [ QCheck_alcotest.to_alcotest qcheck_flat_differential; mnemonic_keys ] ]

@@ -116,47 +116,43 @@ let monotone =
       | Some _, None -> false
       | Some a, Some b -> b >= a -. 1e-9)
 
-(* The allocation-free array spelling must return bit-identical ratios
-   to the list-based howard when fed the same edges in the same
-   insertion order (the Precedence hot path depends on exactly this). *)
-let flat_agreement =
-  (* one scratch for every case, reused as an arena reuses it *)
-  let scratch = Cycle_ratio.create_scratch () in
-  QCheck.Test.make ~name:"howard_flat is bit-identical to howard" ~count:500
+(* Karp's maximum cycle mean on the max-plus matrix of a graph whose
+   edges all count one (parallel edges keep the heaviest) must equal
+   Howard's ratio on the graph itself bit for bit: the Precedence fast
+   path depends on exactly this. *)
+let karp_agreement =
+  QCheck.Test.make ~name:"karp is bit-identical to howard" ~count:500
     QCheck.(
-      list_of_size Gen.(int_range 0 25)
-        (quad (int_range 0 7) (int_range 0 7) (int_range 0 12) (int_range 1 2)))
-    (fun edges ->
+      pair (int_range 0 8)
+        (list_of_size Gen.(int_range 0 25)
+           (triple (int_range 0 7) (int_range 0 7) (int_range 0 20))))
+    (fun (n, edges) ->
+      (* clamp: QCheck shrinking can escape int_range bounds *)
+      let n = max 0 (min 8 n) in
       let edges =
-        List.map (fun (s, d, w, t) -> (s, d, w, max 1 (min 2 t))) edges
+        List.filter_map
+          (fun (s, d, w) ->
+            if s >= 0 && s < n && d >= 0 && d < n then Some (s, d, max 0 w)
+            else None)
+          edges
       in
-      let n = 8 in
       let g = Digraph.create ~n in
+      let a = Array.make (n * ((2 * n) + 1)) (-1) in
       List.iter
-        (fun (s, d, w, t) ->
-          Digraph.add_edge g ~src:s ~dst:d ~weight:(float_of_int w) ~count:t)
+        (fun (s, d, w) ->
+          Digraph.add_edge g ~src:s ~dst:d ~weight:(float_of_int w) ~count:1;
+          a.((s * n) + d) <- max w a.((s * n) + d))
         edges;
-      let m = List.length edges in
-      let src = Array.make (max m 1) 0
-      and dst = Array.make (max m 1) 0
-      and weight = Array.make (max m 1) 0.0
-      and count = Array.make (max m 1) 0 in
-      List.iteri
-        (fun i (s, d, w, t) ->
-          src.(i) <- s;
-          dst.(i) <- d;
-          weight.(i) <- float_of_int w;
-          count.(i) <- t)
-        edges;
-      match
-        ( Cycle_ratio.howard g,
-          Cycle_ratio.howard_flat ~scratch ~n ~m ~src ~dst ~weight ~count )
-      with
+      match Cycle_ratio.howard g, Cycle_ratio.karp ~n a with
       | None, None -> true
-      | Some a, Some b -> Float.equal a b
-      | Some _, None | None, Some _ -> false)
+      | Some h, Some k when Int64.bits_of_float h = Int64.bits_of_float k ->
+        true
+      | h, k ->
+        let show = function None -> "none" | Some r -> Printf.sprintf "%h" r in
+        QCheck.Test.fail_reportf "howard %s, karp %s" (show h) (show k))
 
 let suite =
   [ "graph.known", known_tests;
     "graph.properties",
-    List.map QCheck_alcotest.to_alcotest [ agreement; monotone; flat_agreement ] ]
+    List.map QCheck_alcotest.to_alcotest
+      [ agreement; monotone; karp_agreement ] ]

@@ -1,0 +1,155 @@
+(* Precedence is the maximum cycle ratio of the dependence graph.  The
+   model computes it as the maximum cycle mean of a max-plus matrix
+   over the loop-carried resources ([Precedence.throughput]); the
+   reference runs Howard on the full graph ([throughput_ref]).  These
+   tests hold the two together bit for bit, pin two blocks on which
+   Howard used to cycle until its guard gave up, and check that
+   repeating a block scales the bound exactly. *)
+
+open Facile_x86
+open Facile_uarch
+open Facile_db
+open Facile_core
+module Baselines = Facile_baselines.Baselines
+module Genblock = Facile_bhive.Genblock
+
+let bits = Int64.bits_of_float
+
+let exact =
+  Alcotest.testable
+    (fun fmt f -> Format.fprintf fmt "%.17g" f)
+    (fun a b -> Int64.equal (bits a) (bits b))
+
+let code_of_hex h =
+  match Hex.decode h with
+  | Ok code -> code
+  | Error e -> Alcotest.failf "bad hex: %s" (Err.to_string e)
+
+let repeat times code = String.concat "" (List.init times (fun _ -> code))
+
+(* Two Genblock blocks on which Howard's policy iteration used to cycle
+   until its n*m+64 guard tripped, so Precedence came from Lawler's
+   bisection (12.000000000267391 for A on HSW, 14.000000000172804 for B
+   on SKL) and took milliseconds per block.  A: 24 SSE instructions. *)
+let block_a =
+  "f3450f6f7510f20f5de2450f58e3440f5bcf660f5dcc66440f59f866410feffcf3440f\
+   1124f8410f5fdcf2410f2adcf2440f584e0866410f72d20466450f70dcb7f3450f58ed\
+   410f116c58f8440f59ec66440f6f8000040000f2440f59da66410fdeec66410f74ebf3\
+   440f5ef4660ffefaf20f58df66410f3840ef"
+
+(* B: 42 mixed integer and SSE instructions. *)
+let block_b =
+  "f30f2ae9f7e166420f1f04b24c015940f2410f7cec4187cd4d09da490fca440fa4e81d\
+   f24d0f2ae54987db4487ca4d316b40f2440f11a600040000f2480f2af248d3f909d048\
+   87ff41d3fe49d3e84987c44d87cb4409db4929d50f116b40f2450f106d104587ea4921\
+   d9f2440f7cd6f2450f7cd84d31ec420f1f84db0004000049d3e44501e6f2490f2ac341\
+   d3f8f2410f5ee741d3e44d299d00040000f3440f2ad3f3410f2ac5f2450f7ce8"
+
+let check_exact name arch ?(times = 1) hex expected =
+  let cfg = Config.by_arch arch in
+  let b = Block.of_bytes cfg (repeat times (code_of_hex hex)) in
+  let what = Printf.sprintf "%s x%d on %s" name times cfg.Config.abbrev in
+  Alcotest.check exact (what ^ ": max-plus") expected (Precedence.throughput b);
+  Alcotest.check exact (what ^ ": Howard") expected
+    (Precedence.throughput_ref b);
+  if Precedence.critical_chain b = [] then
+    Alcotest.failf "%s: no critical chain" what
+
+let converges_tests =
+  [ Alcotest.test_case "Howard converges on block A" `Quick (fun () ->
+        List.iter
+          (fun arch ->
+            check_exact "A" arch block_a 12.0;
+            check_exact "A" arch ~times:2 block_a 24.0)
+          [ Config.HSW; Config.BDW ]);
+    Alcotest.test_case "Howard converges on block B" `Quick (fun () ->
+        List.iter
+          (fun (arch, expected) -> check_exact "B" arch block_b expected)
+          [ (Config.SNB, 22.0); (Config.IVB, 22.0); (Config.HSW, 20.0);
+            (Config.BDW, 20.0); (Config.SKL, 14.0); (Config.CLX, 14.0);
+            (Config.ICL, 14.0); (Config.TGL, 14.0); (Config.RKL, 14.0) ]) ]
+
+let cfg_name (cfg : Config.t) =
+  if Flat.is_canonical cfg then cfg.Config.abbrev
+  else cfg.Config.abbrev ^ " (defused)"
+
+let gen_body =
+  QCheck.(triple small_nat (int_range 1 24) (int_range 0 7))
+
+let body_of (seed, len, profile_idx) =
+  let profiles = Genblock.all_profiles in
+  let profile = List.nth profiles (profile_idx mod List.length profiles) in
+  let rng = Facile_bhive.Prng.create (succ seed) in
+  Genblock.body rng profile ~allow_fma:true ~len:(max 1 (min 24 len))
+
+let show insts = String.concat "\n" (List.map Inst.to_string insts)
+
+(* Every profile, FMA on, bodies and their loops, the nine µarchs and
+   their de-fused configs (which take the [Db.describe] fallback), both
+   front ends. *)
+let qcheck_maxplus_equals_howard =
+  QCheck.Test.make ~name:"max-plus = Howard on the full graph" ~count:200
+    gen_body (fun params ->
+      let body = body_of params in
+      let check cfg insts =
+        match Block.of_instructions cfg insts with
+        | exception Db.Unsupported _ -> true (* FMA or BMI before Haswell *)
+        | bi ->
+          let bb = Block.of_bytes cfg bi.Block.bytes in
+          List.for_all
+            (fun (front, b) ->
+              let fast = Precedence.throughput b in
+              let reference = Precedence.throughput_ref b in
+              bits fast = bits reference
+              || QCheck.Test.fail_reportf
+                   "%s via %s: max-plus %h <> Howard %h on\n%s" (cfg_name cfg)
+                   front fast reference (show insts))
+            [ ("of_instructions", bi); ("of_bytes", bb) ]
+      in
+      List.for_all
+        (fun cfg -> check cfg body && check cfg (Genblock.looped body))
+        (Config.all @ List.map Baselines.defused_cfg Config.all))
+
+(* Repeating a block k times raises its matrix to the k-th max-plus
+   power, whose maximum cycle mean is k times the block's; scaling by 2
+   or 4 is exact in floating point, so the comparison is bitwise.  A
+   block whose last instruction would macro-fuse with its first changes
+   shape when repeated and is skipped. *)
+let fuses_across (cfg : Config.t) insts =
+  match (insts, List.rev insts) with
+  | first :: _, last :: _ ->
+    cfg.Config.macro_fusion && Inst.is_cond_branch first
+    && (Db.describe cfg last).Db.macro_fusible
+  | _ -> false
+
+let qcheck_repetition_scales =
+  QCheck.Test.make ~name:"repeating a block scales Precedence exactly"
+    ~count:200 gen_body (fun params ->
+      let body = body_of params in
+      let check cfg insts =
+        match Block.of_instructions cfg insts with
+        | exception Db.Unsupported _ -> true
+        | _ when fuses_across cfg insts -> true
+        | b ->
+          let p = Precedence.throughput b in
+          List.for_all
+            (fun times ->
+              let pk =
+                Precedence.throughput
+                  (Block.of_bytes cfg (repeat times b.Block.bytes))
+              in
+              bits pk = bits (float_of_int times *. p)
+              || QCheck.Test.fail_reportf
+                   "%s: x%d gives %h, not %d x %h on\n%s" cfg.Config.abbrev
+                   times pk times p (show insts))
+            [ 2; 4 ]
+      in
+      List.for_all
+        (fun cfg -> check cfg body && check cfg (Genblock.looped body))
+        Config.all)
+
+let suite =
+  [ "core.precedence",
+    converges_tests
+    @ List.map QCheck_alcotest.to_alcotest
+        [ qcheck_maxplus_equals_howard; qcheck_repetition_scales ] ]

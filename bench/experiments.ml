@@ -11,9 +11,18 @@ module Genblock = Facile_bhive.Genblock
 module Stats = Facile_stats
 module Report = Facile_report
 module Engine = Facile_engine.Engine
+module Clock = Facile_obs.Clock
 
 let eval_seed = 2023
 let train_seed = 77
+
+(* [f ()] and its wall time in seconds, on the monotonic nanosecond
+   clock: one component call often takes well under the microsecond
+   that [Unix.gettimeofday] resolves. *)
+let timed f =
+  let t0 = Clock.now_ns () in
+  let r = f () in
+  (r, Clock.ns_to_s (Clock.now_ns () - t0))
 
 (* One shared worker pool for every embarrassingly-parallel per-block
    loop below. Memoization is off: the harness caches analyzed samples
@@ -333,10 +342,7 @@ let fig3 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 4: distribution of per-component analysis times              *)
 
-let time_one f =
-  let t0 = Unix.gettimeofday () in
-  ignore (f ());
-  Unix.gettimeofday () -. t0
+let time_one f = snd (timed f)
 
 let fig4 () =
   let cfg = Config.by_arch Config.SKL in
@@ -389,20 +395,18 @@ let fig5 () =
   let all = su @ sl in
   (* make sure the learned model is trained outside the timed region *)
   ignore (learned_model cfg);
-  let timed name f =
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun x -> ignore (f x.block)) all;
-    let dt = Unix.gettimeofday () -. t0 in
+  let run name f =
+    let dt = time_one (fun () -> List.iter (fun x -> ignore (f x.block)) all) in
     (name, dt, 1e6 *. dt /. float_of_int (List.length all))
   in
   let results =
-    [ timed "FACILE" (fun b -> (Model.predict b).Model.cycles);
-      timed "pipeline sim (oracle)" Sim.measure;
-      timed "uiCA-like" Sim.uica_like;
-      timed "llvm-mca-like" Baselines.llvm_mca_like;
-      timed "OSACA-like" Baselines.osaca_like;
-      timed "IACA-like" Baselines.iaca_like;
-      timed "learned" (Baselines.predict_learned (learned_model cfg)) ]
+    [ run "FACILE" (fun b -> (Model.predict b).Model.cycles);
+      run "pipeline sim (oracle)" Sim.measure;
+      run "uiCA-like" Sim.uica_like;
+      run "llvm-mca-like" Baselines.llvm_mca_like;
+      run "OSACA-like" Baselines.osaca_like;
+      run "IACA-like" Baselines.iaca_like;
+      run "learned" (Baselines.predict_learned (learned_model cfg)) ]
   in
   let _, facile_t, _ = List.hd results in
   Report.Table.print
@@ -507,26 +511,26 @@ let ablations () =
   let cfg = Config.by_arch Config.SKL in
   let s = samples cfg `Loop @ samples cfg `Unrolled in
   (* 1. Ports: pairwise heuristic vs exhaustive subset enumeration *)
-  let t0 = Unix.gettimeofday () in
-  let fast = List.map (fun x -> Ports.throughput x.block) s in
-  let t_fast = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let exact = List.map (fun x -> Ports.throughput_exhaustive x.block) s in
-  let t_exact = Unix.gettimeofday () -. t0 in
+  let fast, t_fast =
+    timed (fun () -> List.map (fun x -> Ports.throughput x.block) s)
+  in
+  let exact, t_exact =
+    timed (fun () -> List.map (fun x -> Ports.throughput_exhaustive x.block) s)
+  in
   let agree =
     List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) fast exact
   in
   (* 2. Precedence: the max-plus matrix over the loop-carried
      resources, Howard and Lawler on the full dependence graph *)
-  let t0 = Unix.gettimeofday () in
-  let maxplus = List.map (fun x -> Precedence.throughput x.block) s in
-  let t_maxplus = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let howard = List.map (fun x -> Precedence.throughput_ref x.block) s in
-  let t_howard = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let lawler = List.map (fun x -> Precedence.throughput_lawler x.block) s in
-  let t_lawler = Unix.gettimeofday () -. t0 in
+  let maxplus, t_maxplus =
+    timed (fun () -> List.map (fun x -> Precedence.throughput x.block) s)
+  in
+  let howard, t_howard =
+    timed (fun () -> List.map (fun x -> Precedence.throughput_ref x.block) s)
+  in
+  let lawler, t_lawler =
+    timed (fun () -> List.map (fun x -> Precedence.throughput_lawler x.block) s)
+  in
   let maxplus_agree =
     List.for_all2
       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
@@ -537,18 +541,11 @@ let ablations () =
   in
   (* 3. Full vs simple front-end component models: accuracy from Table 3,
      timing here *)
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun x -> ignore (Predec.throughput ~mode:`Unrolled x.block)) s;
-  let t_predec = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun x -> ignore (Predec.simple x.block)) s;
-  let t_spredec = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun x -> ignore (Dec.throughput x.block)) s;
-  let t_dec = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun x -> ignore (Dec.simple x.block)) s;
-  let t_sdec = Unix.gettimeofday () -. t0 in
+  let each f = time_one (fun () -> List.iter (fun x -> ignore (f x.block)) s) in
+  let t_predec = each (Predec.throughput ~mode:`Unrolled) in
+  let t_spredec = each Predec.simple in
+  let t_dec = each Dec.throughput in
+  let t_sdec = each Dec.simple in
   let us t = Printf.sprintf "%.1f" (1e6 *. t /. float_of_int (List.length s)) in
   Report.Table.print
     ~title:
@@ -671,9 +668,7 @@ let perf () =
     List.iter (fun x -> ignore (f x)) xs;
     let best = ref infinity in
     for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      List.iter (fun x -> ignore (f x)) xs;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = time_one (fun () -> List.iter (fun x -> ignore (f x)) xs) in
       if dt < !best then best := dt
     done;
     !best *. 1e9 /. float_of_int (List.length xs)
@@ -826,13 +821,13 @@ let scale () =
   let miss_blocks = blocks_of ~seed:train_seed ~size:4096 in
   (* run [body 0..drivers-1] concurrently, return wall seconds *)
   let drive drivers body =
-    let t0 = Unix.gettimeofday () in
-    let rest =
-      List.init (drivers - 1) (fun i -> Domain.spawn (fun () -> body (i + 1)))
-    in
-    body 0;
-    List.iter Domain.join rest;
-    Unix.gettimeofday () -. t0
+    time_one (fun () ->
+        let rest =
+          List.init (drivers - 1) (fun i ->
+              Domain.spawn (fun () -> body (i + 1)))
+        in
+        body 0;
+        List.iter Domain.join rest)
   in
   let fastest f =
     let best = ref infinity in

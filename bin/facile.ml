@@ -147,7 +147,8 @@ let max_input_arg =
   in
   Arg.(value & opt int 0 & info [ "max-input-bytes" ] ~docv:"BYTES" ~doc)
 
-(* Resource options shared by predict/batch/serve. *)
+(* Resource options shared by batch and serve; serve documents its own
+   --workers, which counts serving domains. *)
 let workers_arg =
   let doc =
     "Worker domains (default: the number of cores the runtime \
@@ -543,7 +544,7 @@ let serve_cmd =
          (Json.Obj
             [ "config",
               Json.Obj
-                [ "workers", Json.Int (Engine.size engine);
+                [ "workers", Json.Int (Facile_engine.Serve.workers t);
                   "memoize", Json.Bool (not no_memo);
                   "cache_cap", Json.Int cache_cap;
                   "cache_shards", Json.Int (Engine.cache_shard_count engine);
@@ -590,6 +591,16 @@ let serve_cmd =
               flush stderr)
             { Facile_engine.Net.host; port; max_conns; conn_rate });
     Ok ()
+  in
+  let serve_workers_arg =
+    let doc =
+      "Serving domains for --tcp, the one that accepts connections \
+       included (default: the number of cores the runtime recommends). \
+       Each accepted connection is served on the domain with the \
+       fewest open connections. Stdio serving runs on one domain \
+       whatever $(docv) is."
+    in
+    Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
     let doc =
@@ -661,7 +672,7 @@ let serve_cmd =
       `P
         "Reads one JSON request object per line from standard input \
          and answers each with one JSON object on standard output. \
-         The engine pool and its memoization cache persist across \
+         The engine and its memoization cache persist across \
          requests, so repeated blocks are predicted once.";
       `P
         "Request: {\"id\":..,\"arch\":\"SKL\",\"mode\":\"auto\",\
@@ -683,9 +694,11 @@ let serve_cmd =
          rejected with bad_request.";
       `P
         "With --tcp HOST:PORT the same service accepts many \
-         concurrent connections: each connection gets its own thread, \
-         which reads, predicts and answers its requests in order, its \
-         own framing, --queue shedding (retry_after per connection), \
+         concurrent connections on --workers serving domains: each \
+         connection gets its own thread on the domain with the fewest \
+         open connections, which reads, predicts and answers its \
+         requests in order, its own framing, --queue shedding \
+         (retry_after per connection), \
          and optional --conn-rate admission bucket (refusals answer \
          rate_limited), while all connections share one engine and \
          memoization cache. Connections over \
@@ -720,7 +733,7 @@ let serve_cmd =
        ~doc:
          "Serve predictions over a fault-tolerant NDJSON loop (stdio \
           or multi-client TCP).")
-    Term.(const run $ workers_arg $ no_memo_arg $ deadline_arg
+    Term.(const run $ serve_workers_arg $ no_memo_arg $ deadline_arg
           $ no_deadline_arg $ queue_arg $ cache_cap_arg $ cache_shards_arg
           $ store_arg $ store_flush_arg $ serve_max_input_arg $ max_insts_arg
           $ tcp_arg $ max_conns_arg $ conn_rate_arg)
@@ -1119,35 +1132,36 @@ let cache_verify_cmd =
         in
         (* --recompute: every stored prediction must equal a fresh
            prediction bit for bit — the strongest statement that a
-           warm cache serves exactly what a cold run would compute *)
-        let recompute_findings =
+           warm cache serves exactly what a cold run would compute.
+           One list of findings per record; an empty one is a match. *)
+        let per_record =
           if not recompute then []
           else
-            List.concat
-              (List.mapi
-                 (fun i (rec_ : Store_codec.record) ->
-                   let cfg = Config.by_arch rec_.Store_codec.arch in
-                   let where =
-                     Printf.sprintf "record %d (%s)" i cfg.Config.abbrev
-                   in
-                   match Block.analyze cfg (`Code rec_.Store_codec.bytes) with
-                   | Error _ -> [ where ^ ": stored bytes no longer decode" ]
-                   | Ok block ->
-                     (if Block.instruction_count block
-                         <> rec_.Store_codec.insts
-                      then [ where ^ ": instruction count changed" ]
-                      else [])
-                     @
-                     let fresh =
-                       Model.predict ~notion:rec_.Store_codec.mode block
-                     in
-                     if Store_codec.pred_equal fresh rec_.Store_codec.pred
-                     then []
-                     else [ where ^ ": stored prediction differs from \
-                                     recomputed" ])
-                 r.Store.records)
+            List.mapi
+              (fun i (rec_ : Store_codec.record) ->
+                let cfg = Config.by_arch rec_.Store_codec.arch in
+                let where =
+                  Printf.sprintf "record %d (%s)" i cfg.Config.abbrev
+                in
+                match Block.analyze cfg (`Code rec_.Store_codec.bytes) with
+                | Error _ -> [ where ^ ": stored bytes no longer decode" ]
+                | Ok block ->
+                  (if Block.instruction_count block
+                      <> rec_.Store_codec.insts
+                   then [ where ^ ": instruction count changed" ]
+                   else [])
+                  @
+                  let fresh =
+                    Model.predict ~notion:rec_.Store_codec.mode block
+                  in
+                  if Store_codec.pred_equal fresh rec_.Store_codec.pred
+                  then []
+                  else [ where ^ ": stored prediction differs from \
+                                  recomputed" ])
+              r.Store.records
         in
-        let findings = scan_findings @ recompute_findings in
+        let matched = List.length (List.filter (( = ) []) per_record) in
+        let findings = scan_findings @ List.concat per_record in
         if json then
           print_endline
             (Json.to_string
@@ -1164,7 +1178,9 @@ let cache_verify_cmd =
           Printf.printf "verify: %s: %d record%s%s, %d finding%s\n" path
             (List.length r.Store.records)
             (if List.length r.Store.records = 1 then "" else "s")
-            (if recompute then " recomputed bit-identically" else "")
+            (if recompute then
+               Printf.sprintf ", %d recomputed bit-identically" matched
+             else "")
             (List.length findings)
             (if List.length findings = 1 then "" else "s")
         end;

@@ -4,6 +4,10 @@ type component = Predec | Dec | DSB | LSD | Issue | Ports | Precedence
 
 let all_components = [ Predec; Dec; LSD; DSB; Issue; Ports; Precedence ]
 
+(* 1: Howard's policy cycles rooted at their smallest node, which moved
+   the predictions that used to fall back to Lawler. *)
+let revision = 1
+
 let component_name = function
   | Predec -> "Predec"
   | Dec -> "Dec"

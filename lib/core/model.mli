@@ -7,6 +7,13 @@ type component = Predec | Dec | DSB | LSD | Issue | Ports | Precedence
 val all_components : component list
 val component_name : component -> string
 
+(** The model's revision.  Bump it whenever a prediction can change, on
+    any µarch, in any mode, together with the pinned digest of the
+    [pin.predictions] test.  The persistent store folds it into its
+    fingerprint, so a store written by an older model is refused, not
+    served. *)
+val revision : int
+
 (** Ablation/variant switches. [without] removes components from the
     max; [only] predicts from the listed components alone (raw values,
     ignoring the front-end path selection); [idealized] treats

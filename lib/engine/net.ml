@@ -1,14 +1,31 @@
-(* TCP listener for the NDJSON service: accept loop -> one thread +
-   one {!Session} per connection, all against a shared {!Serve.t}.
+(* TCP listener for the NDJSON service: one accept loop, and each
+   accepted connection served as one {!Session} on one thread of one of
+   [Serve.workers t] serving domains, all against a shared {!Serve.t}.
 
-   Concurrency shape: the accept loop runs on the calling thread with
-   a 0.1s select timeout so it notices the shutdown flag promptly.
-   Each accepted connection gets one plain [Thread] that runs its
-   session's loop — read, frame, predict, write — so a request is
-   answered on the thread that read it.  Every session polls the
-   service's stop flag itself; the drain is: stop accepting, then join
-   every connection thread, each of which answers what it has read and
-   returns within the session's poll interval. *)
+   Concurrency shape.  The calling domain is serving domain 0: it runs
+   the accept loop, with a 0.1 s select timeout so it notices the
+   shutdown flag promptly, and the threads of the connections assigned
+   to it.  The other [workers - 1] serving domains are spawned once the
+   listener is up.  [Thread.create] makes a thread on the domain that
+   calls it, so each spawned domain runs a small hand-off loop: it
+   waits on its lane's inbox and starts a thread for every connection
+   the accept loop puts there.  Each accepted connection goes to the
+   domain with the fewest open connections, ties to the lowest index.
+   A connection's thread runs its session's loop — read, frame,
+   predict, write — so a request is answered on the thread, and the
+   domain, that read it.
+
+   Drain: every session polls the service's stop flag itself and
+   returns within its poll interval, having answered what it read.
+   The accept loop closes the listener and each spawned domain's inbox;
+   a spawned domain starts what was already handed to it, joins its own
+   connection threads and returns.  The calling domain joins its own
+   threads, then the spawned domains, and only then prints the final
+   stats.
+
+   Memory: a domain that allocates touches its whole minor heap, 256k
+   words (2 MB) by default, so each spawned serving domain halves its
+   own ([spawned_minor_heap_words]). *)
 
 module Json = Facile_obs.Json
 module Obs = Facile_obs.Obs
@@ -74,6 +91,84 @@ let resolve host port =
      | exception Not_found ->
        failwith (Printf.sprintf "cannot resolve host %S" host))
 
+(* Minor heap of a spawned serving domain, in words: half the runtime's
+   default, which the calling domain keeps.  Measured on perfbench's
+   served workloads (2 vCPUs): with the default, the extra domain
+   added 6-9 % to the server's RSS; with 64k words, set-up took about
+   a fifth longer: a domain with a small heap collects more often while
+   it builds a µarch's tables, and each minor collection stops the idle
+   calling domain too. *)
+let spawned_minor_heap_words = 131072
+
+(* One serving domain's connections.  [open_conns] (assigned and not
+   yet closed) drives the assignment.  [inbox] and [closed] are the
+   hand-off from the accept loop, unused on the calling domain, which
+   starts its own threads.  [threads] holds the running connection
+   threads, joined at drain. *)
+type lane = {
+  mu : Mutex.t;
+  wake : Condition.t;
+  mutable inbox : (int * Unix.file_descr) list;  (* newest first *)
+  mutable closed : bool;
+  threads : (int, Thread.t) Hashtbl.t;
+  open_conns : int Atomic.t;
+}
+
+let lane () =
+  { mu = Mutex.create (); wake = Condition.create (); inbox = [];
+    closed = false; threads = Hashtbl.create 16; open_conns = Atomic.make 0 }
+
+(* The lane with the fewest open connections, the lowest index on a
+   tie. *)
+let least_loaded lanes =
+  let best = ref 0 in
+  Array.iteri
+    (fun i l ->
+      if Atomic.get l.open_conns < Atomic.get lanes.(!best).open_conns then
+        best := i)
+    lanes;
+  !best
+
+let hand_off lane conn =
+  Sync.with_lock lane.mu (fun () ->
+      lane.inbox <- conn :: lane.inbox;
+      Condition.signal lane.wake)
+
+let close_inbox lane =
+  Sync.with_lock lane.mu (fun () ->
+      lane.closed <- true;
+      Condition.signal lane.wake)
+
+(* Join [lane]'s connection threads, once no connection can be added
+   to it. *)
+let join_threads lane =
+  let live =
+    Sync.with_lock lane.mu (fun () ->
+        Hashtbl.fold (fun _ th acc -> th :: acc) lane.threads [])
+  in
+  List.iter (fun th -> try Thread.join th with _ -> ()) live
+
+(* A spawned serving domain: start every connection handed to it, until
+   the accept loop closes its inbox, then join them. *)
+let serve_lane lane start =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = spawned_minor_heap_words };
+  let rec loop () =
+    match
+      Sync.with_lock_cond lane.mu lane.wake
+        ~until:(fun () -> lane.inbox <> [] || lane.closed)
+        (fun () ->
+          let conns = List.rev lane.inbox in
+          lane.inbox <- [];
+          conns)
+    with
+    | [] -> ()
+    | conns ->
+      List.iter start conns;
+      loop ()
+  in
+  loop ();
+  join_threads lane
+
 let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
   if cfg.max_conns < 1 then
     invalid_arg (Printf.sprintf "Net.run: max_conns = %d" cfg.max_conns);
@@ -97,27 +192,50 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
    | Unix.ADDR_INET (a, p) ->
      announce ~host:(Unix.string_of_inet_addr a) ~port:p
    | Unix.ADDR_UNIX _ -> ());
-  let conns : (int, Thread.t) Hashtbl.t = Hashtbl.create 64 in
-  let cmu = Mutex.create () in
-  let locked f = Sync.with_lock cmu f in
+  let lanes = Array.init (Serve.workers t) (fun _ -> lane ()) in
   let active = Atomic.make 0 in
-  let next_id = ref 0 in
-  let serve_conn id cfd =
-    let rate = if cfg.conn_rate > 0. then Some cfg.conn_rate else None in
+  let rate = if cfg.conn_rate > 0. then Some cfg.conn_rate else None in
+  (* Serve connection [id] on a new thread of the calling domain, which
+     is [lane]'s. *)
+  let start lane (id, cfd) =
     let session = Serve.session ?rate t (Session.fd_transport cfd) in
-    let thread =
-      Thread.create
-        (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              Serve.conn_closed t;
-              Obs.decr "net.conns.active";
-              ignore (Atomic.fetch_and_add active (-1));
-              locked (fun () -> Hashtbl.remove conns id))
-            (fun () -> Session.run session))
-        ()
+    let release () =
+      Serve.conn_closed t;
+      Obs.decr "net.conns.active";
+      Atomic.decr active;
+      Atomic.decr lane.open_conns
     in
-    locked (fun () -> Hashtbl.replace conns id thread)
+    let body () =
+      Fun.protect
+        ~finally:(fun () ->
+          release ();
+          Sync.with_lock lane.mu (fun () -> Hashtbl.remove lane.threads id))
+        (fun () -> Session.run session)
+    in
+    (* registered under the lock the thread takes to deregister, so a
+       short connection cannot finish first and leave its entry behind *)
+    match
+      Sync.with_lock lane.mu (fun () ->
+          Hashtbl.replace lane.threads id (Thread.create body ()))
+    with
+    | () -> ()
+    | exception Sys_error _ ->
+      (* no thread to serve it (the system refused one): close it, as a
+         client that left would *)
+      (try Unix.close cfd with Unix.Unix_error _ -> ());
+      release ()
+  in
+  let next_id = ref 0 in
+  let admit cfd =
+    Serve.conn_opened t;
+    Obs.incr "net.conns.accepted";
+    Obs.incr "net.conns.active";
+    Atomic.incr active;
+    incr next_id;
+    let i = least_loaded lanes in
+    Atomic.incr lanes.(i).open_conns;
+    if i = 0 then start lanes.(0) (!next_id, cfd)
+    else hand_off lanes.(i) (!next_id, cfd)
   in
   let accept_loop () =
     while not (Serve.stopping t) do
@@ -130,14 +248,7 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
              try Unix.close cfd with Unix.Unix_error _ -> ())
            else if Atomic.get active >= cfg.max_conns then
              refuse_conn t cfd ~max_conns:cfg.max_conns
-           else begin
-             Serve.conn_opened t;
-             Obs.incr "net.conns.accepted";
-             Obs.incr "net.conns.active";
-             Atomic.incr active;
-             incr next_id;
-             serve_conn !next_id cfd
-           end
+           else admit cfd
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
          | exception
              Unix.Unix_error
@@ -147,14 +258,20 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done
   in
+  let domains = ref [] in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close lfd with Unix.Unix_error _ | Sys_error _ -> ());
-      (* graceful drain: every session sees the stop flag, answers
-         what it has read, and returns; join them all before the final
-         snapshot *)
-      let live = locked (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc)
-                                     conns []) in
-      List.iter (fun th -> try Thread.join th with _ -> ()) live;
+      (* graceful drain; the flag is set already unless the accept loop
+         raised, and every session must see it to return *)
+      Serve.request_shutdown t;
+      Array.iteri (fun i l -> if i > 0 then close_inbox l) lanes;
+      join_threads lanes.(0);
+      List.iter (fun d -> try Domain.join d with _ -> ()) !domains;
       Serve.print_final_stats t)
-    accept_loop
+    (fun () ->
+      for i = 1 to Array.length lanes - 1 do
+        let l = lanes.(i) in
+        domains := Domain.spawn (fun () -> serve_lane l (start l)) :: !domains
+      done;
+      accept_loop ())

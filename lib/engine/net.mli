@@ -5,7 +5,15 @@
     thread, against the shared {!Serve.t} core — every client shares
     the engine, memo cache and statistics, and each request is
     predicted on its connection's thread, while framing, admission,
-    shedding and write failures stay per connection:
+    shedding and write failures stay per connection.
+
+    The threads run on {!Serve.workers} serving domains: the calling
+    domain, which also runs the accept loop, and [workers - 1] domains
+    spawned when the listener is up, each with a 128k-word minor heap
+    (half the default).
+    Each accepted connection goes to the serving domain with the
+    fewest open connections, ties to the lowest index (the calling
+    domain is index 0), and stays there until it closes.
 
     - at most [max_conns] connections are served concurrently;
       connections over the limit are answered with one
@@ -21,9 +29,10 @@
     - a client that disconnects mid-write ([EPIPE]/[ECONNRESET])
       kills only its own session, counted under [io.epipe];
     - SIGINT/SIGTERM (or {!Serve.request_shutdown}) stop the accept
-      loop, drain every connection (requests already read are still
-      answered, idle connections are closed within 0.1 s), and flush
-      the final stats snapshot to stderr.
+      loop, drain every connection on every serving domain (requests
+      already read are still answered, idle connections are closed
+      within 0.1 s), join the spawned domains, and flush the final
+      stats snapshot to stderr once.
 
     Observable counters: [net.conns.accepted], [net.conns.active],
     [net.conns.rejected] in the process registry, plus the
@@ -50,7 +59,8 @@ val parse_endpoint : string -> (string * int, string) result
     ephemeral port when [cfg.port = 0].  [signals] (default [true])
     installs the serving signal discipline
     ({!Serve.install_signal_handlers}).  Returns after the graceful
-    drain; does not call {!Serve.shutdown}.
+    drain, with every spawned domain joined; does not call
+    {!Serve.shutdown}.
     @raise Invalid_argument if [max_conns < 1], [conn_rate] is
     negative or not finite, or the port is out of range.
     @raise Failure if the address cannot be resolved or bound. *)

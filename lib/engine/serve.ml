@@ -1,9 +1,11 @@
 (* NDJSON prediction service core, shared by every transport: one
    JSON request object per line in, one JSON response object per line
-   out.  The engine pool and its bounded LRU memo cache persist across
+   out.  The engine and its bounded LRU memo cache persist across
    requests and across *connections*, so a traffic-serving deployment
    pays decode+predict once per distinct block instead of a process
-   start per request.
+   start per request.  The engine runs on one domain: every request is
+   predicted on its session's thread, and {!Net.run} spreads the
+   sessions over [workers] serving domains.
 
    This module is the protocol/session core only: request parsing,
    admission limits, deadlines, the request boundary, response
@@ -104,6 +106,7 @@ type conns = {
 
 type t = {
   engine : Engine.t;
+  workers : int;                       (* serving domains for Net.run *)
   sup : Supervise.t;
   limits : limits;
   deadline_ns : int option;            (* per-request budget; None = off *)
@@ -153,9 +156,19 @@ let of_config (c : config) =
    | Some n when n < 1 ->
      invalid_arg (Printf.sprintf "Serve.of_config: flush_every = %d" n)
    | _ -> ());
+  let workers =
+    match c.workers with
+    | None -> max 1 (Domain.recommended_domain_count ())
+    | Some n when n >= 1 -> n
+    | Some n -> invalid_arg (Printf.sprintf "Serve.of_config: workers = %d" n)
+  in
+  (* no pool domains: nothing here calls [predict_batch], and the
+     serving domains are {!Net.run}'s *)
   { engine =
-      Engine.create ?workers:c.workers ~memoize:c.memoize
-        ?cache_cap:c.cache_cap ?cache_shards:c.cache_shards ();
+      Engine.create ~workers:1 ~memoize:c.memoize ?cache_cap:c.cache_cap
+        ~cache_shards:(Option.value c.cache_shards ~default:(workers * 4))
+        ();
+    workers;
     sup = Supervise.create ();
     limits = c.limits;
     deadline_ns =
@@ -192,6 +205,7 @@ let of_config (c : config) =
     persist_errors = 0 }
 
 let engine t = t.engine
+let workers t = t.workers
 
 let set_persist t f =
   Sync.with_lock t.persist_mu (fun () -> t.persist <- Some f)
@@ -279,7 +293,7 @@ let version_json t =
       "ocaml", Json.Str Sys.ocaml_version;
       "os", Json.Str Sys.os_type;
       "word_size", Json.Int Sys.word_size;
-      "workers", Json.Int (Engine.size t.engine);
+      "workers", Json.Int t.workers;
       "arches",
       Json.Arr
         (List.map (fun (c : Config.t) -> Json.Str c.Config.abbrev) Config.all) ]
@@ -302,7 +316,7 @@ let stats_json t =
   Json.Obj
         [ "uptime_s",
           Json.Float (Clock.ns_to_s (Clock.now_ns () - t.started_ns));
-          "workers", Json.Int (Engine.size t.engine);
+          "workers", Json.Int t.workers;
           "requests",
           Json.Obj
             [ "total", Json.Int (Atomic.get t.total);

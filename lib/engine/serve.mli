@@ -47,7 +47,10 @@
     One [t] serves any number of concurrent transports: {!run} drives
     it over stdio, {!Net.run} over N TCP connections, and {!session}
     builds a {!Session.t} over any custom transport — all sharing the
-    engine, memo cache, and statistics. *)
+    engine, memo cache, and statistics.  The engine runs on one domain
+    and predicts each request on the thread of its session; {!run}
+    serves on the calling thread, and {!Net.run} spreads its
+    connections over {!workers} serving domains. *)
 
 (** Version of the NDJSON wire protocol spoken by this build. *)
 val proto_version : int
@@ -63,7 +66,11 @@ val default_limits : limits
 (** Full service configuration; see {!default_config} for the
     defaults and {!of_config} for validation. *)
 type config = {
-  workers : int option;      (** engine pool size; [None] = auto *)
+  workers : int option;
+      (** serving domains for {!Net.run}, the calling domain included;
+          [None] = [Domain.recommended_domain_count ()].  The engine
+          itself always has one domain, and stdio {!run} uses only the
+          calling one. *)
   memoize : bool;            (** memoize predictions in a bounded LRU *)
   cache_cap : int option;    (** LRU capacity; [None] = default *)
   cache_shards : int option;
@@ -82,17 +89,22 @@ val default_config : config
 
 type t
 
-(** [of_config c] starts the service state, including its engine pool
-    (see {!Engine.create}).
+(** [of_config c] starts the service state, including its engine, a
+    single-domain {!Engine.t} that spawns no domain.
     [c.deadline_ms = Some 0] means an already-spent budget — every
     predict request answers "timeout" — which the chaos harness uses.
-    @raise Invalid_argument on non-positive [queue_cap] or limits, or
-    a negative [retry_after_ms]/[deadline_ms]. *)
+    @raise Invalid_argument on non-positive [workers], [queue_cap] or
+    limits, or a negative [retry_after_ms]/[deadline_ms]. *)
 val of_config : config -> t
 
-(** The engine pool behind this service (the CLI uses it to warm the
-    memo cache from a persistent store and to dump it back). *)
+(** The engine behind this service (the CLI uses it to warm the memo
+    cache from a persistent store and to dump it back). *)
 val engine : t -> Engine.t
+
+(** The serving-domain count: [config.workers], or the runtime's
+    recommended domain count.  Reported as ["workers"] by
+    [{"cmd":"version"}] and in the stats. *)
+val workers : t -> int
 
 (** [set_persist t f] installs the persistence hook: [f] is invoked
     under the service's persistence lock after every
@@ -103,9 +115,9 @@ val engine : t -> Engine.t
     section as [persist_errors], never propagated. *)
 val set_persist : t -> (unit -> unit) -> unit
 
-(** Join the engine's worker domains, running the persistence hook
-    first (flush-on-graceful-shutdown — this covers the stdio, TCP,
-    and signal paths, which all funnel through here). *)
+(** Shut the engine down, running the persistence hook first
+    (flush-on-graceful-shutdown — this covers the stdio, TCP, and
+    signal paths, which all funnel through here). *)
 val shutdown : t -> unit
 
 (** Ask every serving loop on this [t] to drain and return (what the

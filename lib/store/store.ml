@@ -4,14 +4,15 @@ module Json = Facile_obs.Json
 module Fault = Facile_engine.Fault
 module Flat = Facile_db.Flat
 
-(* ----- table/config fingerprint -----
+(* ----- model/table/config fingerprint -----
 
-   FNV-1a 64 over every value that can change a prediction: the flat
-   instruction tables of all nine arches plus every config field.
-   Derived caches (descriptor objects, slot hashtable) are skipped —
-   they are functions of what is hashed.  The hash is content-based,
-   not build-id-based, so a rebuild with identical tables keeps its
-   caches warm. *)
+   FNV-1a 64 over every value that can change a prediction: the model's
+   revision ([Model.revision], bumped with any change to the model's
+   code that moves a prediction), the flat instruction tables of all
+   nine arches, and every config field.  Derived caches (descriptor
+   objects, slot hashtable) are skipped — they are functions of what
+   is hashed.  The hash is content-based, not build-id-based, so a
+   rebuild with an identical model and tables keeps its caches warm. *)
 
 let fnv_prime = 0x100000001B3L
 let fnv_basis = 0xCBF29CE484222325L
@@ -34,6 +35,7 @@ let fingerprint_of_tables () =
     String.iter (fun c -> byte (Char.code c)) s
   in
   let port p = int (p : Port.t :> int) in
+  int Facile_core.Model.revision;
   List.iter
     (fun cfg ->
       str cfg.Config.abbrev;
@@ -129,7 +131,7 @@ let check_header ?(check_fingerprint = true) path content =
   | Ok fp ->
     if check_fingerprint && fp <> fingerprint () then
       err Err.Store_skew
-        "%s: written against tables/configs %016Lx, this build is %016Lx"
+        "%s: written against model/tables %016Lx, this build is %016Lx"
         path fp (fingerprint ())
     else Ok fp
 

@@ -7,17 +7,17 @@
     - reopening a torn store truncates the tail and resumes appending;
     - corrupt frames inside the file are quarantined (skipped and
       counted), never served;
-    - a store written by a different format version or against
-      different instruction tables/configs than this build's is
-      refused with {!Facile_x86.Err.Store_skew} (exit code 12) rather
-      than silently served. *)
+    - a store written by a different format version, model revision
+      ({!Facile_core.Model.revision}) or instruction tables/configs
+      than this build's is refused with {!Facile_x86.Err.Store_skew}
+      (exit code 12) rather than silently served. *)
 
 open Facile_core
 
-(** Fingerprint of this build's instruction tables and configurations
-    (FNV-1a 64 over every flat table and config field of all nine
-    microarchitectures).  Computed once, cached.  A store is bound to
-    the fingerprint it was written under. *)
+(** Fingerprint of this build's model: FNV-1a 64 over
+    {!Facile_core.Model.revision} and every flat table and config
+    field of all nine microarchitectures.  Computed once, cached.  A
+    store is bound to the fingerprint it was written under. *)
 val fingerprint : unit -> int64
 
 type report = {

@@ -15,8 +15,9 @@ type kind =
   | Internal      (* an internal invariant broke, e.g. a non-finite
                      value reached a serialization boundary *)
   | Store_skew    (* a persistent prediction store was written by an
-                     incompatible format version or against different
-                     instruction tables/configs than this build's *)
+                     incompatible format version or against a different
+                     model revision or instruction tables/configs than
+                     this build's *)
   | Lint_failed   (* facile lint found error-severity findings *)
 
 type t = { kind : kind; msg : string; pos : int option }

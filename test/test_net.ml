@@ -546,6 +546,197 @@ let tcp_tests () =
           "bad port" true
           (Result.is_error (Net.parse_endpoint "h:99999"))) ]
 
+(* ----- serving domains ----- *)
+
+(* One response line, read a byte at a time so that nothing after it
+   is consumed. *)
+let read_line fd =
+  let b = Buffer.create 256 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd c 0 1 with
+    | 0 -> Buffer.contents b
+    | _ when Bytes.get c 0 = '\n' -> Buffer.contents b
+    | _ ->
+      Buffer.add_bytes b c;
+      go ()
+  in
+  go ()
+
+(* A TCP core on [workers] serving domains whose persistence hook runs
+   after every prediction, on the thread that answered it: the
+   returned function counts the distinct domains that have answered. *)
+let domain_serve ?(memoize = true) workers =
+  let serve =
+    Serve.of_config
+      { Serve.default_config with
+        Serve.workers = Some workers; memoize; flush_every = Some 1 }
+  in
+  let mu = Mutex.create () and seen = ref [] in
+  Serve.set_persist serve (fun () ->
+      let d = (Domain.self () :> int) in
+      Sync.with_lock mu (fun () ->
+          if not (List.mem d !seen) then seen := d :: !seen));
+  (serve, fun () -> Sync.with_lock mu (fun () -> List.length !seen))
+
+(* [n] connections, all held open: each sends one request and has its
+   answer before the next connects, so each is accepted, and assigned
+   a domain, while every earlier one is still open.  Assignment to the
+   least-loaded domain then deals them out round robin. *)
+let open_conns host port n =
+  Array.init n (fun c ->
+      let fd = connect host port in
+      send_all fd (Printf.sprintf {|{"id":"open %d","hex":"90"}|} c ^ "\n");
+      ignore (read_line fd);
+      fd)
+
+(* (hex, arch, mode) keys: bodies and loops of a small corpus over three
+   µarchs and the three modes, plus one bad hex. *)
+let mixed_keys =
+  lazy
+    (let blocks =
+       List.concat_map
+         (fun (c : Facile_bhive.Suite.case) ->
+           [ c.Facile_bhive.Suite.body; c.Facile_bhive.Suite.loop ])
+         (Facile_bhive.Suite.corpus ~seed:23 ~size:8 ())
+       |> List.map (fun insts ->
+              Facile_x86.Hex.encode (fst (Facile_x86.Encode.encode_block insts)))
+     in
+     Array.of_list
+       (("zz", "SKL", "auto")
+        :: List.mapi
+             (fun k hex ->
+               ( hex,
+                 [| "SKL"; "HSW"; "ICL" |].(k mod 3),
+                 [| "auto"; "loop"; "unroll" |].(k / 3 mod 3) ))
+             blocks))
+
+(* Connection [c]'s [n] requests, ids [1000 c] on; connections overlap
+   in the keys they ask for. *)
+let mixed_payload c n =
+  let keys = Lazy.force mixed_keys in
+  String.concat ""
+    (List.init n (fun i ->
+         let hex, arch, mode = keys.(((7 * c) + i) mod Array.length keys) in
+         Printf.sprintf {|{"id":%d,"arch":"%s","mode":"%s","hex":"%s"}|}
+           ((1000 * c) + i) arch mode hex
+         ^ "\n"))
+
+let id_of_line l =
+  match Option.bind (Json.member "id" (parse_line l)) Json.int_opt with
+  | Some id -> id
+  | None -> Alcotest.failf "no integer id in %S" l
+
+let conn_stat serve k =
+  Option.bind (Json.member "connections" (Serve.stats_json serve)) (fun c ->
+      Option.bind (Json.member k c) Json.int_opt)
+
+let domain_tests () =
+  [ Alcotest.test_case "replies are byte-identical on 1, 2 and 4 domains"
+      `Quick (fun () ->
+        let conns = 8 and per_conn = 24 in
+        let replies memoize workers =
+          let serve, seen = domain_serve ~memoize workers in
+          Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
+          let th, host, port =
+            start_tcp serve { Net.default_config with Net.port = 0 }
+          in
+          let fds = open_conns host port conns in
+          let payloads = Array.init conns (fun c -> mixed_payload c per_conn) in
+          let got = Array.make conns [] in
+          let clients =
+            Array.mapi
+              (fun c fd ->
+                Thread.create
+                  (fun () ->
+                    send_all fd payloads.(c);
+                    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                    got.(c) <- recv_lines fd;
+                    Unix.close fd)
+                  ())
+              fds
+          in
+          Array.iter Thread.join clients;
+          Serve.request_shutdown serve;
+          Thread.join th;
+          let what = Printf.sprintf "memo %b, %d domains" memoize workers in
+          Alcotest.(check int) (what ^ ": domains that answered") workers
+            (seen ());
+          Array.iteri
+            (fun c lines ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: connection %d ids in order" what c)
+                (List.init per_conn (fun i -> (1000 * c) + i))
+                (List.map id_of_line lines))
+            got;
+          List.sort compare
+            (List.concat_map
+               (List.map (fun l -> (id_of_line l, l)))
+               (Array.to_list got))
+        in
+        let reference = replies true 1 in
+        List.iter
+          (fun (memoize, workers) ->
+            Alcotest.(check (list (pair int string)))
+              (Printf.sprintf "memo %b, %d domains = memo, 1 domain" memoize
+                 workers)
+              reference (replies memoize workers))
+          [ (true, 2); (true, 4); (false, 1); (false, 2); (false, 4) ]);
+    Alcotest.test_case "drain across domains answers every line read"
+      `Quick (fun () ->
+        let serve, seen = domain_serve 3 in
+        Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
+        let th, host, port =
+          start_tcp serve { Net.default_config with Net.port = 0 }
+        in
+        let conns = 6 and per_conn = 30 in
+        let fds = open_conns host port conns in
+        (* one write of about 3.5 KB per connection, one segment on
+           loopback, then its first answer: the session has read the
+           whole batch *)
+        Array.iteri (fun c fd -> send_all fd (mixed_payload c per_conn)) fds;
+        let first = Array.map read_line fds in
+        Serve.request_shutdown serve;
+        Thread.join th;
+        (* Net.run returned, so every session has ended and closed its
+           socket: what is left to read ends in EOF *)
+        Array.iteri
+          (fun c fd ->
+            let lines = first.(c) :: recv_lines fd in
+            Unix.close fd;
+            Alcotest.(check (list int))
+              (Printf.sprintf "connection %d: every line answered" c)
+              (List.init per_conn (fun i -> (1000 * c) + i))
+              (List.map id_of_line lines))
+          fds;
+        Alcotest.(check int) "domains that answered" 3 (seen ());
+        Alcotest.(check (option int)) "connections.active" (Some 0)
+          (conn_stat serve "active");
+        Alcotest.(check (option int)) "connections.accepted" (Some conns)
+          (conn_stat serve "accepted"));
+    Alcotest.test_case "max-conns is one count across domains" `Quick
+      (fun () ->
+        let serve, seen = domain_serve 2 in
+        Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
+        let th, host, port =
+          start_tcp serve
+            { Net.default_config with Net.port = 0; max_conns = 2 }
+        in
+        let held = open_conns host port 2 in
+        Alcotest.(check int) "one connection on each domain" 2 (seen ());
+        let refused = connect host port in
+        (match recv_lines refused with
+         | [ l ] ->
+           Alcotest.(check (option string))
+             "refusal kind" (Some "retry_after") (kind_of (parse_line l))
+         | ls ->
+           Alcotest.failf "expected one refusal line, got %d" (List.length ls));
+        Unix.close refused;
+        Alcotest.(check (option int)) "rejected" (Some 1)
+          (conn_stat serve "rejected");
+        Array.iter Unix.close held;
+        Serve.request_shutdown serve;
+        Thread.join th) ]
+
 let suite =
   (* one shared long-lived core for the pure-protocol and session
      tests, exactly as a server process would hold it *)
@@ -555,6 +746,6 @@ let suite =
   [ ( "net",
       [ QCheck_alcotest.to_alcotest qcheck_framing ]
       @ framing_unit_tests @ protocol_tests serve @ config_tests
-      @ session_tests serve @ tcp_tests ()
+      @ session_tests serve @ tcp_tests () @ domain_tests ()
       @ [ Alcotest.test_case "shutdown" `Quick (fun () ->
               Serve.shutdown serve) ] ) ]

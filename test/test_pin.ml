@@ -6,7 +6,9 @@
    one ulp, on any µarch, through either front end, fails here.
 
    When a change is meant to move predictions, print the new digest
-   (the failure message shows it) and commit it with the explanation. *)
+   (the failure message shows it) and commit it with the explanation,
+   and bump [Model.revision] with it, so that stores written by the
+   old model are refused instead of served. *)
 
 open Facile_uarch
 open Facile_core

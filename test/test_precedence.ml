@@ -4,7 +4,8 @@
    reference runs Howard on the full graph ([throughput_ref]).  These
    tests hold the two together bit for bit, pin two blocks on which
    Howard used to cycle until its guard gave up, and check that
-   repeating a block scales the bound exactly. *)
+   repeating a block scales the bound exactly, as it does Issue and
+   Ports. *)
 
 open Facile_x86
 open Facile_uarch
@@ -111,10 +112,11 @@ let qcheck_maxplus_equals_howard =
         (Config.all @ List.map Baselines.defused_cfg Config.all))
 
 (* Repeating a block k times raises its matrix to the k-th max-plus
-   power, whose maximum cycle mean is k times the block's; scaling by 2
-   or 4 is exact in floating point, so the comparison is bitwise.  A
-   block whose last instruction would macro-fuse with its first changes
-   shape when repeated and is skipped. *)
+   power, whose maximum cycle mean is k times the block's.  Issue and
+   Ports are ratios of uop counts, which the repetition multiplies by
+   k.  Scaling by 2 or 4 is exact in floating point, so the comparison
+   is bitwise.  A block whose last instruction would macro-fuse with its
+   first changes shape when repeated and is skipped. *)
 let fuses_across (cfg : Config.t) insts =
   match (insts, List.rev insts) with
   | first :: _, last :: _ ->
@@ -122,8 +124,14 @@ let fuses_across (cfg : Config.t) insts =
     && (Db.describe cfg last).Db.macro_fusible
   | _ -> false
 
+let scaled_components =
+  [ ("Precedence", Precedence.throughput);
+    ("Issue", Issue.throughput);
+    ("Ports", Ports.throughput) ]
+
 let qcheck_repetition_scales =
-  QCheck.Test.make ~name:"repeating a block scales Precedence exactly"
+  QCheck.Test.make
+    ~name:"repeating a block scales Precedence, Issue and Ports exactly"
     ~count:200 gen_body (fun params ->
       let body = body_of params in
       let check cfg insts =
@@ -131,17 +139,17 @@ let qcheck_repetition_scales =
         | exception Db.Unsupported _ -> true
         | _ when fuses_across cfg insts -> true
         | b ->
-          let p = Precedence.throughput b in
           List.for_all
             (fun times ->
-              let pk =
-                Precedence.throughput
-                  (Block.of_bytes cfg (repeat times b.Block.bytes))
-              in
-              bits pk = bits (float_of_int times *. p)
-              || QCheck.Test.fail_reportf
-                   "%s: x%d gives %h, not %d x %h on\n%s" cfg.Config.abbrev
-                   times pk times p (show insts))
+              let bk = Block.of_bytes cfg (repeat times b.Block.bytes) in
+              List.for_all
+                (fun (name, throughput) ->
+                  let v = throughput b and vk = throughput bk in
+                  bits vk = bits (float_of_int times *. v)
+                  || QCheck.Test.fail_reportf
+                       "%s %s: x%d gives %h, not %d x %h on\n%s" name
+                       cfg.Config.abbrev times vk times v (show insts))
+                scaled_components)
             [ 2; 4 ]
       in
       List.for_all

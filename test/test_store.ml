@@ -548,6 +548,21 @@ let run_cli_err ?(stdin = "") args =
   in
   (rc, In_channel.with_open_bin err In_channel.input_all)
 
+(* exit code and stdout of one run *)
+let run_cli_out args =
+  let out = Filename.temp_file "facile_store_cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s </dev/null >%s 2>/dev/null" facile_exe args
+         (Filename.quote out))
+  in
+  (rc, In_channel.with_open_bin out In_channel.input_all)
+
+(* The fingerprint every store carried before [Model.revision] was
+   folded in: a model older than the revision this build knows. *)
+let pre_revision_fingerprint = 0x776378b951b0b844L
+
 let cli_tests =
   [ Alcotest.test_case "--cache-cap 0 exits 1 before reading input" `Quick
       (fun () ->
@@ -585,6 +600,42 @@ let cli_tests =
         flip_bit path (Segment.header_size + 8);
         Alcotest.(check int) "corrupt store fails" 10
           (run_cli (Printf.sprintf "cache verify %s" (Filename.quote path))));
+    Alcotest.test_case "cache verify --recompute counts only the matches"
+      `Quick (fun () ->
+        with_temp @@ fun path ->
+        let good = mk_record "4801d8" in
+        let bad = mk_record ~arch:Config.HSW ~mode:`Loop "4829d8" in
+        let p = bad.Codec.pred in
+        populate path
+          [ good;
+            { bad with Codec.pred = { p with Model.cycles = p.Model.cycles +. 1. } } ];
+        let rc, out =
+          run_cli_out
+            (Printf.sprintf "cache verify --recompute %s" (Filename.quote path))
+        in
+        Alcotest.(check int) "exit 10" 10 rc;
+        Alcotest.(check string) "summary"
+          (Printf.sprintf
+             "finding: record 1 (HSW): stored prediction differs from \
+              recomputed\n\
+              verify: %s: 2 records, 1 recomputed bit-identically, 1 finding\n"
+             path)
+          out);
+    Alcotest.test_case "a store from an older model revision exits 12" `Quick
+      (fun () ->
+        with_temp @@ fun path ->
+        write_file path
+          (Segment.encode_header ~fingerprint:pre_revision_fingerprint
+          ^ Segment.encode_frame (Codec.encode (mk_record "4801d8")));
+        let quoted = Filename.quote path in
+        Alcotest.(check int) "cache verify" 12
+          (run_cli (Printf.sprintf "cache verify %s" quoted));
+        let rc, err =
+          run_cli_err ~stdin:"4801d8\n" (Printf.sprintf "batch --store %s" quoted)
+        in
+        Alcotest.(check int) "batch --store" 12 rc;
+        Alcotest.(check bool) (Printf.sprintf "store_skew in %S" err) true
+          (String.ends_with ~suffix:"(store_skew)\n" err));
     Alcotest.test_case "a directory as the store is refused by name" `Quick
       (fun () ->
         let dir = Filename.get_temp_dir_name () in

@@ -514,8 +514,7 @@ let serve_cmd =
     let* store = open_store store in
     let t =
       Facile_engine.Serve.of_config
-        { Facile_engine.Serve.default_config with
-          Facile_engine.Serve.workers;
+        { Facile_engine.Serve.workers;
           memoize = not no_memo;
           cache_cap = Some cache_cap;
           cache_shards;
@@ -1106,7 +1105,7 @@ let cache_stat_cmd =
     (Cmd.info "stat"
        ~doc:
          "Describe a store: record and corruption counts, size, and \
-          table fingerprint (reports rather than refuses a skewed \
+          model fingerprint (reports rather than refuses a skewed \
           store).")
     Term.(const run $ json_arg $ cache_store_pos)
 
@@ -1280,9 +1279,10 @@ let cache_cmd =
          (skipped and counted, never served); a torn tail — the \
          signature of a crash mid-append — is truncated away the \
          next time a writer opens the store, losing at most that \
-         final partial frame; a store whose format version or table \
-         fingerprint does not match this build is refused with a \
-         typed store_skew error, exit code 12." ]
+         final partial frame; a store whose format version or model \
+         fingerprint (model revision, configs and instruction tables) \
+         does not match this build is refused with a typed store_skew \
+         error, exit code 12." ]
   in
   Cmd.group
     (Cmd.info "cache" ~man

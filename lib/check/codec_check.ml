@@ -271,7 +271,7 @@ let substitutions forms =
       | exception Encode.Unencodable _ -> n)
     0 forms
 
-let run ?encode ?(forms = Forms.all) () =
+let run ?encode ?(forms = Facile_db.Forms.all) () =
   List.concat_map (fun i -> check_one ?encode i) forms
   @ check_lcp_controls (Option.value encode ~default:Encode.encode)
   @ List.concat_map check_block (chunks 8 forms)

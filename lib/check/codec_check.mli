@@ -22,7 +22,7 @@ val check_canonical :
 (** Shadowed/unreachable SSE and VEX opcode-table rows. *)
 val check_dead_entries : unit -> Finding.t list
 
-(** The full sweep over [forms] (default: {!Forms.all}). *)
+(** The full sweep over [forms] (default: {!Facile_db.Forms.all}). *)
 val run :
   ?encode:(Inst.t -> Encode.encoded) ->
   ?forms:Inst.t list ->

@@ -1,7 +1,7 @@
 (** Instruction-table cross-check (rule family [tbl-*]): every form
-    enumerated by {!Forms} must have a coherent DB descriptor on every
-    microarchitecture, and the ISA feature gate is re-derived and
-    compared against what the DB accepts. *)
+    enumerated by {!Facile_db.Forms} must have a coherent DB descriptor
+    on every microarchitecture, and the ISA feature gate is re-derived
+    and compared against what the DB accepts. *)
 
 open Facile_x86
 open Facile_uarch

@@ -5,8 +5,10 @@ type component = Predec | Dec | DSB | LSD | Issue | Ports | Precedence
 let all_components = [ Predec; Dec; LSD; DSB; Issue; Ports; Precedence ]
 
 (* 1: Howard's policy cycles rooted at their smallest node, which moved
-   the predictions that used to fall back to Lawler. *)
-let revision = 1
+   the predictions that used to fall back to Lawler.
+   2: an instruction with a memory destination no longer macro-fuses
+   with a following Jcc (the fused pair dropped its store µops). *)
+let revision = 2
 
 let component_name = function
   | Predec -> "Predec"

@@ -390,9 +390,13 @@ let describe cfg (i : Inst.t) : t =
       else if complex_decode then cfg.Config.n_decoders - fused_uops
       else cfg.Config.n_decoders - 1
     in
+    (* a fused pair keeps the first instruction's loads and the
+       branch, so a memory destination (whose store µops would vanish)
+       never fuses *)
     let macro_fusible =
       p.fusible
       && cfg.Config.macro_fusion
+      && (not stores)
       && not (Inst.mem_operand i <> None
               && List.exists
                    (function Operand.Imm _ -> true | _ -> false)

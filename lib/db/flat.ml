@@ -1,15 +1,15 @@
-(* Flattened per-microarchitecture instruction tables.
+(* Form-indexed per-microarchitecture instruction tables.
 
    [Db.describe] re-derives a descriptor on every call by matching on
    the mnemonic and operand shapes.  That match is exactly as large as
    the instruction set and sits on the hottest path of the model
-   (block analysis calls it once per instruction).  This module
-   compiles the hand-written tables once per microarchitecture into
-   flat int/float arrays indexed by the dense form-id space enumerated
-   by [Forms] (one id per canonical mnemonic x operand-shape), and
-   serves lookups by O(1) array indexing:
+   (block analysis calls it once per instruction).  This module calls
+   [Db.describe] once per form of the dense form-id space enumerated
+   by [Forms] (one id per canonical mnemonic x operand-shape) on each
+   microarchitecture, keeps the descriptor it returns, and serves
+   lookups by one hashtable probe and one array index:
 
-     instruction --key--> form id --index--> flat arrays
+     instruction --key--> form id --index--> descriptor
 
    The [key] function projects an instruction onto the features
    [Db.describe] actually distinguishes (mnemonic, memory-operand
@@ -163,47 +163,17 @@ let key (i : Inst.t) =
         0 0 0 (-1) i.Inst.ops
 
 (* ------------------------------------------------------------------ *)
-(* Per-arch table: parallel arrays over the dense form-id space.       *)
+(* Per-arch table: one descriptor per form id.                         *)
 
 let forms : Inst.t array = Array.of_list Forms.all
 let n_forms = Array.length forms
 let form id = forms.(id)
 
-let kind_code = function
-  | Db.Load -> 0
-  | Db.Compute -> 1
-  | Db.Store_addr -> 2
-  | Db.Store_data -> 3
-  | Db.Div_pseudo -> 4
-
-let kind_of_code = function
-  | 0 -> Db.Load
-  | 1 -> Db.Compute
-  | 2 -> Db.Store_addr
-  | 3 -> Db.Store_data
-  | _ -> Db.Div_pseudo
-
-(* Descriptor flag bits, [flags] array. *)
-let f_complex = 1
-let f_eliminated = 2
-let f_zero_idiom = 4
-let f_macro_fusible = 8
-
 type table = {
-  cfg : Config.t;
-  supported : bool array;  (* per form id: [Db.describe] succeeds *)
-  fused : int array;
-  issued : int array;
-  latency : int array;
-  latency_f : float array;  (* float mirror: precedence edge weights *)
-  avail : int array;        (* available_simple_dec *)
-  flags : int array;
-  uop_off : int array;      (* n_forms + 1: offsets into uop_* *)
-  uop_kind : int array;
-  uop_ports : Port.t array;
   descs : Db.t option array;
-      (* shared descriptor views reconstructed from the arrays above:
-         a table hit returns the same immutable record every time *)
+      (* per form id: what [Db.describe] returns on the canonical
+         config, [None] where it raises [Unsupported]; a table hit
+         returns the same immutable record every time *)
   slots : (int, int) Hashtbl.t;
       (* shape key -> representative form id; keys whose forms disagree
          are left out so such shapes take the describe fallback *)
@@ -215,90 +185,35 @@ type table = {
   elim_plain : Db.t;
 }
 
-let desc_of_arrays t id : Db.t option =
-  if not t.supported.(id) then None
-  else
-    let off = t.uop_off.(id) in
-    let len = t.uop_off.(id + 1) - off in
-    Some
-      { Db.fused_uops = t.fused.(id);
-        issued_uops = t.issued.(id);
-        dispatched =
-          List.init len (fun k ->
-              { Db.kind = kind_of_code t.uop_kind.(off + k);
-                ports = t.uop_ports.(off + k) });
-        latency = t.latency.(id);
-        complex_decode = t.flags.(id) land f_complex <> 0;
-        available_simple_dec = t.avail.(id);
-        eliminated = t.flags.(id) land f_eliminated <> 0;
-        zero_idiom = t.flags.(id) land f_zero_idiom <> 0;
-        macro_fusible = t.flags.(id) land f_macro_fusible <> 0 }
-
 let build cfg =
-  let supported = Array.make n_forms false in
-  let fused = Array.make n_forms 0 in
-  let issued = Array.make n_forms 0 in
-  let latency = Array.make n_forms 0 in
-  let latency_f = Array.make n_forms 0.0 in
-  let avail = Array.make n_forms 0 in
-  let flags = Array.make n_forms 0 in
-  let uop_off = Array.make (n_forms + 1) 0 in
-  let kinds = ref [] and ports = ref [] and n_uops = ref 0 in
-  let described = Array.make n_forms None in
-  for id = 0 to n_forms - 1 do
-    uop_off.(id) <- !n_uops;
-    match Db.describe cfg forms.(id) with
-    | exception Db.Unsupported _ -> ()
-    | d ->
-      described.(id) <- Some d;
-      supported.(id) <- true;
-      fused.(id) <- d.Db.fused_uops;
-      issued.(id) <- d.Db.issued_uops;
-      latency.(id) <- d.Db.latency;
-      latency_f.(id) <- float_of_int d.Db.latency;
-      avail.(id) <- d.Db.available_simple_dec;
-      flags.(id) <-
-        (if d.Db.complex_decode then f_complex else 0)
-        lor (if d.Db.eliminated then f_eliminated else 0)
-        lor (if d.Db.zero_idiom then f_zero_idiom else 0)
-        lor (if d.Db.macro_fusible then f_macro_fusible else 0);
-      List.iter
-        (fun (u : Db.uop) ->
-          kinds := kind_code u.Db.kind :: !kinds;
-          ports := u.Db.ports :: !ports;
-          incr n_uops)
-        d.Db.dispatched
-  done;
-  uop_off.(n_forms) <- !n_uops;
-  let uop_kind = Array.of_list (List.rev !kinds) in
-  let uop_ports = Array.of_list (List.rev !ports) in
+  let descs =
+    Array.map
+      (fun f ->
+        match Db.describe cfg f with
+        | d -> Some d
+        | exception Db.Unsupported _ -> None)
+      forms
+  in
   (* key -> representative form id; drop keys whose forms disagree *)
   let slots = Hashtbl.create (2 * n_forms) in
   let ambiguous = ref [] in
-  for id = 0 to n_forms - 1 do
-    match described.(id) with
-    | None -> ()
-    | Some d ->
-      let k = key forms.(id) in
-      (match Hashtbl.find_opt slots k with
-       | None -> Hashtbl.add slots k id
-       | Some id0 when described.(id0) = Some d -> ()
-       | Some id0 -> ambiguous := (id0, id) :: !ambiguous)
-  done;
+  Array.iteri
+    (fun id d ->
+      match d with
+      | None -> ()
+      | Some _ ->
+        let k = key forms.(id) in
+        (match Hashtbl.find_opt slots k with
+         | None -> Hashtbl.add slots k id
+         | Some id0 when descs.(id0) = d -> ()
+         | Some id0 -> ambiguous := (id0, id) :: !ambiguous))
+    descs;
   List.iter (fun (_, id) -> Hashtbl.remove slots (key forms.(id))) !ambiguous;
-  let t =
-    { cfg; supported; fused; issued; latency; latency_f; avail; flags;
-      uop_off; uop_kind; uop_ports;
-      descs = Array.make n_forms None;
-      slots;
-      ambiguous = !ambiguous;
-      elim_zero = Db.eliminated_desc cfg ~zero_idiom:true;
-      elim_plain = Db.eliminated_desc cfg ~zero_idiom:false }
-  in
-  for id = 0 to n_forms - 1 do
-    t.descs.(id) <- desc_of_arrays t id
-  done;
-  t
+  { descs;
+    slots;
+    ambiguous = !ambiguous;
+    elim_zero = Db.eliminated_desc cfg ~zero_idiom:true;
+    elim_plain = Db.eliminated_desc cfg ~zero_idiom:false }
 
 (* One table per arch, built on first use and published through an
    atomic cell (this library sits below Facile_core, so no

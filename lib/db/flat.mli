@@ -1,9 +1,10 @@
-(** Flattened form-indexed instruction tables: [Db.describe] compiled
-    once per microarchitecture into flat int/float arrays indexed by
-    the dense form-id space of {!Forms}, served by O(1) array lookup
-    with a correctness-preserving fallback to [Db.describe] for shapes
-    outside the enumerated space (and for non-canonical configs, whose
-    flipped feature flags the table does not bake in).
+(** Form-indexed instruction tables: [Db.describe] called once per
+    microarchitecture on every form of the dense form-id space of
+    {!Forms}, one descriptor kept per form, served by one hashtable
+    probe and one array index with a correctness-preserving fallback to
+    [Db.describe] for shapes outside the enumerated space (and for
+    non-canonical configs, whose flipped feature flags the table does
+    not bake in).
 
     The equivalence obligation — flat lookup = [Db.describe] on every
     form x every arch — is enforced by the [flat] analyzer family of
@@ -25,33 +26,17 @@ val form : int -> Inst.t
 val key : Inst.t -> int
 
 type table = private {
-  cfg : Config.t;
-  supported : bool array;
-  fused : int array;
-  issued : int array;
-  latency : int array;
-  latency_f : float array;
-  avail : int array;
-  flags : int array;
-  uop_off : int array;
-  uop_kind : int array;
-  uop_ports : Port.t array;
   descs : Db.t option array;
+      (** per form id: [Db.describe] on the canonical config, [None]
+          where it raises [Unsupported] *)
   slots : (int, int) Hashtbl.t;
+      (** shape key -> representative form id *)
   ambiguous : (int * int) list;
-  elim_zero : Db.t;
-  elim_plain : Db.t;
+      (** form-id pairs that share a key but differ in descriptor (their
+          key takes the fallback); must be empty *)
+  elim_zero : Db.t;   (** the zero-idiom descriptor *)
+  elim_plain : Db.t;  (** the NOP / eliminated-move descriptor *)
 }
-
-(** Descriptor flag bits of the [flags] array. *)
-val f_complex : int
-val f_eliminated : int
-val f_zero_idiom : int
-val f_macro_fusible : int
-
-(** µop kind codes of the [uop_kind] array. *)
-val kind_code : Db.uop_kind -> int
-val kind_of_code : int -> Db.uop_kind
 
 (** The flat table of a microarchitecture (built once, cached;
     domain-safe). *)

@@ -28,7 +28,6 @@
    own ([spawned_minor_heap_words]). *)
 
 module Json = Facile_obs.Json
-module Obs = Facile_obs.Obs
 module Sync = Facile_core.Sync
 
 type config = {
@@ -56,7 +55,6 @@ let parse_endpoint s =
    write is best-effort (the client may already be gone). *)
 let refuse_conn t fd ~max_conns =
   Serve.conn_rejected t;
-  Obs.incr "net.conns.rejected";
   let line =
     Json.to_string
       (Serve.with_proto
@@ -201,7 +199,6 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
     let session = Serve.session ?rate t (Session.fd_transport cfd) in
     let release () =
       Serve.conn_closed t;
-      Obs.decr "net.conns.active";
       Atomic.decr active;
       Atomic.decr lane.open_conns
     in
@@ -228,8 +225,6 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
   let next_id = ref 0 in
   let admit cfd =
     Serve.conn_opened t;
-    Obs.incr "net.conns.accepted";
-    Obs.incr "net.conns.active";
     Atomic.incr active;
     incr next_id;
     let i = least_loaded lanes in

@@ -34,9 +34,9 @@
       within 0.1 s), join the spawned domains, and flush the final
       stats snapshot to stderr once.
 
-    Observable counters: [net.conns.accepted], [net.conns.active],
-    [net.conns.rejected] in the process registry, plus the
-    ["connections"] section of [{"cmd":"stats"}]. *)
+    Connections are counted in the ["connections"] section of
+    [{"cmd":"stats"}]: [accepted], [active], [rejected],
+    [rate_limited], [bytes_in] and [bytes_out]. *)
 
 type config = {
   host : string;      (** bind address, e.g. "127.0.0.1" or "0.0.0.0" *)

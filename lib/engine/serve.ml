@@ -76,7 +76,6 @@ type config = {
   cache_shards : int option;
   deadline_ms : int option;
   queue_cap : int;
-  retry_after_ms : int;
   flush_every : int option;
   limits : limits;
 }
@@ -88,7 +87,6 @@ let default_config =
     cache_shards = None;
     deadline_ms = None;
     queue_cap = 128;
-    retry_after_ms = 50;
     flush_every = None;
     limits = default_limits }
 
@@ -111,7 +109,6 @@ type t = {
   limits : limits;
   deadline_ns : int option;            (* per-request budget; None = off *)
   queue_cap : int;
-  retry_after_ms : int;
   latency : Obs.Histogram.t;  (* per-line handling latency, ns *)
   (* request tallies: atomic accumulators (and lock-free counter maps),
      bumped from N session threads — no stats mutex on the serving
@@ -146,9 +143,6 @@ let of_config (c : config) =
   if c.queue_cap < 1 then
     invalid_arg
       (Printf.sprintf "Serve.of_config: queue_cap = %d" c.queue_cap);
-  if c.retry_after_ms < 0 then
-    invalid_arg
-      (Printf.sprintf "Serve.of_config: retry_after_ms = %d" c.retry_after_ms);
   if c.limits.max_line_bytes < 1 || c.limits.max_input_bytes < 1
      || c.limits.max_insts < 1
   then invalid_arg "Serve.of_config: limits must be positive";
@@ -177,7 +171,6 @@ let of_config (c : config) =
           else ms * 1_000_000)
         c.deadline_ms;
     queue_cap = c.queue_cap;
-    retry_after_ms = c.retry_after_ms;
     latency = Obs.Histogram.create ();
     by_arch = Obs.Cmap.create ();
     by_kind = Obs.Cmap.create ();
@@ -272,10 +265,13 @@ let err_response t ~id (e : Err.t) =
   error_response t ~id ~kind:(Err.kind_name e.Err.kind) ?pos:e.Err.pos
     e.Err.msg
 
+(* The hint a shed or rate-limited request carries. *)
+let retry_after_ms = 50
+
 let shed_response t ~id =
   Atomic.incr t.shed;
   error_response t ~id ~kind:"retry_after"
-    ~extra:[ "retry_after_ms", Json.Int t.retry_after_ms ]
+    ~extra:[ "retry_after_ms", Json.Int retry_after_ms ]
     (Printf.sprintf "more than %d requests in one read" t.queue_cap)
 
 (* Wire responses carry the protocol version; appended last so the
@@ -617,7 +613,7 @@ let rate_limited_for_line t line =
   Atomic.incr t.total;
   Atomic.incr t.conns.rate_limited;
   error_response t ~id:(id_of_line line) ~kind:"rate_limited"
-    ~extra:[ "retry_after_ms", Json.Int t.retry_after_ms ]
+    ~extra:[ "retry_after_ms", Json.Int retry_after_ms ]
     "request rate limit exceeded for this connection"
 
 (* [session t transport] wires the protocol core to one byte-stream

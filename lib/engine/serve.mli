@@ -27,7 +27,8 @@
     the {!Facile_x86.Err.kind} names (including ["too_large"] and
     ["timeout"]) plus ["bad_request"], ["retry_after"] (one read of
     the connection held more than [queue_cap] requests and this one
-    was shed; the error object carries a ["retry_after_ms"] hint),
+    was shed; the error object carries a ["retry_after_ms"] hint of
+    50),
     ["rate_limited"] (a per-connection admission rate was exceeded;
     same hint), and ["internal"] (the request raised — a bug or an
     injected fault).
@@ -78,7 +79,6 @@ type config = {
           {!Engine.create}) *)
   deadline_ms : int option;  (** per-request budget; [None] = off *)
   queue_cap : int;           (** most requests answered per read *)
-  retry_after_ms : int;      (** hint sent with shed/rate_limited *)
   flush_every : int option;
       (** invoke the persistence hook ({!set_persist}) after every
           [n] successful predictions; [None] = only at shutdown *)
@@ -94,7 +94,7 @@ type t
     [c.deadline_ms = Some 0] means an already-spent budget — every
     predict request answers "timeout" — which the chaos harness uses.
     @raise Invalid_argument on non-positive [workers], [queue_cap] or
-    limits, or a negative [retry_after_ms]/[deadline_ms]. *)
+    limits, or a negative [deadline_ms]. *)
 val of_config : config -> t
 
 (** The engine behind this service (the CLI uses it to warm the memo
@@ -165,11 +165,11 @@ val conn_rejected : t -> unit
     protocol over [transport]: responses carry ["proto"], lines over
     [limits.max_line_bytes] answer ["too_large"], lines of one read
     beyond [queue_cap] answer ["retry_after"], and [rate]
-    (requests/second, off by
-    default) arms a per-session token bucket answering
-    ["rate_limited"].  Bytes and EPIPEs are accounted into [t]'s
-    shared stats; [on_peer_gone] is the session's policy hook (stdio
-    passes "stop the whole service", TCP connections pass nothing). *)
+    (requests/second, off by default) arms a per-session token bucket
+    holding up to [max 1. rate] requests, answering ["rate_limited"].
+    Bytes and EPIPEs are accounted into [t]'s shared stats;
+    [on_peer_gone] is the session's policy hook (stdio passes "stop the
+    whole service", TCP connections pass nothing). *)
 val session :
   ?rate:float -> ?on_peer_gone:(unit -> unit) -> t -> Session.transport ->
   Session.t

@@ -30,15 +30,6 @@ type sink = {
   on_epipe : unit -> unit;
 }
 
-type counters = {
-  bytes_in : int;
-  bytes_out : int;
-  lines : int;
-  shed : int;
-  rate_limited : int;
-  epipe : int;
-}
-
 type t = {
   tr : transport;
   cb : callbacks;
@@ -52,13 +43,6 @@ type t = {
   burst : float;
   mutable tokens : float; (* lint: unguarded — only the session's thread *)
   mutable last_refill_ns : int; (* lint: unguarded — only the session's thread *)
-  (* counters: written by the session's thread, readable from any *)
-  c_bytes_in : int Atomic.t;
-  c_bytes_out : int Atomic.t;
-  c_lines : int Atomic.t;
-  c_shed : int Atomic.t;
-  c_rate_limited : int Atomic.t;
-  c_epipe : int Atomic.t;
 }
 
 (* Reset-style errno sets: on the read side they mean "the stream is
@@ -109,16 +93,15 @@ let fd_transport fd =
 (* How long [run] waits for input before polling [should_stop] again. *)
 let poll_s = 0.1
 
-let create ?(queue_cap = 128) ?(rate = 0.) ?burst
+let create ?(queue_cap = 128) ?(rate = 0.)
     ?(should_stop = fun () -> false) ?(on_peer_gone = fun () -> ()) ?sink
     ~max_line_bytes cb tr =
   if queue_cap < 1 then
     invalid_arg (Printf.sprintf "Session.create: queue_cap = %d" queue_cap);
   if rate < 0. || not (Float.is_finite rate) then
     invalid_arg (Printf.sprintf "Session.create: rate = %g" rate);
-  let burst = Option.value burst ~default:(Float.max 1. rate) in
-  if rate > 0. && (burst < 1. || not (Float.is_finite burst)) then
-    invalid_arg (Printf.sprintf "Session.create: burst = %g" burst);
+  (* a second's worth of requests, and at least one *)
+  let burst = Float.max 1. rate in
   { tr;
     cb;
     sink;
@@ -130,23 +113,9 @@ let create ?(queue_cap = 128) ?(rate = 0.) ?burst
     rate;
     burst;
     tokens = burst;
-    last_refill_ns = Facile_obs.Clock.now_ns ();
-    c_bytes_in = Atomic.make 0;
-    c_bytes_out = Atomic.make 0;
-    c_lines = Atomic.make 0;
-    c_shed = Atomic.make 0;
-    c_rate_limited = Atomic.make 0;
-    c_epipe = Atomic.make 0 }
+    last_refill_ns = Facile_obs.Clock.now_ns () }
 
 let stopped t = Atomic.get t.peer_gone
-
-let counters t =
-  { bytes_in = Atomic.get t.c_bytes_in;
-    bytes_out = Atomic.get t.c_bytes_out;
-    lines = Atomic.get t.c_lines;
-    shed = Atomic.get t.c_shed;
-    rate_limited = Atomic.get t.c_rate_limited;
-    epipe = Atomic.get t.c_epipe }
 
 (* Refill-then-take token bucket. *)
 let admit t =
@@ -163,17 +132,16 @@ let admit t =
     else false
   end
 
-(* A failed write means the peer is gone: count it, run the policy
+(* A failed write means the peer is gone: report it, run the policy
    hook, and stop this session. *)
 let write_resp t s =
   match t.tr.write (s ^ "\n") with
   | () ->
-    let n = String.length s + 1 in
-    ignore (Atomic.fetch_and_add t.c_bytes_out n);
-    (match t.sink with Some k -> k.on_bytes_out n | None -> ())
+    (match t.sink with
+     | Some k -> k.on_bytes_out (String.length s + 1)
+     | None -> ())
   | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
     Atomic.set t.peer_gone true;
-    Atomic.incr t.c_epipe;
     (match t.sink with Some k -> k.on_epipe () | None -> ());
     try t.on_peer_gone () with _ -> ()
 
@@ -189,15 +157,9 @@ let answer t events =
         match ev with
         | Framing.Line l ->
           if String.trim l <> "" then begin
-            Atomic.incr t.c_lines;
-            if not (admit t) then begin
-              Atomic.incr t.c_rate_limited;
-              write_resp t (t.cb.on_rate_limited l)
-            end
-            else if !admitted >= t.queue_cap then begin
-              Atomic.incr t.c_shed;
+            if not (admit t) then write_resp t (t.cb.on_rate_limited l)
+            else if !admitted >= t.queue_cap then
               write_resp t (t.cb.on_shed l)
-            end
             else begin
               incr admitted;
               write_resp t (t.cb.on_line l)
@@ -217,7 +179,6 @@ let run t =
           (* like input_line: trailing bytes with no '\n' are a line *)
           answer t (Option.to_list (Framing.finish t.framing))
         | n ->
-          ignore (Atomic.fetch_and_add t.c_bytes_in n);
           (match t.sink with Some k -> k.on_bytes_in n | None -> ());
           answer t (Framing.feed t.framing buf 0 n);
           loop ()

@@ -23,10 +23,12 @@
 
     Failure model: a write that finds the peer gone ({!Peer_closed},
     [EPIPE]/[ECONNRESET] mapped by the transport) stops *this* session
-    only — it is counted in the session's [epipe] counter, the
-    optional [on_peer_gone] policy hook runs, the rest of the read is
-    dropped, and [run] returns normally.  Nothing here ever raises out
-    of {!run}. *)
+    only — it is reported to the sink's [on_epipe], the optional
+    [on_peer_gone] policy hook runs, the rest of the read is dropped,
+    and [run] returns normally.  Nothing here ever raises out of
+    {!run}.  The session keeps no counters of its own: shed and
+    rate-limited lines reach their callbacks, bytes and dead peers the
+    sink, and the serving core ({!Serve}) tallies them. *)
 
 (** Raised by [transport.write] when the peer has closed the
     connection; the transport must map its I/O errors ([EPIPE],
@@ -67,24 +69,12 @@ type callbacks = {
   on_rate_limited : string -> string;  (** admission rate exceeded *)
 }
 
-(** Live accounting hooks for aggregating into shared service stats;
-    all optional, all called from the session's thread. *)
+(** Live accounting hooks for aggregating into shared service stats,
+    all called from the session's thread. *)
 type sink = {
-  on_bytes_in : int -> unit;
-  on_bytes_out : int -> unit;
-  on_epipe : unit -> unit;
-}
-
-(** This session's transport-level counters.  Each is an exact,
-    monotone atomic accumulator, readable from any thread; the record
-    is read counter by counter, not as one simultaneous snapshot. *)
-type counters = {
-  bytes_in : int;       (** raw bytes read, including newlines *)
-  bytes_out : int;      (** raw bytes written, including newlines *)
-  lines : int;          (** non-blank request lines seen *)
-  shed : int;           (** lines shed over [queue_cap] in one read *)
-  rate_limited : int;   (** lines refused by the rate limiter *)
-  epipe : int;          (** writes that found the peer gone *)
+  on_bytes_in : int -> unit;   (** raw bytes read, including newlines *)
+  on_bytes_out : int -> unit;  (** raw bytes written, including newlines *)
+  on_epipe : unit -> unit;     (** a write found the peer gone *)
 }
 
 type t
@@ -94,18 +84,17 @@ type t
     [queue_cap] (default 128) is the most admitted lines answered out
     of one read; the rest of that read is answered with [on_shed].
     [rate] > 0 arms a token-bucket admission limit of [rate] requests
-    per second with burst capacity [burst] (default [max 1. rate]);
-    refused lines are answered with [on_rate_limited].  [should_stop]
+    per second with a burst capacity of [max 1. rate]; refused lines
+    are answered with [on_rate_limited].  [should_stop]
     is polled between reads so a process-wide shutdown flag also stops
     the session.  [on_peer_gone] runs once if a write finds the peer
     closed — transport policy like "stdio client vanished: stop the
     whole process" lives there.
-    @raise Invalid_argument if [queue_cap < 1], [rate < 0], or
-    [burst < 1] when a rate is set. *)
+    @raise Invalid_argument if [queue_cap < 1], or [rate] is negative
+    or not finite. *)
 val create :
   ?queue_cap:int ->
   ?rate:float ->
-  ?burst:float ->
   ?should_stop:(unit -> bool) ->
   ?on_peer_gone:(unit -> unit) ->
   ?sink:sink ->
@@ -123,5 +112,3 @@ val run : t -> unit
 
 (** [true] once a write found the peer gone. *)
 val stopped : t -> bool
-
-val counters : t -> counters

@@ -1,7 +1,7 @@
-(* Structured observability with no external dependencies: monotonic
-   spans, counters, and fixed-bucket latency histograms, all safe to
-   update from the engine's worker domains, plus a JSON snapshot for
-   the serving layer's stats endpoint. *)
+(* Structured observability with no external dependencies: fixed-bucket
+   latency histograms, a registry of named spans, and per-instance
+   counter maps, all safe to update from the engine's worker domains,
+   plus a JSON snapshot for the serving layer's stats endpoint. *)
 
 module Histogram = struct
   (* Fixed log2 buckets: bucket [i] counts samples [v] (nanoseconds)
@@ -74,32 +74,31 @@ end
 
 (* ----- global registry ----- *)
 
-(* Lock-free registry: a CAS-published assoc list per metric kind.
+(* Lock-free registry: a CAS-published assoc list of named spans.
    This library sits below Facile_core in the dependency order, so it
-   cannot use Sync.with_lock — and it should not need to: registries
-   are tiny (tens of entries, touched at module init), and a
+   cannot use Sync.with_lock — and it should not need to: the registry
+   is tiny (tens of entries, touched at module init), and a
    compare-and-set retry loop gives the same "first registration wins"
-   semantics with no lock to leak.  Hot call sites still resolve their
+   semantics with no lock to leak.  Hot call sites resolve their
    histogram once at module initialization and use
    [timed]/[Histogram.record] directly, which touch only atomics. *)
 
 let spans : (string * Histogram.t) list Atomic.t = Atomic.make []
-let counters : (string * int Atomic.t) list Atomic.t = Atomic.make []
 
 (* Register-or-find under CAS.  A lost race re-reads the list, so a
-   name resolves to exactly one cell for every caller; a losing
-   freshly-allocated cell is dropped before anyone records into it. *)
-let rec registered reg create name =
-  let cur = Atomic.get reg in
+   name resolves to exactly one histogram for every caller; a losing
+   freshly-allocated one is dropped before anyone records into it. *)
+let rec histogram name =
+  let cur = Atomic.get spans in
   match List.assoc_opt name cur with
-  | Some v -> v
+  | Some h -> h
   | None ->
-    let v = create () in
-    if Atomic.compare_and_set reg cur ((name, v) :: cur) then v
-    else registered reg create name
+    let h = Histogram.create () in
+    if Atomic.compare_and_set spans cur ((name, h) :: cur) then h
+    else histogram name
 
 (* Per-instance concurrent counter map over the same CAS-published
-   assoc-list idiom as the registries: the serving layer's
+   assoc-list idiom as the registry: the serving layer's
    by-arch/by-kind tallies are bumped from N session threads, and a
    lock there would sit exactly where the stats path should stay
    wait-free.  Key sets are tiny (arch abbrevs, error kinds), so an
@@ -132,13 +131,6 @@ module Cmap = struct
       (List.map (fun (k, c) -> (k, Atomic.get c)) (Atomic.get t))
 end
 
-let histogram name = registered spans Histogram.create name
-let counter name = registered counters (fun () -> Atomic.make 0) name
-
-let incr ?(by = 1) name = ignore (Atomic.fetch_and_add (counter name) by)
-let decr ?(by = 1) name = ignore (Atomic.fetch_and_add (counter name) (-by))
-let counter_value name = Atomic.get (counter name)
-
 (* Time [f] into [h]; the sample is recorded even when [f] raises, so
    error paths stay visible in the latency distribution. *)
 let timed h f =
@@ -151,28 +143,17 @@ let timed h f =
     Histogram.record h (Clock.now_ns () - t0);
     raise e
 
-let with_span name f = timed (histogram name) f
-let record_ns name ns = Histogram.record (histogram name) ns
-
-let sorted_bindings reg =
-  List.sort (fun (a, _) (b, _) -> compare a b) (Atomic.get reg)
-
 let snapshot () =
   Json.Obj
-    [ "counters",
-      Json.Obj
-        (List.map
-           (fun (k, c) -> (k, Json.Int (Atomic.get c)))
-           (sorted_bindings counters));
-      "spans",
+    [ "spans",
       Json.Obj
         (List.map
            (fun (k, h) -> (k, Histogram.to_json h))
-           (sorted_bindings spans)) ]
+           (List.sort
+              (fun (a, _) (b, _) -> compare a b)
+              (Atomic.get spans))) ]
 
-(* Zero every metric in place.  Entries stay registered: call sites
-   cache [Histogram.t] values at module init, and clearing the lists
+(* Zero every histogram in place.  Entries stay registered: call sites
+   cache [Histogram.t] values at module init, and clearing the list
    would silently detach those from future snapshots. *)
-let reset () =
-  List.iter (fun (_, h) -> Histogram.reset h) (Atomic.get spans);
-  List.iter (fun (_, c) -> Atomic.set c 0) (Atomic.get counters)
+let reset () = List.iter (fun (_, h) -> Histogram.reset h) (Atomic.get spans)

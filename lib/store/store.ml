@@ -2,39 +2,65 @@ open Facile_uarch
 module Err = Facile_x86.Err
 module Json = Facile_obs.Json
 module Fault = Facile_engine.Fault
+module Db = Facile_db.Db
 module Flat = Facile_db.Flat
 
 (* ----- model/table/config fingerprint -----
 
    FNV-1a 64 over every value that can change a prediction: the model's
    revision ([Model.revision], bumped with any change to the model's
-   code that moves a prediction), the flat instruction tables of all
-   nine arches, and every config field.  Derived caches (descriptor
-   objects, slot hashtable) are skipped — they are functions of what
-   is hashed.  The hash is content-based, not build-id-based, so a
+   code that moves a prediction), every config field, and the
+   descriptor of every enumerated form on all nine arches, as
+   [Flat.table] holds it.  Descriptors and µops are read through
+   complete record patterns, so a field added to [Db.t] or [Db.uop]
+   does not compile here until the fingerprint covers it.  The slot
+   hashtable is skipped: it is a function of the forms and their
+   descriptors.  The hash is content-based, not build-id-based, so a
    rebuild with an identical model and tables keeps its caches warm. *)
 
 let fnv_prime = 0x100000001B3L
 let fnv_basis = 0xCBF29CE484222325L
 
-let fingerprint_of_tables () =
+let fingerprint_of_model () =
   let h = ref fnv_basis in
   let byte b =
     h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
   in
-  let i64 (v : int64) =
+  let int v =
     for i = 0 to 7 do
-      byte (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+      byte (v asr (8 * i))
     done
   in
-  let int v = i64 (Int64.of_int v) in
-  let fl v = i64 (Int64.bits_of_float v) in
   let bool v = byte (if v then 1 else 0) in
   let str s =
     int (String.length s);
     String.iter (fun c -> byte (Char.code c)) s
   in
   let port p = int (p : Port.t :> int) in
+  let uop { Db.kind; ports } =
+    int
+      (match kind with
+       | Db.Load -> 0
+       | Db.Compute -> 1
+       | Db.Store_addr -> 2
+       | Db.Store_data -> 3
+       | Db.Div_pseudo -> 4);
+    port ports
+  in
+  let desc
+      { Db.fused_uops; issued_uops; dispatched; latency; complex_decode;
+        available_simple_dec; eliminated; zero_idiom; macro_fusible } =
+    int fused_uops;
+    int issued_uops;
+    int (List.length dispatched);
+    List.iter uop dispatched;
+    int latency;
+    bool complex_decode;
+    int available_simple_dec;
+    bool eliminated;
+    bool zero_idiom;
+    bool macro_fusible
+  in
   int Facile_core.Model.revision;
   List.iter
     (fun cfg ->
@@ -61,22 +87,14 @@ let fingerprint_of_tables () =
       port cfg.Config.ports;
       List.iter (fun (n, p) -> str n; port p)
         (Config.pm_fields cfg.Config.pm);
-      let t = Flat.table cfg in
-      Array.iter bool t.Flat.supported;
-      Array.iter int t.Flat.fused;
-      Array.iter int t.Flat.issued;
-      Array.iter int t.Flat.latency;
-      Array.iter fl t.Flat.latency_f;
-      Array.iter int t.Flat.avail;
-      Array.iter int t.Flat.flags;
-      Array.iter int t.Flat.uop_off;
-      Array.iter int t.Flat.uop_kind;
-      Array.iter port t.Flat.uop_ports)
+      Array.iter
+        (function None -> bool false | Some d -> bool true; desc d)
+        (Flat.table cfg).Flat.descs)
     Config.all;
   !h
 
 let fingerprint =
-  let fp = lazy (fingerprint_of_tables ()) in
+  let fp = lazy (fingerprint_of_model ()) in
   fun () -> Lazy.force fp
 
 (* ----- scan reports ----- *)

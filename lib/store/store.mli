@@ -15,8 +15,9 @@
 open Facile_core
 
 (** Fingerprint of this build's model: FNV-1a 64 over
-    {!Facile_core.Model.revision} and every flat table and config
-    field of all nine microarchitectures.  Computed once, cached.  A
+    {!Facile_core.Model.revision}, every config field of the nine
+    microarchitectures, and each enumerated form's descriptor on each
+    ({!Facile_db.Flat.table}'s [descs]).  Computed once, cached.  A
     store is bound to the fingerprint it was written under. *)
 val fingerprint : unit -> int64
 

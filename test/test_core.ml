@@ -167,6 +167,26 @@ let fusion_tests =
         let b4 = block skl "inc rax\njne -10" in
         Alcotest.(check int) "SKL inc fusion" 1
           (List.length (Block.logicals b4)));
+    Alcotest.test_case "a memory destination does not fuse with a Jcc" `Quick
+      (fun () ->
+        (* a fused pair keeps only the first instruction's loads and the
+           branch: fusing would drop the store-address and store-data
+           µops *)
+        let loop = "and dword ptr [r8+rdx*4+64], r10d\njne 0" in
+        List.iter
+          (fun (cfg : Config.t) ->
+            let b = block cfg loop in
+            List.iter
+              (fun (front, b) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s via %s: two logicals" cfg.Config.abbrev
+                     front)
+                  2
+                  (List.length (Block.logicals b)))
+              [ ("asm", b); ("bytes", Block.of_bytes cfg b.Block.bytes) ])
+          Config.all;
+        Alcotest.(check (float 0.)) "SKL Ports" 1.0
+          (Ports.throughput (block skl loop)));
     Alcotest.test_case "mov elimination" `Quick (fun () ->
         let elim cfg s =
           (List.hd (Block.logicals (block cfg s))).Block.eliminated

@@ -200,7 +200,6 @@ let config_tests =
               Alcotest.fail "config accepted"
             | exception Invalid_argument _ -> ())
           [ { Serve.default_config with Serve.queue_cap = 0 };
-            { Serve.default_config with Serve.retry_after_ms = -1 };
             { Serve.default_config with
               Serve.limits =
                 { Serve.default_limits with Serve.max_line_bytes = 0 } } ]) ]
@@ -242,6 +241,11 @@ let parse_line l =
   | Ok j -> j
   | Error m -> Alcotest.failf "bad response line %S: %s" l m
 
+(* One counter of [serve]'s stats. *)
+let stat serve section key =
+  Option.bind (Json.member section (Serve.stats_json serve)) (fun s ->
+      Option.bind (Json.member key s) Json.int_opt)
+
 (* Run one client against [serve] over a socketpair: send [payload],
    close the send side, collect every response line.  The session runs
    on its own thread, exactly as a TCP connection does under Net. *)
@@ -262,7 +266,7 @@ let with_session_client ?rate serve ~payload =
   let lines = recv_lines client_fd in
   Thread.join th;
   (try Unix.close client_fd with Unix.Unix_error _ -> ());
-  (lines, Session.counters session)
+  lines
 
 (* A transport over a list of chunks, one per read, recording every
    line written: the session loop with no socket in the way. *)
@@ -309,8 +313,7 @@ let shed_test =
         @ List.init cap (fun i -> Printf.sprintf "ok %d" (cap + k + i))
       in
       Alcotest.(check (list string)) "answers in input order" expect
-        (written ());
-      Alcotest.(check int) "counters.shed" k (Session.counters s).Session.shed)
+        (written ()))
 
 let session_tests serve =
   [ shed_test; Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
@@ -321,19 +324,17 @@ let session_tests serve =
                  ^ "\n"))
           ^ {|{"cmd":"stats"}|} ^ "\n"
         in
-        let results = Array.make 3 ([], None) in
+        let results = Array.make 3 [] in
         let clients =
           List.init 3 (fun c ->
               Thread.create
                 (fun () ->
-                  let lines, _ = with_session_client serve
-                                   ~payload:(payload c) in
-                  results.(c) <- (lines, None))
+                  results.(c) <- with_session_client serve ~payload:(payload c))
                 ())
         in
         List.iter Thread.join clients;
         Array.iteri
-          (fun c (lines, _) ->
+          (fun c lines ->
             Alcotest.(check int)
               (Printf.sprintf "client %d answered" c)
               21 (List.length lines);
@@ -367,9 +368,10 @@ let session_tests serve =
             (List.init n (fun i ->
                  Printf.sprintf {|{"id":%d,"hex":"90"}|} i ^ "\n"))
         in
-        let lines, counters =
-          with_session_client ~rate:2.0 serve ~payload
+        let counted_before =
+          Option.get (stat serve "connections" "rate_limited")
         in
+        let lines = with_session_client ~rate:2.0 serve ~payload in
         Alcotest.(check int) "every request answered" n (List.length lines);
         let limited =
           List.length
@@ -381,17 +383,10 @@ let session_tests serve =
           (Printf.sprintf "%d of %d rate limited" limited n)
           true
           (limited >= n - 10 && limited < n);
-        Alcotest.(check int)
-          "session counter agrees" limited counters.Session.rate_limited;
-        (* the refusals surface in the shared stats too *)
-        let stats = Serve.stats_json serve in
-        let conn_limited =
-          Option.bind (Json.member "connections" stats) (fun c ->
-              Option.bind (Json.member "rate_limited" c) Json.int_opt)
-        in
-        Alcotest.(check bool)
-          "stats connections.rate_limited counted" true
-          (Option.value ~default:0 conn_limited >= limited);
+        (* the refusals are counted once each in the shared stats *)
+        Alcotest.(check (option int)) "stats connections.rate_limited"
+          (Some (counted_before + limited))
+          (stat serve "connections" "rate_limited");
         (* rate-limited responses carry the retry hint *)
         let hinted =
           List.find_opt
@@ -410,6 +405,7 @@ let session_tests serve =
       (fun () ->
         let server_fd, client_fd = socketpair () in
         let session = Serve.session serve (Session.fd_transport server_fd) in
+        let epipe_before = Option.get (stat serve "io" "epipe") in
         (* the client sends one request and stops reading before the
            answer can be written: the session's write must fail, be
            counted, and stop only this session *)
@@ -417,22 +413,14 @@ let session_tests serve =
         Unix.shutdown client_fd Unix.SHUTDOWN_RECEIVE;
         Session.run session;
         (try Unix.close client_fd with Unix.Unix_error _ -> ());
-        let c = Session.counters session in
-        Alcotest.(check int) "epipe counted" 1 c.Session.epipe;
+        Alcotest.(check (option int)) "io.epipe counted once"
+          (Some (epipe_before + 1)) (stat serve "io" "epipe");
         Alcotest.(check bool) "session stopped" true (Session.stopped session);
         (* the shared core survived and still serves *)
         Alcotest.(check bool)
           "core still serves" true
           (Json.member "cycles" (Serve.handle_line serve {|{"hex":"90"}|})
-           <> None);
-        let stats = Serve.stats_json serve in
-        let epipe =
-          Option.bind (Json.member "io" stats) (fun io ->
-              Option.bind (Json.member "epipe" io) Json.int_opt)
-        in
-        Alcotest.(check bool)
-          "io.epipe in stats" true
-          (Option.value ~default:0 epipe >= 1)) ]
+           <> None)) ]
 
 (* ----- the real TCP listener ----- *)
 
@@ -626,10 +614,6 @@ let id_of_line l =
   | Some id -> id
   | None -> Alcotest.failf "no integer id in %S" l
 
-let conn_stat serve k =
-  Option.bind (Json.member "connections" (Serve.stats_json serve)) (fun c ->
-      Option.bind (Json.member k c) Json.int_opt)
-
 let domain_tests () =
   [ Alcotest.test_case "replies are byte-identical on 1, 2 and 4 domains"
       `Quick (fun () ->
@@ -710,9 +694,9 @@ let domain_tests () =
           fds;
         Alcotest.(check int) "domains that answered" 3 (seen ());
         Alcotest.(check (option int)) "connections.active" (Some 0)
-          (conn_stat serve "active");
+          (stat serve "connections" "active");
         Alcotest.(check (option int)) "connections.accepted" (Some conns)
-          (conn_stat serve "accepted"));
+          (stat serve "connections" "accepted"));
     Alcotest.test_case "max-conns is one count across domains" `Quick
       (fun () ->
         let serve, seen = domain_serve 2 in
@@ -732,7 +716,7 @@ let domain_tests () =
            Alcotest.failf "expected one refusal line, got %d" (List.length ls));
         Unix.close refused;
         Alcotest.(check (option int)) "rejected" (Some 1)
-          (conn_stat serve "rejected");
+          (stat serve "connections" "rejected");
         Array.iter Unix.close held;
         Serve.request_shutdown serve;
         Thread.join th) ]

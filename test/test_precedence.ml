@@ -3,9 +3,10 @@
    over the loop-carried resources ([Precedence.throughput]); the
    reference runs Howard on the full graph ([throughput_ref]).  These
    tests hold the two together bit for bit, pin two blocks on which
-   Howard used to cycle until its guard gave up, and check that
-   repeating a block scales the bound exactly, as it does Issue and
-   Ports. *)
+   Howard used to cycle until its guard gave up, and check three
+   metamorphic relations: repeating a block scales the bound exactly,
+   as it does Issue and Ports; appending an instruction never lowers
+   Issue or Ports; renaming registers moves none of the three. *)
 
 open Facile_x86
 open Facile_uarch
@@ -13,6 +14,7 @@ open Facile_db
 open Facile_core
 module Baselines = Facile_baselines.Baselines
 module Genblock = Facile_bhive.Genblock
+module Prng = Facile_bhive.Prng
 
 let bits = Int64.bits_of_float
 
@@ -156,8 +158,115 @@ let qcheck_repetition_scales =
         (fun cfg -> check cfg body && check cfg (Genblock.looped body))
         Config.all)
 
+(* Appending an instruction adds µops, or, when a Jcc macro-fuses with
+   the instruction before it, moves that instruction's compute µop onto
+   the branch port, a subset of its ports: Issue and Ports never drop.
+   The instruction (a Jcc one time in three) is appended to every
+   prefix of a body, so each instruction of the body is the last one
+   once, and to the body's loop. *)
+let appended pick =
+  let rng = Prng.create (succ pick) in
+  if Prng.int rng 3 = 0 then
+    Inst.make (Inst.Jcc (Prng.choose rng Inst.all_conds)) [ Operand.imm 0 ]
+  else
+    Genblock.random_inst rng (Prng.choose rng Genblock.all_profiles)
+      ~allow_fma:true
+
+let prefixes insts =
+  List.init (List.length insts) (fun k ->
+      List.filteri (fun i _ -> i <= k) insts)
+
+let qcheck_append_never_lowers =
+  QCheck.Test.make ~name:"appending an instruction never lowers Issue or Ports"
+    ~count:200 (QCheck.pair gen_body QCheck.small_nat) (fun (params, pick) ->
+      let body = body_of params in
+      let extra = appended pick in
+      let check cfg insts =
+        match
+          (Block.of_instructions cfg insts,
+           Block.of_instructions cfg (insts @ [ extra ]))
+        with
+        | exception Db.Unsupported _ -> true
+        | b, b' ->
+          List.for_all
+            (fun (name, throughput) ->
+              let v = throughput b and v' = throughput b' in
+              v' >= v
+              || QCheck.Test.fail_reportf
+                   "%s %s: %h after appending %s, %h before, on\n%s" name
+                   cfg.Config.abbrev v' (Inst.to_string extra) v (show insts))
+            [ ("Issue", Issue.throughput); ("Ports", Ports.throughput) ]
+      in
+      List.for_all
+        (fun cfg ->
+          List.for_all (check cfg) (Genblock.looped body :: prefixes body))
+        Config.all)
+
+(* A bijective renaming of registers relabels the dependence graph and
+   leaves every µop and port set alone, so Issue, Ports and Precedence
+   do not move by a bit.  RAX, RCX, RDX and RSP stay put: MUL/DIV,
+   CDQ, shifts by CL and PUSH/POP use them implicitly. *)
+let renamable =
+  Register.[ RBX; RBP; RSI; RDI; R8; R9; R10; R11; R12; R13; R14; R15 ]
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let renaming pick =
+  let rng = Prng.create (succ pick) in
+  let gprs = List.combine renamable (shuffle rng renamable) in
+  let vecs = Array.of_list (shuffle rng (List.init 16 Fun.id)) in
+  let gpr r = Option.value (List.assoc_opt r gprs) ~default:r in
+  let operand = function
+    | Operand.Reg (Register.Gpr (w, r)) -> Operand.Reg (Register.Gpr (w, gpr r))
+    | Operand.Reg (Register.Xmm n) -> Operand.Reg (Register.Xmm vecs.(n))
+    | Operand.Reg (Register.Ymm n) -> Operand.Reg (Register.Ymm vecs.(n))
+    | Operand.Mem m ->
+      Operand.Mem
+        { m with
+          Operand.base = Option.map gpr m.Operand.base;
+          index = Option.map (fun (r, sc) -> (gpr r, sc)) m.Operand.index }
+    | Operand.Imm _ as o -> o
+  in
+  fun (i : Inst.t) -> Inst.make i.Inst.mnem (List.map operand i.Inst.ops)
+
+let qcheck_renaming_invariant =
+  QCheck.Test.make
+    ~name:"renaming registers leaves Issue, Ports and Precedence unchanged"
+    ~count:200 (QCheck.pair gen_body QCheck.small_nat) (fun (params, pick) ->
+      let body = body_of params in
+      let renamed = List.map (renaming pick) body in
+      let check cfg (insts, insts') =
+        match
+          (Block.of_instructions cfg insts, Block.of_instructions cfg insts')
+        with
+        | exception Db.Unsupported _ -> true
+        | b, b' ->
+          List.for_all
+            (fun (name, throughput) ->
+              let v = throughput b and v' = throughput b' in
+              bits v = bits v'
+              || QCheck.Test.fail_reportf
+                   "%s %s: %h renamed, %h on\n%s\nrenamed\n%s" name
+                   cfg.Config.abbrev v' v (show insts) (show insts'))
+            scaled_components
+      in
+      List.for_all
+        (fun cfg ->
+          check cfg (body, renamed)
+          && check cfg (Genblock.looped body, Genblock.looped renamed))
+        Config.all)
+
 let suite =
   [ "core.precedence",
     converges_tests
     @ List.map QCheck_alcotest.to_alcotest
-        [ qcheck_maxplus_equals_howard; qcheck_repetition_scales ] ]
+        [ qcheck_maxplus_equals_howard; qcheck_repetition_scales;
+          qcheck_append_never_lowers; qcheck_renaming_invariant ] ]

@@ -559,9 +559,9 @@ let run_cli_out args =
   in
   (rc, In_channel.with_open_bin out In_channel.input_all)
 
-(* The fingerprint every store carried before [Model.revision] was
-   folded in: a model older than the revision this build knows. *)
-let pre_revision_fingerprint = 0x776378b951b0b844L
+(* Fingerprints of older models: every store carried the first before
+   [Model.revision] was folded in, and the second at revision 1. *)
+let older_fingerprints = [ 0x776378b951b0b844L; 0x96e4006d7c917f29L ]
 
 let cli_tests =
   [ Alcotest.test_case "--cache-cap 0 exits 1 before reading input" `Quick
@@ -623,19 +623,25 @@ let cli_tests =
           out);
     Alcotest.test_case "a store from an older model revision exits 12" `Quick
       (fun () ->
-        with_temp @@ fun path ->
-        write_file path
-          (Segment.encode_header ~fingerprint:pre_revision_fingerprint
-          ^ Segment.encode_frame (Codec.encode (mk_record "4801d8")));
-        let quoted = Filename.quote path in
-        Alcotest.(check int) "cache verify" 12
-          (run_cli (Printf.sprintf "cache verify %s" quoted));
-        let rc, err =
-          run_cli_err ~stdin:"4801d8\n" (Printf.sprintf "batch --store %s" quoted)
-        in
-        Alcotest.(check int) "batch --store" 12 rc;
-        Alcotest.(check bool) (Printf.sprintf "store_skew in %S" err) true
-          (String.ends_with ~suffix:"(store_skew)\n" err));
+        List.iter
+          (fun fingerprint ->
+            with_temp @@ fun path ->
+            write_file path
+              (Segment.encode_header ~fingerprint
+              ^ Segment.encode_frame (Codec.encode (mk_record "4801d8")));
+            let quoted = Filename.quote path in
+            let what = Printf.sprintf "%016Lx: " fingerprint in
+            Alcotest.(check int) (what ^ "cache verify") 12
+              (run_cli (Printf.sprintf "cache verify %s" quoted));
+            let rc, err =
+              run_cli_err ~stdin:"4801d8\n"
+                (Printf.sprintf "batch --store %s" quoted)
+            in
+            Alcotest.(check int) (what ^ "batch --store") 12 rc;
+            Alcotest.(check bool)
+              (Printf.sprintf "%sstore_skew in %S" what err) true
+              (String.ends_with ~suffix:"(store_skew)\n" err))
+          older_fingerprints);
     Alcotest.test_case "a directory as the store is refused by name" `Quick
       (fun () ->
         let dir = Filename.get_temp_dir_name () in

@@ -13,6 +13,8 @@ open Facile_uarch
 open Facile_core
 module Json = Facile_obs.Json
 module Engine = Facile_engine.Engine
+module Serve = Facile_engine.Serve
+module Net = Facile_engine.Net
 module Store = Facile_store.Store
 module Store_codec = Facile_store.Codec
 
@@ -161,15 +163,6 @@ let cache_cap_arg =
   Arg.(value
        & opt int Engine.default_cache_cap
        & info [ "cache-cap" ] ~docv:"N" ~doc)
-
-let cache_shards_arg =
-  let doc =
-    "Memoization cache shard count (default: 4x the worker count; \
-     rounded up to a power of two and clamped so every shard keeps a \
-     useful capacity). More shards reduce lock contention between \
-     concurrent requests; 1 forces the single-lock cache."
-  in
-  Arg.(value & opt (some int) None & info [ "cache-shards" ] ~docv:"N" ~doc)
 
 let deadline_opt_arg =
   let doc =
@@ -328,14 +321,12 @@ let warm pool (report : Store.report) =
   Engine.memo_seed pool (List.rev_map Store_codec.to_memo report.Store.records)
 
 let batch_cmd =
-  let run arch mode workers no_memo cache_cap cache_shards store quiet json
-      file =
+  let run arch mode workers no_memo cache_cap store quiet json file =
     run_command arch (fun cfg ->
         (* flag validation first: a bad flag must fail the same way on
            an empty stdin as on a full corpus *)
         require_opt_at_least ~flag:"--workers" 1 workers;
         require_at_least ~flag:"--cache-cap" 1 cache_cap;
-        require_opt_at_least ~flag:"--cache-shards" 1 cache_shards;
         if store <> None && no_memo then
           failwith "--store requires memoization (drop --no-memo)";
         let* notion = Model.notion_of_string mode in
@@ -376,10 +367,7 @@ let batch_cmd =
         configure_faults ();
         let* store = open_store store in
         let blocks = List.map (fun (_, b, _) -> b) cases in
-        let pool =
-          Engine.create ?workers ~memoize:(not no_memo) ~cache_cap
-            ?cache_shards ()
-        in
+        let pool = Engine.create ?workers ~memoize:(not no_memo) ~cache_cap () in
         Option.iter (fun (_, report) -> warm pool report) store;
         let t0 = Unix.gettimeofday () in
         let preds =
@@ -425,7 +413,7 @@ let batch_cmd =
         end;
         let out = if json then stderr else stdout in
         let n = List.length blocks in
-        let hits, misses = Engine.memo_stats pool in
+        let { Engine.hits; misses; _ } = Engine.cache_stats pool in
         Printf.fprintf out
           "%d blocks on %s in %.3f s (%.0f blocks/s, %d worker%s%s)\n" n
           cfg.Config.name dt
@@ -474,21 +462,17 @@ let batch_cmd =
           line, optionally ',<measured cycles>' for aggregate error \
           metrics).")
     Term.(const run $ arch_arg $ mode_arg $ workers_arg $ no_memo_arg
-          $ cache_cap_arg $ cache_shards_arg $ store_arg $ quiet_arg
-          $ json_arg $ file_arg)
+          $ cache_cap_arg $ store_arg $ quiet_arg $ json_arg $ file_arg)
 
 (* ----- serve: long-running NDJSON prediction service ----- *)
 
 let serve_cmd =
-  let run workers no_memo deadline_ms no_deadline queue_cap cache_cap
-      cache_shards store store_flush max_input_bytes max_insts tcp max_conns
-      conn_rate =
+  let run workers no_memo deadline_ms no_deadline cache_cap store store_flush
+      max_input_bytes max_insts tcp max_conns conn_rate =
     finish @@ fun () ->
     require_opt_at_least ~flag:"--workers" 1 workers;
-    require_at_least ~flag:"--deadline-ms" 0 deadline_ms;
-    require_at_least ~flag:"--queue" 1 queue_cap;
+    require_opt_at_least ~flag:"--deadline-ms" 0 deadline_ms;
     require_at_least ~flag:"--cache-cap" 1 cache_cap;
-    require_opt_at_least ~flag:"--cache-shards" 1 cache_shards;
     require_opt_at_least ~flag:"--store-flush" 1 store_flush;
     require_at_least ~flag:"--max-input-bytes" 1 max_input_bytes;
     require_at_least ~flag:"--max-insts" 1 max_insts;
@@ -503,7 +487,7 @@ let serve_cmd =
       match tcp with
       | None -> None
       | Some s ->
-        (match Facile_engine.Net.parse_endpoint s with
+        (match Net.parse_endpoint s with
          | Ok (host, port) -> Some (host, port)
          | Error m -> failwith ("--tcp: " ^ m))
     in
@@ -512,27 +496,24 @@ let serve_cmd =
        or corrupt store must refuse with its typed exit code, not
        after the listener is up *)
     let* store = open_store store in
+    let deadline_ms = if no_deadline then None else deadline_ms in
     let t =
-      Facile_engine.Serve.of_config
-        { Facile_engine.Serve.workers;
+      Serve.of_config
+        { Serve.workers;
           memoize = not no_memo;
           cache_cap = Some cache_cap;
-          cache_shards;
-          deadline_ms = (if no_deadline then None else Some deadline_ms);
-          queue_cap;
+          deadline_ms;
           flush_every = store_flush;
-          limits =
-            { Facile_engine.Serve.default_limits with
-              Facile_engine.Serve.max_input_bytes; max_insts } }
+          limits = { Serve.default_limits with Serve.max_input_bytes; max_insts } }
     in
-    let engine = Facile_engine.Serve.engine t in
+    let engine = Serve.engine t in
     (* warm restart + persistence hook: replay the store into the memo
        cache, then flush new entries back every --store-flush
        predictions and at graceful shutdown *)
     Option.iter
       (fun (w, report) ->
         warm engine report;
-        Facile_engine.Serve.set_persist t (fun () ->
+        Serve.set_persist t (fun () ->
             ignore (Store.sync_memo w (Engine.memo_entries engine))))
       store;
     (* one-line effective-config announce on stderr (stdout carries
@@ -543,13 +524,14 @@ let serve_cmd =
          (Json.Obj
             [ "config",
               Json.Obj
-                [ "workers", Json.Int (Facile_engine.Serve.workers t);
+                [ "workers", Json.Int (Serve.workers t);
                   "memoize", Json.Bool (not no_memo);
                   "cache_cap", Json.Int cache_cap;
                   "cache_shards", Json.Int (Engine.cache_shard_count engine);
                   "deadline_ms",
-                  (if no_deadline then Json.Null else Json.Int deadline_ms);
-                  "queue", Json.Int queue_cap;
+                  (match deadline_ms with
+                   | None -> Json.Null
+                   | Some ms -> Json.Int ms);
                   "max_input_bytes", Json.Int max_input_bytes;
                   "max_insts", Json.Int max_insts;
                   "store",
@@ -572,15 +554,15 @@ let serve_cmd =
            before the writer is closed *)
         Fun.protect
           ~finally:(fun () -> Option.iter (fun (w, _) -> Store.close w) store)
-          (fun () -> Facile_engine.Serve.shutdown t))
+          (fun () -> Serve.shutdown t))
       (fun () ->
         match tcp_endpoint with
-        | None -> Facile_engine.Serve.run t stdin stdout
+        | None -> Serve.run t stdin stdout
         | Some (host, port) ->
           (* the bound address goes to stderr as one JSON line so
              clients (and the chaos harness) can discover an
              ephemeral port; stdout stays idle in TCP mode *)
-          Facile_engine.Net.run t
+          Net.run t
             ~announce:(fun ~host ~port ->
               prerr_endline
                 (Json.to_string
@@ -588,7 +570,7 @@ let serve_cmd =
                       [ "listening",
                         Json.Str (Printf.sprintf "%s:%d" host port) ]));
               flush stderr)
-            { Facile_engine.Net.host; port; max_conns; conn_rate });
+            { Net.host; port; max_conns; conn_rate });
     Ok ()
   in
   let serve_workers_arg =
@@ -607,28 +589,21 @@ let serve_cmd =
        budget answer a typed timeout error. 0 means an already-spent \
        budget (every predict request times out — useful for drills)."
     in
-    Arg.(value & opt int 2000 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt (some int) Serve.default_config.deadline_ms
+         & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
   let no_deadline_arg =
     let doc = "Disable the per-request deadline." in
     Arg.(value & flag & info [ "no-deadline" ] ~doc)
   in
-  let queue_arg =
-    let doc =
-      "Most requests answered out of one read of a connection; the rest \
-       of that read are shed with a retry_after error instead of \
-       growing memory."
-    in
-    Arg.(value & opt int 128 & info [ "queue" ] ~docv:"N" ~doc)
-  in
   let serve_max_input_arg =
     let doc = "Per-request hex/asm payload limit in bytes (too_large)." in
-    Arg.(value & opt int Facile_engine.Serve.default_limits.Facile_engine.Serve.max_input_bytes
+    Arg.(value & opt int Serve.default_limits.max_input_bytes
          & info [ "max-input-bytes" ] ~docv:"BYTES" ~doc)
   in
   let max_insts_arg =
     let doc = "Per-request instruction-count limit (too_large)." in
-    Arg.(value & opt int Facile_engine.Serve.default_limits.Facile_engine.Serve.max_insts
+    Arg.(value & opt int Serve.default_limits.max_insts
          & info [ "max-insts" ] ~docv:"N" ~doc)
   in
   let tcp_arg =
@@ -645,7 +620,8 @@ let serve_cmd =
       "Concurrent TCP connection limit; connections over the limit are \
        answered with a single retry_after line and closed."
     in
-    Arg.(value & opt int 64 & info [ "max-conns" ] ~docv:"N" ~doc)
+    Arg.(value & opt int Net.default_config.max_conns
+         & info [ "max-conns" ] ~docv:"N" ~doc)
   in
   let store_flush_arg =
     let doc =
@@ -664,13 +640,16 @@ let serve_cmd =
        bucket; refused requests answer a typed rate_limited error with \
        a retry_after_ms hint). 0 disables the limit."
     in
-    Arg.(value & opt float 0.0 & info [ "conn-rate" ] ~docv:"RPS" ~doc)
+    Arg.(value & opt float Net.default_config.conn_rate
+         & info [ "conn-rate" ] ~docv:"RPS" ~doc)
   in
   let man =
     [ `S Manpage.s_description;
       `P
         "Reads one JSON request object per line from standard input \
-         and answers each with one JSON object on standard output. \
+         and answers each with one JSON object on standard output, \
+         every line in order: a client that writes faster than it \
+         reads its answers is held back by the pipe, never refused. \
          The engine and its memoization cache persist across \
          requests, so repeated blocks are predicted once.";
       `P
@@ -681,7 +660,7 @@ let serve_cmd =
          {\"id\":..,\"error\":{\"kind\":..,\"msg\":..}}.";
       `P
         "{\"cmd\":\"stats\"} returns request counts, error counts by \
-         kind, cache hits/misses/evictions, queue shed counts, \
+         kind, cache hits/misses/evictions, connection counts, \
          fault-injection counters, p50/p95/p99 latency, and \
          per-component time attribution. Malformed input yields a \
          typed error response.";
@@ -696,12 +675,11 @@ let serve_cmd =
          concurrent connections on --workers serving domains: each \
          connection gets its own thread on the domain with the fewest \
          open connections, which reads, predicts and answers its \
-         requests in order, its own framing, --queue shedding \
-         (retry_after per connection), \
-         and optional --conn-rate admission bucket (refusals answer \
-         rate_limited), while all connections share one engine and \
-         memoization cache. Connections over \
-         --max-conns are refused with a retry_after line. A client \
+         requests in order, with its own framing and optional \
+         --conn-rate admission bucket (refusals answer rate_limited), \
+         while all connections share one engine and memoization \
+         cache. Connections over --max-conns are refused with a \
+         retry_after line. A client \
          that disconnects mid-write is counted under io.epipe and \
          never affects other connections. Stats gain a \
          \"connections\" section (accepted/active/rejected/\
@@ -711,8 +689,7 @@ let serve_cmd =
          exception, such as an injected fault, answers a typed \
          internal error for that request only); requests over the \
          --deadline-ms budget answer timeout; oversized inputs answer \
-         too_large; requests of one read beyond --queue are shed with \
-         retry_after. EOF, SIGINT, SIGTERM, and a closed client pipe \
+         too_large. EOF, SIGINT, SIGTERM, and a closed client pipe \
          all answer what was read, flush a final stats snapshot to \
          stderr, and exit 0. Set \
          FACILE_FAULT=point:rate:seed[:limit] (points: decode, \
@@ -733,9 +710,9 @@ let serve_cmd =
          "Serve predictions over a fault-tolerant NDJSON loop (stdio \
           or multi-client TCP).")
     Term.(const run $ serve_workers_arg $ no_memo_arg $ deadline_arg
-          $ no_deadline_arg $ queue_arg $ cache_cap_arg $ cache_shards_arg
-          $ store_arg $ store_flush_arg $ serve_max_input_arg $ max_insts_arg
-          $ tcp_arg $ max_conns_arg $ conn_rate_arg)
+          $ no_deadline_arg $ cache_cap_arg $ store_arg $ store_flush_arg
+          $ serve_max_input_arg $ max_insts_arg $ tcp_arg $ max_conns_arg
+          $ conn_rate_arg)
 
 (* ----- simulate ----- *)
 

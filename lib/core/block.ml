@@ -62,11 +62,12 @@ type t = {
   flat : flat;
 }
 
-(* The macro-fusion rule: an instruction the table marks fusible fuses
-   with a directly following conditional branch.  Pairs are taken
-   greedily in program order. *)
-let fuses cfg (d : Db.t) (next : Inst.t) =
-  cfg.Config.macro_fusion && d.Db.macro_fusible && Inst.is_cond_branch next
+(* The macro-fusion rule: an instruction [i] the table marks fusible
+   fuses with a directly following conditional branch whose condition
+   it may pair with ({!Db.macro_fuses}).  Pairs are taken greedily in
+   program order. *)
+let fuses cfg (d : Db.t) (i : Inst.t) (next : Inst.t) =
+  cfg.Config.macro_fusion && d.Db.macro_fusible && Db.macro_fuses i next
 
 (* GPR bitmask of the load-address registers of [i]'s memory operand:
    the Precedence component adds the load latency on exactly these
@@ -208,7 +209,7 @@ let build cfg bytes (layouts : Encode.layout list) =
       let d = Flat.describe cfg i in
       entry k l;
       (match rest with
-       | (j : Encode.layout) :: rest' when fuses cfg d j.Encode.inst ->
+       | (j : Encode.layout) :: rest' when fuses cfg d i j.Encode.inst ->
          (* a macro-fused pair: one µop on the branch unit; the first
             instruction's load µop (if any) stays micro-fused *)
          ignore (Flat.describe cfg j.Encode.inst : Db.t);
@@ -334,7 +335,8 @@ let entries t =
       let inst = t.insts.(k) in
       let desc = Flat.describe t.cfg inst in
       let fuses_with_next =
-        (not prev_fuses) && k + 1 < n && fuses t.cfg desc t.insts.(k + 1)
+        (not prev_fuses) && k + 1 < n
+        && fuses t.cfg desc inst t.insts.(k + 1)
       in
       let layout =
         { Encode.inst; off; len = fl.e_last.(k) - off + 1;

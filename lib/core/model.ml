@@ -7,8 +7,10 @@ let all_components = [ Predec; Dec; LSD; DSB; Issue; Ports; Precedence ]
 (* 1: Howard's policy cycles rooted at their smallest node, which moved
    the predictions that used to fall back to Lawler.
    2: an instruction with a memory destination no longer macro-fuses
-   with a following Jcc (the fused pair dropped its store µops). *)
-let revision = 2
+   with a following Jcc (the fused pair dropped its store µops).
+   3: macro-fusion heeds the Jcc's condition (CMP/ADD/SUB do not fuse
+   with JO/JNO/JS/JNS/JP/JNP, INC/DEC only with JE/JNE/JL/JGE/JLE/JG). *)
+let revision = 3
 
 let component_name = function
   | Predec -> "Predec"

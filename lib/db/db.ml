@@ -407,6 +407,30 @@ let describe cfg (i : Inst.t) : t =
       macro_fusible }
   end
 
+(* The condition half of macro-fusion, by the flags each Jcc reads
+   (Intel's optimization manual, the macro-fusion table for Sandy
+   Bridge and later; Agner Fog's microarchitecture guide): TEST and AND
+   fuse with every Jcc; CMP, ADD and SUB with every Jcc but those of
+   OF, SF or PF alone; INC and DEC, which leave CF as it was, only
+   with the zero and signed-compare conditions.  Whether the first
+   instruction is fusible at all on a µarch is [macro_fusible]. *)
+let macro_fuses (first : Inst.t) (next : Inst.t) =
+  match first.Inst.mnem, next.Inst.mnem with
+  | (Inst.TEST | Inst.AND), Inst.Jcc _ -> true
+  | (Inst.CMP | Inst.ADD | Inst.SUB), Inst.Jcc c ->
+    (match c with
+     | Inst.B | Inst.NB | Inst.E | Inst.NE | Inst.BE | Inst.NBE
+     | Inst.L | Inst.NL | Inst.LE | Inst.NLE ->
+       true
+     | Inst.O | Inst.NO | Inst.S | Inst.NS | Inst.P | Inst.NP -> false)
+  | (Inst.INC | Inst.DEC), Inst.Jcc c ->
+    (match c with
+     | Inst.E | Inst.NE | Inst.L | Inst.NL | Inst.LE | Inst.NLE -> true
+     | Inst.O | Inst.NO | Inst.B | Inst.NB | Inst.BE | Inst.NBE
+     | Inst.S | Inst.NS | Inst.P | Inst.NP ->
+       false)
+  | _ -> false
+
 let supported cfg i =
   match describe cfg i with
   | _ -> true

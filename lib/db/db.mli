@@ -54,6 +54,13 @@ val describe : Config.t -> Inst.t -> t
 
 exception Unsupported of string
 
+(** [macro_fuses first next] — whether [first], where its descriptor
+    is [macro_fusible], fuses with [next]: only a Jcc, and only on a
+    condition its flags allow.  TEST and AND fuse with every Jcc; CMP,
+    ADD and SUB with all but JO, JNO, JS, JNS, JP and JNP; INC and DEC
+    only with JE, JNE, JL, JGE, JLE and JG. *)
+val macro_fuses : Inst.t -> Inst.t -> bool
+
 (** [supported cfg inst] is [true] iff [describe] succeeds. *)
 val supported : Config.t -> Inst.t -> bool
 

@@ -200,10 +200,6 @@ let predict_batch pool ~mode blocks =
   in
   Array.to_list (map pool f (Array.of_list blocks))
 
-let memo_stats pool =
-  let s = Shard_cache.stats pool.memo in
-  (s.Shard_cache.hits, s.Shard_cache.misses)
-
 (* ------------------------------------------------------------------ *)
 (* Memo persistence: the warm-restart surface of the persistent
    prediction store (Facile_store).  [memo_entries] snapshots the
@@ -227,7 +223,7 @@ let memo_seed pool entries =
         Shard_cache.add pool.memo (arch, mode, code) (insts, p))
       (List.rev entries)
 
-type cache_stats = {
+type cache_stats = Shard_cache.stats = {
   hits : int;
   misses : int;
   coalesced : int;
@@ -237,9 +233,4 @@ type cache_stats = {
   shards : int;
 }
 
-let cache_stats pool =
-  let s = Shard_cache.stats pool.memo in
-  { hits = s.Shard_cache.hits; misses = s.Shard_cache.misses;
-    coalesced = s.Shard_cache.coalesced; evictions = s.Shard_cache.evictions;
-    entries = s.Shard_cache.entries; capacity = s.Shard_cache.capacity;
-    shards = s.Shard_cache.shards }
+let cache_stats pool = Shard_cache.stats pool.memo

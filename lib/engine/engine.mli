@@ -59,9 +59,9 @@ val shutdown : t -> unit
 val with_pool :
   ?workers:int -> ?memoize:bool -> ?cache_shards:int -> (t -> 'a) -> 'a
 
-type cache_stats = {
-  hits : int;
-  misses : int;
+type cache_stats = Shard_cache.stats = {
+  hits : int;      (** found cached, including coalesced waits *)
+  misses : int;    (** distinct keys actually predicted *)
   coalesced : int; (** requests that waited on another's compute *)
   evictions : int; (** entries dropped by the LRU bound *)
   entries : int;   (** currently cached *)
@@ -69,9 +69,11 @@ type cache_stats = {
   shards : int;
 }
 
-(** Full memoization-cache accounting (see also {!memo_stats}).
-    Counters are atomic accumulators: each is exact and monotone, but
-    the record is not a simultaneous snapshot across counters. *)
+(** The memoization layer's accounting since [create].  A hit is a
+    reuse, whether from a duplicate within one batch, a coalesced
+    concurrent request, or an earlier batch.  Counters are atomic
+    accumulators: each is exact and monotone, but the record is not a
+    simultaneous snapshot across counters. *)
 val cache_stats : t -> cache_stats
 
 (** [map t f xs] — [Array.map f xs], spread over the pool. [f] must be
@@ -118,12 +120,6 @@ val predict : t -> mode:Model.notion -> Block.t -> Model.prediction
 val predict_code :
   t -> Facile_uarch.Config.t -> mode:Model.notion -> string ->
   analyze:(unit -> Block.t) -> int * Model.prediction
-
-(** [(hits, misses)] of the memoization layer since [create]. A miss is
-    a distinct key actually predicted; a hit is a reuse, whether from a
-    duplicate within one batch, a coalesced concurrent request, or an
-    earlier batch. *)
-val memo_stats : t -> int * int
 
 (** A memo entry's key as persisted: microarchitecture, requested
     mode, the block's instruction count and its exact bytes.  The

@@ -191,15 +191,14 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
      announce ~host:(Unix.string_of_inet_addr a) ~port:p
    | Unix.ADDR_UNIX _ -> ());
   let lanes = Array.init (Serve.workers t) (fun _ -> lane ()) in
-  let active = Atomic.make 0 in
-  let rate = if cfg.conn_rate > 0. then Some cfg.conn_rate else None in
   (* Serve connection [id] on a new thread of the calling domain, which
      is [lane]'s. *)
   let start lane (id, cfd) =
-    let session = Serve.session ?rate t (Session.fd_transport cfd) in
+    let session =
+      Serve.session ~rate:cfg.conn_rate t (Session.fd_transport cfd)
+    in
     let release () =
       Serve.conn_closed t;
-      Atomic.decr active;
       Atomic.decr lane.open_conns
     in
     let body () =
@@ -225,7 +224,6 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
   let next_id = ref 0 in
   let admit cfd =
     Serve.conn_opened t;
-    Atomic.incr active;
     incr next_id;
     let i = least_loaded lanes in
     Atomic.incr lanes.(i).open_conns;
@@ -241,7 +239,7 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
          | cfd, _peer ->
            if Serve.stopping t then (
              try Unix.close cfd with Unix.Unix_error _ -> ())
-           else if Atomic.get active >= cfg.max_conns then
+           else if Serve.active_conns t >= cfg.max_conns then
              refuse_conn t cfd ~max_conns:cfg.max_conns
            else admit cfd
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -4,8 +4,8 @@
     accepted connection as one {!Session} ({!Serve.session}) on one
     thread, against the shared {!Serve.t} core — every client shares
     the engine, memo cache and statistics, and each request is
-    predicted on its connection's thread, while framing, admission,
-    shedding and write failures stay per connection.
+    predicted on its connection's thread, while framing, admission
+    and write failures stay per connection.
 
     The threads run on {!Serve.workers} serving domains: the calling
     domain, which also runs the accept loop, and [workers - 1] domains
@@ -15,16 +15,17 @@
     fewest open connections, ties to the lowest index (the calling
     domain is index 0), and stays there until it closes.
 
-    - at most [max_conns] connections are served concurrently;
-      connections over the limit are answered with one
-      ["retry_after"] line and closed, counted under
-      [connections.rejected];
+    - at most [max_conns] connections are served concurrently (the
+      service's [connections.active] count); connections over the
+      limit are answered with one ["retry_after"] line and closed,
+      counted under [connections.rejected];
     - [conn_rate] > 0 arms a per-connection token bucket of that many
       requests/second; refused requests answer ["rate_limited"] with
       a [retry_after_ms] hint, counted under
       [connections.rate_limited];
-    - a client that pipelines more than the session's queue capacity
-      in one read is shed per connection with ["retry_after"], never
+    - every line a connection sends is answered, in order, before
+      its session reads again, so a client that pipelines faster than
+      it reads its replies is held back by its own socket, never
       stalling other clients;
     - a client that disconnects mid-write ([EPIPE]/[ECONNRESET])
       kills only its own session, counted under [io.epipe];

@@ -10,7 +10,7 @@
    This module is the protocol/session core only: request parsing,
    admission limits, deadlines, the request boundary, response
    encoding, and the shared statistics.  Byte-stream mechanics live in
-   {!Session} (framing, shedding, the per-connection loop); {!run}
+   {!Session} (framing, admission, the per-connection loop); {!run}
    below drives one stdio session, and {!Net.run} drives one session
    per TCP connection — both against the same [t].  Every request is
    handled on the thread of the session that read it.
@@ -35,8 +35,8 @@
      that request only;
    - each request carries its own optional wall-clock deadline and
      answers "timeout" when the budget is spent;
-   - a session sheds the lines of one read beyond its queue capacity
-     with a "retry_after" error instead of growing memory, and a
+   - a session answers every line it reads before it reads again, so
+     a pipelining client is held back by its own unread replies, and a
      per-session token bucket can refuse over-rate clients with
      "rate_limited";
    - oversized lines, inputs, and blocks answer "too_large";
@@ -73,9 +73,7 @@ type config = {
   workers : int option;
   memoize : bool;
   cache_cap : int option;
-  cache_shards : int option;
   deadline_ms : int option;
-  queue_cap : int;
   flush_every : int option;
   limits : limits;
 }
@@ -84,9 +82,7 @@ let default_config =
   { workers = None;
     memoize = true;
     cache_cap = None;
-    cache_shards = None;
-    deadline_ms = None;
-    queue_cap = 128;
+    deadline_ms = Some 2000;
     flush_every = None;
     limits = default_limits }
 
@@ -108,7 +104,6 @@ type t = {
   sup : Supervise.t;
   limits : limits;
   deadline_ns : int option;            (* per-request budget; None = off *)
-  queue_cap : int;
   latency : Obs.Histogram.t;  (* per-line handling latency, ns *)
   (* request tallies: atomic accumulators (and lock-free counter maps),
      bumped from N session threads — no stats mutex on the serving
@@ -121,7 +116,6 @@ type t = {
   stats_served : int Atomic.t;
   version_served : int Atomic.t;
   errors : int Atomic.t;
-  shed : int Atomic.t;                 (* lines shed over queue_cap *)
   epipe : int Atomic.t;                (* writes that found the peer gone *)
   conns : conns;
   started_ns : int;
@@ -140,9 +134,6 @@ type t = {
 }
 
 let of_config (c : config) =
-  if c.queue_cap < 1 then
-    invalid_arg
-      (Printf.sprintf "Serve.of_config: queue_cap = %d" c.queue_cap);
   if c.limits.max_line_bytes < 1 || c.limits.max_input_bytes < 1
      || c.limits.max_insts < 1
   then invalid_arg "Serve.of_config: limits must be positive";
@@ -157,11 +148,11 @@ let of_config (c : config) =
     | Some n -> invalid_arg (Printf.sprintf "Serve.of_config: workers = %d" n)
   in
   (* no pool domains: nothing here calls [predict_batch], and the
-     serving domains are {!Net.run}'s *)
+     serving domains are {!Net.run}'s; the memo cache is sharded for
+     them, as {!Engine.create} would for a pool of [workers] *)
   { engine =
       Engine.create ~workers:1 ~memoize:c.memoize ?cache_cap:c.cache_cap
-        ~cache_shards:(Option.value c.cache_shards ~default:(workers * 4))
-        ();
+        ~cache_shards:(workers * 4) ();
     workers;
     sup = Supervise.create ();
     limits = c.limits;
@@ -170,7 +161,6 @@ let of_config (c : config) =
           if ms < 0 then invalid_arg "Serve.of_config: deadline_ms < 0"
           else ms * 1_000_000)
         c.deadline_ms;
-    queue_cap = c.queue_cap;
     latency = Obs.Histogram.create ();
     by_arch = Obs.Cmap.create ();
     by_kind = Obs.Cmap.create ();
@@ -179,7 +169,6 @@ let of_config (c : config) =
     stats_served = Atomic.make 0;
     version_served = Atomic.make 0;
     errors = Atomic.make 0;
-    shed = Atomic.make 0;
     epipe = Atomic.make 0;
     conns =
       { accepted = Atomic.make 0;
@@ -240,16 +229,17 @@ let conn_opened t =
   Atomic.incr t.conns.active
 
 let conn_closed t = Atomic.decr t.conns.active
+let active_conns t = Atomic.get t.conns.active
 let conn_rejected t = Atomic.incr t.conns.rejected
 
 (* ----- responses ----- *)
 
-(* Wire error kinds are the Err.t taxonomy plus four serving-layer
+(* Wire error kinds are the Err.t taxonomy plus three serving-layer
    kinds: "bad_request" (the line is not a valid request object),
-   "retry_after" (shed: more lines in one read than the queue
-   capacity), "rate_limited" (the per-connection admission bucket is
-   empty), and "internal" (the request raised — a bug or an injected
-   fault). *)
+   "rate_limited" (the per-connection admission bucket is empty), and
+   "internal" (the request raised — a bug or an injected fault).
+   {!Net} refuses a connection over its limit with a fourth,
+   "retry_after". *)
 let error_response t ~id ~kind ?pos ?(extra = []) msg =
   Atomic.incr t.errors;
   Obs.Cmap.bump t.by_kind kind;
@@ -265,14 +255,8 @@ let err_response t ~id (e : Err.t) =
   error_response t ~id ~kind:(Err.kind_name e.Err.kind) ?pos:e.Err.pos
     e.Err.msg
 
-(* The hint a shed or rate-limited request carries. *)
+(* The hint a rate-limited request carries. *)
 let retry_after_ms = 50
-
-let shed_response t ~id =
-  Atomic.incr t.shed;
-  error_response t ~id ~kind:"retry_after"
-    ~extra:[ "retry_after_ms", Json.Int retry_after_ms ]
-    (Printf.sprintf "more than %d requests in one read" t.queue_cap)
 
 (* Wire responses carry the protocol version; appended last so the
    leading fields (id, cycles/error/stats) keep their shape. *)
@@ -334,10 +318,6 @@ let stats_json t =
               "entries", Json.Int c.Engine.entries;
               "capacity", Json.Int c.Engine.capacity;
               "shards", Json.Int c.Engine.shards ];
-          "queue",
-          Json.Obj
-            [ "capacity", Json.Int t.queue_cap;
-              "shed", Json.Int (Atomic.get t.shed) ];
           "connections",
           Json.Obj
             [ "accepted", Json.Int (Atomic.get t.conns.accepted);
@@ -598,16 +578,12 @@ let handle_oversized t len : Json.t =
 
 (* ----- the session API: protocol callbacks over any transport ----- *)
 
-(* Shed and rate-limit answers skip the request: only the id is worth
-   parsing out of the raw line. *)
+(* A rate-limit answer skips the request: only the id is worth parsing
+   out of the raw line. *)
 let id_of_line line =
   match Json.parse line with
   | Ok r -> Option.value ~default:Json.Null (Json.member "id" r)
   | Error _ -> Json.Null
-
-let shed_for_line t line =
-  Atomic.incr t.total;
-  shed_response t ~id:(id_of_line line)
 
 let rate_limited_for_line t line =
   Atomic.incr t.total;
@@ -618,15 +594,14 @@ let rate_limited_for_line t line =
 
 (* [session t transport] wires the protocol core to one byte-stream
    transport: responses (with the proto tag appended at this, the
-   wire, layer), the line cap, the per-read shed bound, and the
-   shared connection byte/EPIPE accounting.  {!run} (stdio) and
+   wire, layer), the line cap, and the shared connection byte/EPIPE
+   accounting.  {!run} (stdio) and
    {!Net.run} (each TCP connection) are both built on this. *)
 let session ?rate ?on_peer_gone t transport =
   let out j = Json.to_string (with_proto j) in
   let callbacks =
     { Session.on_line = (fun line -> out (handle_line t line));
       on_oversized = (fun len -> out (handle_oversized t len));
-      on_shed = (fun line -> out (shed_for_line t line));
       on_rate_limited = (fun line -> out (rate_limited_for_line t line)) }
   in
   let sink =
@@ -636,8 +611,7 @@ let session ?rate ?on_peer_gone t transport =
         (fun n -> ignore (Atomic.fetch_and_add t.conns.bytes_out n));
       on_epipe = (fun () -> Atomic.incr t.epipe) }
   in
-  Session.create ~queue_cap:t.queue_cap ?rate
-    ~should_stop:(fun () -> Atomic.get t.stop)
+  Session.create ?rate ~should_stop:(fun () -> Atomic.get t.stop)
     ?on_peer_gone ~sink ~max_line_bytes:t.limits.max_line_bytes callbacks
     transport
 

@@ -12,7 +12,7 @@
     <- {"id":3,"error":{"kind":"bad_hex","msg":..,"pos":0},"proto":1}
     -> {"cmd":"stats"}
     <- {"id":null,"stats":{"requests":..,"errors":..,"cache":..,
-                           "queue":..,"connections":..,"faults":..,
+                           "connections":..,"faults":..,
                            "limits":..,"latency_us":..,
                            "process":..},"proto":1}
     -> {"cmd":"version"}
@@ -25,13 +25,12 @@
     with ["bad_request"].  Unknown top-level request keys are rejected
     with a ["bad_request"] naming the offending key.  Error kinds are
     the {!Facile_x86.Err.kind} names (including ["too_large"] and
-    ["timeout"]) plus ["bad_request"], ["retry_after"] (one read of
-    the connection held more than [queue_cap] requests and this one
-    was shed; the error object carries a ["retry_after_ms"] hint of
-    50),
-    ["rate_limited"] (a per-connection admission rate was exceeded;
-    same hint), and ["internal"] (the request raised — a bug or an
-    injected fault).
+    ["timeout"]) plus ["bad_request"], ["rate_limited"] (a
+    per-connection admission rate was exceeded; the error object
+    carries a ["retry_after_ms"] hint of 50), and ["internal"] (the
+    request raised — a bug or an injected fault).  Every line read is
+    answered, in order; ["retry_after"] is only {!Net.run}'s refusal
+    of a connection over its limit.
 
     Robustness model: each request is handled on the thread of the
     session that read it; decode + predict run inside a request
@@ -64,8 +63,9 @@ type limits = {
 
 val default_limits : limits
 
-(** Full service configuration; see {!default_config} for the
-    defaults and {!of_config} for validation. *)
+(** Full service configuration; {!default_config} is what
+    [facile serve] runs with when no flag is given, and {!of_config}
+    validates. *)
 type config = {
   workers : int option;
       (** serving domains for {!Net.run}, the calling domain included;
@@ -73,18 +73,18 @@ type config = {
           itself always has one domain, and stdio {!run} uses only the
           calling one. *)
   memoize : bool;            (** memoize predictions in a bounded LRU *)
-  cache_cap : int option;    (** LRU capacity; [None] = default *)
-  cache_shards : int option;
-      (** memo-cache shard count; [None] = [workers * 4] (see
-          {!Engine.create}) *)
+  cache_cap : int option;
+      (** LRU capacity; [None] = default.  The cache has [workers * 4]
+          shards (see {!Engine.create}). *)
   deadline_ms : int option;  (** per-request budget; [None] = off *)
-  queue_cap : int;           (** most requests answered per read *)
   flush_every : int option;
       (** invoke the persistence hook ({!set_persist}) after every
           [n] successful predictions; [None] = only at shutdown *)
   limits : limits;
 }
 
+(** [workers = None], memoization on, the default cache capacity, a
+    2000 ms deadline, no periodic flush and {!default_limits}. *)
 val default_config : config
 
 type t
@@ -93,8 +93,8 @@ type t
     single-domain {!Engine.t} that spawns no domain.
     [c.deadline_ms = Some 0] means an already-spent budget — every
     predict request answers "timeout" — which the chaos harness uses.
-    @raise Invalid_argument on non-positive [workers], [queue_cap] or
-    limits, or a negative [deadline_ms]. *)
+    @raise Invalid_argument on non-positive [workers] or limits, or a
+    negative [deadline_ms]. *)
 val of_config : config -> t
 
 (** The engine behind this service (the CLI uses it to warm the memo
@@ -140,8 +140,7 @@ val with_proto : Facile_obs.Json.t -> Facile_obs.Json.t
 
 (** The service-level statistics snapshot served for
     [{"cmd":"stats"}]: request counts (total/predicted/per-arch),
-    error counts by kind, cache hits/misses/evictions, queue
-    capacity/shed, connection counts
+    error counts by kind, cache hits/misses/evictions, connection counts
     (accepted/active/rejected/rate_limited/bytes in and out),
     per-point fault-injection counters, I/O (EPIPE) counts, the
     configured
@@ -158,14 +157,18 @@ val stats_json : t -> Facile_obs.Json.t
 val conn_opened : t -> unit
 val conn_closed : t -> unit
 
+(** Connections opened and not yet closed: the ["active"] count,
+    which {!Net.run} holds to its connection limit. *)
+val active_conns : t -> int
+
 (** Count a connection refused at the connection limit. *)
 val conn_rejected : t -> unit
 
 (** [session t transport] — a {!Session.t} speaking this service's
-    protocol over [transport]: responses carry ["proto"], lines over
-    [limits.max_line_bytes] answer ["too_large"], lines of one read
-    beyond [queue_cap] answer ["retry_after"], and [rate]
-    (requests/second, off by default) arms a per-session token bucket
+    protocol over [transport]: every line is answered, in order,
+    responses carry ["proto"], lines over [limits.max_line_bytes]
+    answer ["too_large"], and [rate] (requests/second; absent or [0.]
+    is off) arms a per-session token bucket
     holding up to [max 1. rate] requests, answering ["rate_limited"].
     Bytes and EPIPEs are accounted into [t]'s shared stats;
     [on_peer_gone] is the session's policy hook (stdio passes "stop the

@@ -2,7 +2,7 @@
    loop on the caller's thread:
 
      ready (0.1 s) -> read -> Framing -> for each line, in order:
-       admission (rate) -> shed over queue_cap -> callback -> write
+       admission (rate) -> callback -> write
 
    Waiting with a timeout instead of blocking in [read] is what lets
    the loop notice [should_stop] without a watcher thread.
@@ -20,7 +20,6 @@ type transport = {
 type callbacks = {
   on_line : string -> string;
   on_oversized : int -> string;
-  on_shed : string -> string;
   on_rate_limited : string -> string;
 }
 
@@ -36,7 +35,6 @@ type t = {
   sink : sink option;
   should_stop : unit -> bool;
   on_peer_gone : unit -> unit;
-  queue_cap : int;
   framing : Framing.t;
   peer_gone : bool Atomic.t;
   rate : float;
@@ -93,11 +91,8 @@ let fd_transport fd =
 (* How long [run] waits for input before polling [should_stop] again. *)
 let poll_s = 0.1
 
-let create ?(queue_cap = 128) ?(rate = 0.)
-    ?(should_stop = fun () -> false) ?(on_peer_gone = fun () -> ()) ?sink
-    ~max_line_bytes cb tr =
-  if queue_cap < 1 then
-    invalid_arg (Printf.sprintf "Session.create: queue_cap = %d" queue_cap);
+let create ?(rate = 0.) ?(should_stop = fun () -> false)
+    ?(on_peer_gone = fun () -> ()) ?sink ~max_line_bytes cb tr =
   if rate < 0. || not (Float.is_finite rate) then
     invalid_arg (Printf.sprintf "Session.create: rate = %g" rate);
   (* a second's worth of requests, and at least one *)
@@ -107,7 +102,6 @@ let create ?(queue_cap = 128) ?(rate = 0.)
     sink;
     should_stop;
     on_peer_gone;
-    queue_cap;
     framing = Framing.create ~max_line_bytes;
     peer_gone = Atomic.make false;
     rate;
@@ -145,26 +139,17 @@ let write_resp t s =
     (match t.sink with Some k -> k.on_epipe () | None -> ());
     try t.on_peer_gone () with _ -> ()
 
-(* Answer the events framed out of one read, in order.  [admitted]
-   counts the lines of this read that were not rate limited; past
-   [queue_cap] of them the rest are shed.  Once the peer is gone
-   nothing is left to answer. *)
+(* Answer the events framed out of one read, in order.  Once the peer
+   is gone nothing is left to answer. *)
 let answer t events =
-  let admitted = ref 0 in
   List.iter
     (fun ev ->
       if not (Atomic.get t.peer_gone) then
         match ev with
+        | Framing.Line l when String.trim l = "" -> ()
         | Framing.Line l ->
-          if String.trim l <> "" then begin
-            if not (admit t) then write_resp t (t.cb.on_rate_limited l)
-            else if !admitted >= t.queue_cap then
-              write_resp t (t.cb.on_shed l)
-            else begin
-              incr admitted;
-              write_resp t (t.cb.on_line l)
-            end
-          end
+          write_resp t
+            (if admit t then t.cb.on_line l else t.cb.on_rate_limited l)
         | Framing.Oversized n -> write_resp t (t.cb.on_oversized n))
     events
 

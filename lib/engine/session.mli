@@ -4,15 +4,15 @@
     as one loop on the thread that calls {!run}: wait for input (with
     a 0.1 s timeout, so stop flags are noticed), read, reassemble the
     chunk into request lines ({!Framing}), and answer each line in
-    order — per-session admission (a token-bucket request rate) and
-    shedding first, then the protocol callback, then the write.  A
-    request crosses no queue, thread or domain between its read and
-    its reply.
+    order — per-session admission (a token-bucket request rate) first,
+    then the protocol callback, then the write.  A request crosses no
+    queue, thread or domain between its read and its reply.
 
-    Shedding: when one read frames more than [queue_cap] admitted
-    lines, the first [queue_cap] are answered in order and the rest
-    get [on_shed], so a client that pipelines faster than the session
-    answers is told to retry instead of growing the server's backlog.
+    Backpressure: every line of a read is answered, in order, before
+    the session reads again, so a client that pipelines faster than
+    the session answers is held back by its own unread replies (the
+    pipe or socket fills), not refused.  A session holds at most one
+    64 KiB read and one partial line of up to [max_line_bytes].
 
     The session knows nothing about sockets, pipes, or the prediction
     protocol: the transport is four functions over bytes, and the
@@ -26,9 +26,9 @@
     only — it is reported to the sink's [on_epipe], the optional
     [on_peer_gone] policy hook runs, the rest of the read is dropped,
     and [run] returns normally.  Nothing here ever raises out of
-    {!run}.  The session keeps no counters of its own: shed and
-    rate-limited lines reach their callbacks, bytes and dead peers the
-    sink, and the serving core ({!Serve}) tallies them. *)
+    {!run}.  The session keeps no counters of its own: rate-limited
+    lines reach their callback, bytes and dead peers the sink, and the
+    serving core ({!Serve}) tallies them. *)
 
 (** Raised by [transport.write] when the peer has closed the
     connection; the transport must map its I/O errors ([EPIPE],
@@ -65,7 +65,6 @@ val fd_transport : Unix.file_descr -> transport
 type callbacks = {
   on_line : string -> string;          (** a complete request line *)
   on_oversized : int -> string;        (** a discarded over-cap line *)
-  on_shed : string -> string;          (** over [queue_cap]: shed it *)
   on_rate_limited : string -> string;  (** admission rate exceeded *)
 }
 
@@ -81,8 +80,6 @@ type t
 
 (** [create ~max_line_bytes callbacks transport] — a fresh session.
 
-    [queue_cap] (default 128) is the most admitted lines answered out
-    of one read; the rest of that read is answered with [on_shed].
     [rate] > 0 arms a token-bucket admission limit of [rate] requests
     per second with a burst capacity of [max 1. rate]; refused lines
     are answered with [on_rate_limited].  [should_stop]
@@ -90,10 +87,8 @@ type t
     the session.  [on_peer_gone] runs once if a write finds the peer
     closed — transport policy like "stdio client vanished: stop the
     whole process" lives there.
-    @raise Invalid_argument if [queue_cap < 1], or [rate] is negative
-    or not finite. *)
+    @raise Invalid_argument if [rate] is negative or not finite. *)
 val create :
-  ?queue_cap:int ->
   ?rate:float ->
   ?should_stop:(unit -> bool) ->
   ?on_peer_gone:(unit -> unit) ->
@@ -105,9 +100,10 @@ val create :
 
 (** Drive the session to completion on the calling thread.  Returns
     after end of stream, [should_stop ()], or a closed peer; every
-    line already read is answered first (graceful drain), and a stop
-    is noticed within about 0.1 s of being requested.  Closes the
-    transport.  Never raises. *)
+    line already read is answered first (graceful drain).  A stop is
+    polled between reads: an idle session notices it within about
+    0.1 s, a busy one once it has answered the read in hand.  Closes
+    the transport.  Never raises. *)
 val run : t -> unit
 
 (** [true] once a write found the peer gone. *)

@@ -181,7 +181,6 @@ let mnemonic_of_name s =
          | None -> None)
 
 let is_branch i = match i.mnem with JMP | Jcc _ -> true | _ -> false
-let is_cond_branch i = match i.mnem with Jcc _ -> true | _ -> false
 
 let is_vex i =
   match i.mnem with

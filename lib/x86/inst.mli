@@ -100,9 +100,6 @@ val mnemonic_of_name : string -> mnemonic option
 (** [is_branch i] holds for JMP and all conditional jumps. *)
 val is_branch : t -> bool
 
-(** [is_cond_branch i] holds for conditional jumps only. *)
-val is_cond_branch : t -> bool
-
 (** [is_vex i] holds for VEX-encoded (AVX) mnemonics. *)
 val is_vex : t -> bool
 

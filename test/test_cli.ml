@@ -236,18 +236,52 @@ let region_tests =
   @ [ fails ~stdin:"== 1\nvfmadd231ps ymm0, ymm1, ymm2\n"
         "an FMA section on SNB exits 7" "region -a SNB" 7 ]
 
-(* the deprecated worker-count spellings are gone: cmdliner refuses an
-   unknown option with 124 before the command runs *)
+(* retired options are gone: cmdliner refuses an unknown option with
+   124 before the command runs *)
 let option_tests =
   List.map
     (fun (args, stdin) ->
       Alcotest.test_case (args ^ " is an unknown option") `Quick (fun () ->
           let rc, _, err = run ~stdin args in
           Alcotest.(check int) (args ^ ": stderr " ^ err) 124 rc))
-    [ ("batch -j 2", "4801d8\n"); ("serve --jobs 2", "") ]
+    [ ("batch -j 2", "4801d8\n"); ("serve --jobs 2", "");
+      ("serve --queue 8", ""); ("serve --cache-shards 4", "");
+      ("batch --cache-shards 4", "4801d8\n") ]
+
+(* A client that pipelines its whole input is answered in full: the
+   requests arrive in one read, and every one gets its reply, in
+   order. *)
+let serve_tests =
+  [ Alcotest.test_case "serve answers every line of one read" `Quick
+      (fun () ->
+        let n = 1000 in
+        let stdin =
+          String.concat ""
+            (List.init n (fun i ->
+                 Printf.sprintf "{\"id\":%d,\"hex\":\"4801d8\"}\n" i))
+        in
+        let rc, out, err = run ~stdin "serve" in
+        Alcotest.(check int) ("exit code, stderr " ^ err) 0 rc;
+        let replies =
+          List.filter (( <> ) "") (String.split_on_char '\n' out)
+          |> List.map (fun l ->
+                 match Facile_obs.Json.parse l with
+                 | Ok j -> j
+                 | Error m -> Alcotest.failf "bad reply %S: %s" l m)
+        in
+        let member k j = Facile_obs.Json.member k j in
+        Alcotest.(check (list (option int))) "one reply per request, in order"
+          (List.init n Option.some)
+          (List.map
+             (fun j -> Option.bind (member "id" j) Facile_obs.Json.int_opt)
+             replies);
+        Alcotest.(check int) "no error replies" 0
+          (List.length (List.filter (fun j -> member "error" j <> None) replies)))
+  ]
 
 let suite =
   [ "cli.contract", contract_tests;
     "cli.exit", error_tests;
     "cli.region", region_tests;
-    "cli.options", option_tests ]
+    "cli.options", option_tests;
+    "cli.serve", serve_tests ]

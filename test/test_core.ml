@@ -212,7 +212,43 @@ let fusion_tests =
         (* SKL keeps an indexed load-op with one register source fused *)
         let b3 = block skl "add rcx, qword ptr [rax+rbx*8]" in
         let l3 = List.hd (Block.logicals b3) in
-        Alcotest.(check int) "SKL load-op" 1 l3.Block.fused_uops) ]
+        Alcotest.(check int) "SKL load-op" 1 l3.Block.fused_uops);
+    Alcotest.test_case "macro fusion heeds the Jcc's condition" `Quick
+      (fun () ->
+        (* CMP, ADD and SUB do not fuse with JO/JNO/JS/JNS/JP/JNP, INC
+           and DEC only with JE/JNE/JL/JGE/JLE/JG; TEST and AND fuse
+           with every Jcc *)
+        let fusible cfg first =
+          (Facile_db.Flat.describe cfg (List.hd (parse_block first)))
+            .Facile_db.Db.macro_fusible
+        in
+        Alcotest.(check bool) "CMP, ADD and INC fusible on HSW" true
+          (fusible hsw "cmp rax, rbx" && fusible hsw "add rax, rbx"
+           && fusible hsw "inc rax");
+        List.iter
+          (fun (cfg : Config.t) ->
+            List.iter
+              (fun (first, jcc, pairs) ->
+                let b = block cfg (first ^ "\n" ^ jcc) in
+                let expect = if pairs && fusible cfg first then 1 else 2 in
+                List.iter
+                  (fun (front, b) ->
+                    let what =
+                      Printf.sprintf "%s %s / %s via %s" cfg.Config.abbrev
+                        first jcc front
+                    in
+                    Alcotest.(check int) (what ^ ": logicals") expect
+                      (List.length (Block.logicals b));
+                    Alcotest.(check int) (what ^ ": fused-domain µops") expect
+                      (Block.fused_uops b))
+                  [ ("asm", b); ("bytes", Block.of_bytes cfg b.Block.bytes) ])
+              [ ("cmp rax, rbx", "jo 0", false);
+                ("add rax, rbx", "js 0", false);
+                ("inc rax", "jb 0", false);
+                ("cmp rax, rbx", "jne 0", true);
+                ("test rax, rbx", "jo 0", true);
+                ("dec rax", "jg 0", true) ])
+          Config.all) ]
 
 let model_tests =
   [ Alcotest.test_case "TP_U combination" `Quick (fun () ->
@@ -543,12 +579,14 @@ let engine_tests =
         Engine.with_pool ~workers:2 (fun pool ->
             let n = 2 * List.length blocks in
             ignore (Engine.predict_batch pool ~mode:`Auto (blocks @ blocks));
-            let hits, misses = Engine.memo_stats pool in
+            let { Engine.hits; misses; _ } = Engine.cache_stats pool in
             Alcotest.(check int) "misses = unique blocks" unique misses;
             Alcotest.(check int) "hits = repeats" (n - unique) hits;
             (* a second identical batch is served from the cache *)
             ignore (Engine.predict_batch pool ~mode:`Auto blocks);
-            let hits2, misses2 = Engine.memo_stats pool in
+            let { Engine.hits = hits2; misses = misses2; _ } =
+              Engine.cache_stats pool
+            in
             Alcotest.(check int) "no new misses" misses misses2;
             Alcotest.(check int) "all hits" (hits + List.length blocks) hits2));
     Alcotest.test_case "map keeps order and propagates exceptions" `Quick

@@ -199,8 +199,7 @@ let config_tests =
               Serve.shutdown t;
               Alcotest.fail "config accepted"
             | exception Invalid_argument _ -> ())
-          [ { Serve.default_config with Serve.queue_cap = 0 };
-            { Serve.default_config with
+          [ { Serve.default_config with
               Serve.limits =
                 { Serve.default_limits with Serve.max_line_bytes = 0 } } ]) ]
 
@@ -286,37 +285,29 @@ let fake_transport chunks =
       close = (fun () -> ()) },
     fun () -> List.rev !written )
 
-let shed_test =
-  Alcotest.test_case "one read over queue_cap sheds the rest, in order"
+(* A client that pipelines is answered in full: however many lines one
+   read frames, the session answers each of them, in order, before it
+   reads again. *)
+let every_line_test =
+  Alcotest.test_case "every line of one read is answered, in order"
     `Quick (fun () ->
-      let cap = 4 and k = 3 in
+      let n = 1000 and k = 7 in
       let lines n from =
         String.concat "" (List.init n (fun i -> string_of_int (from + i) ^ "\n"))
       in
-      let tr, written =
-        fake_transport [ lines (cap + k) 0; lines cap (cap + k) ]
-      in
+      let tr, written = fake_transport [ lines n 0; lines k n ] in
       let callbacks =
         { Session.on_line = (fun l -> "ok " ^ l);
           on_oversized = (fun n -> "big " ^ string_of_int n);
-          on_shed = (fun l -> "shed " ^ l);
           on_rate_limited = (fun l -> "slow " ^ l) }
       in
-      let s =
-        Session.create ~queue_cap:cap ~max_line_bytes:64 callbacks tr
-      in
-      Session.run s;
-      let expect =
-        List.init cap (fun i -> Printf.sprintf "ok %d" i)
-        @ List.init k (fun i -> Printf.sprintf "shed %d" (cap + i))
-        (* the count starts again at the next read *)
-        @ List.init cap (fun i -> Printf.sprintf "ok %d" (cap + k + i))
-      in
-      Alcotest.(check (list string)) "answers in input order" expect
+      Session.run (Session.create ~max_line_bytes:64 callbacks tr);
+      Alcotest.(check (list string)) "answers in input order"
+        (List.init (n + k) (fun i -> Printf.sprintf "ok %d" i))
         (written ()))
 
 let session_tests serve =
-  [ shed_test; Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
+  [ every_line_test; Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
         let payload c =
           String.concat ""
             (List.init 20 (fun i ->

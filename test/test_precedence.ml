@@ -122,8 +122,8 @@ let qcheck_maxplus_equals_howard =
 let fuses_across (cfg : Config.t) insts =
   match (insts, List.rev insts) with
   | first :: _, last :: _ ->
-    cfg.Config.macro_fusion && Inst.is_cond_branch first
-    && (Db.describe cfg last).Db.macro_fusible
+    cfg.Config.macro_fusion && (Db.describe cfg last).Db.macro_fusible
+    && Db.macro_fuses last first
   | _ -> false
 
 let scaled_components =

@@ -451,7 +451,7 @@ let warm_tests =
             Engine.memo_seed t
               (List.rev_map Codec.to_memo report.Store.records);
             let warm_preds = List.map (Engine.predict t ~mode:`Auto) blocks in
-            let hits, misses = Engine.memo_stats t in
+            let { Engine.hits; misses; _ } = Engine.cache_stats t in
             Alcotest.(check int) "every block a hit" 3 hits;
             Alcotest.(check int) "no recompute" 0 misses;
             List.iter2
@@ -490,7 +490,7 @@ let warm_tests =
                 let warm_preds =
                   List.map (Engine.predict t ~mode:`Auto) blocks
                 in
-                let hits, misses = Engine.memo_stats t in
+                let { Engine.hits; misses; _ } = Engine.cache_stats t in
                 Alcotest.(check int)
                   (Printf.sprintf "%d shards: every block a hit" cache_shards)
                   6 hits;
@@ -560,8 +560,10 @@ let run_cli_out args =
   (rc, In_channel.with_open_bin out In_channel.input_all)
 
 (* Fingerprints of older models: every store carried the first before
-   [Model.revision] was folded in, and the second at revision 1. *)
-let older_fingerprints = [ 0x776378b951b0b844L; 0x96e4006d7c917f29L ]
+   [Model.revision] was folded in, the second at revision 1 and the
+   third at revision 2. *)
+let older_fingerprints =
+  [ 0x776378b951b0b844L; 0x96e4006d7c917f29L; 0xe798d958b83d9c41L ]
 
 let cli_tests =
   [ Alcotest.test_case "--cache-cap 0 exits 1 before reading input" `Quick

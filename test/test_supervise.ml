@@ -214,11 +214,9 @@ let fault_tests =
 (* ------------------------------------------------------------------ *)
 (* Serve-level failure paths                                           *)
 
-let serve ?deadline_ms ?(queue_cap = 128) ?(limits = Serve.default_limits)
-    () =
+let serve ?deadline_ms ?(limits = Serve.default_limits) () =
   Serve.of_config
-    { Serve.default_config with
-      Serve.workers = Some 1; deadline_ms; queue_cap; limits }
+    { Serve.default_config with Serve.workers = Some 1; deadline_ms; limits }
 
 let serve_fault_isolation =
   Alcotest.test_case "an injected crash answers internal, then recovers"
@@ -326,7 +324,7 @@ let read_lines fd =
    order, clean return. *)
 let serve_eof_drain =
   Alcotest.test_case "run drains queued work on EOF" `Quick (fun () ->
-      let t = serve ~queue_cap:64 () in
+      let t = serve () in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let req_r, req_w = Unix.pipe ~cloexec:false () in
       let resp_r, resp_w = Unix.pipe ~cloexec:false () in

@@ -644,18 +644,81 @@ let notion () =
 
 exception Perf_regression of string
 
-(* Minor-heap words [f] allocates per element of [xs], after one
-   untimed pass (arenas, flat tables and histograms warm).  A count,
-   not a time: it repeats exactly from run to run and host to host. *)
-let minor_words_per f xs =
-  List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+(* Minor-heap words [f] allocates per element of [xs].  A count, not
+   a time: it repeats exactly from run to run and host to host. *)
+let minor_words f xs =
   let w0 = Gc.minor_words () in
   List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
-  let w1 = Gc.minor_words () in
-  (w1 -. w0) /. float_of_int (List.length xs)
+  (Gc.minor_words () -. w0) /. float_of_int (List.length xs)
+
+(* The same, after one untimed pass (arenas, flat tables and histograms
+   warm). *)
+let minor_words_per f xs =
+  List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+  minor_words f xs
 
 (* Slack of the word-count gates over their committed counts. *)
 let words_slack = 1.1
+
+(* Minor words per request on the served path, for [codes] sent as hex
+   requests on [cfg], through the calls the wire makes: [Serve.handle_line],
+   then [Json.to_string] of the reply with its proto.  A throwaway
+   server answers every line first, so tables, arenas and histograms
+   are warm; a fresh one then answers each line twice, a miss and then
+   a hit.  The stages are counted on their own: the request parse, the
+   hex decode, and the reply as [Serve] builds and prints it. *)
+type served_words = {
+  miss : float;
+  hit : float;
+  parse : float;
+  hex : float;
+  print : float;
+}
+
+let served_words (cfg : Config.t) codes =
+  let module Json = Facile_obs.Json in
+  let module Serve = Facile_engine.Serve in
+  let module Hex = Facile_x86.Hex in
+  let hexes = List.map Hex.encode codes in
+  let lines =
+    List.mapi
+      (fun i h ->
+        Printf.sprintf {|{"id":%d,"arch":"%s","hex":"%s"}|} i
+          cfg.Config.abbrev h)
+      hexes
+  in
+  let with_server f =
+    let t =
+      Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+    in
+    Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
+  in
+  let answer t line =
+    Json.to_string (Serve.with_proto (Serve.handle_line t line))
+  in
+  with_server (fun t -> List.iter (fun l -> ignore (answer t l)) lines);
+  let miss, hit =
+    with_server (fun t ->
+        let miss = minor_words (answer t) lines in
+        (miss, minor_words (answer t) lines))
+  in
+  let replies =
+    List.mapi
+      (fun i code ->
+        (i, Model.predict ~notion:`Auto (Block.of_bytes cfg code)))
+      codes
+  in
+  let print (i, p) =
+    Json.to_string
+      (Serve.with_proto
+         (match Model.prediction_to_json p with
+          | Json.Obj fields -> Json.Obj (("id", Json.Int i) :: fields)
+          | other -> other))
+  in
+  { miss; hit;
+    parse = minor_words_per Json.parse lines;
+    hex = minor_words_per Hex.decode hexes;
+    print = minor_words_per print replies }
 
 let perf () =
   let module Json = Facile_obs.Json in
@@ -692,7 +755,8 @@ let perf () =
         let predict_words =
           minor_words_per (fun b -> Model.predict b) (List.map analyze codes)
         in
-        (cfg, fast, refn, of_bytes_ns, of_bytes_words, predict_words))
+        ( cfg, fast, refn, of_bytes_ns, of_bytes_words, predict_words,
+          served_words cfg codes ))
       Config.all
   in
   Report.Table.print
@@ -705,15 +769,25 @@ let perf () =
       [ "uArch"; "ns/block"; "reference ns/block"; "speedup";
         "of_bytes ns/block"; "of_bytes words"; "predict words" ]
     (List.map
-       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w) ->
+       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, _) ->
          [ cfg.Config.abbrev; Printf.sprintf "%.0f" fast;
            Printf.sprintf "%.0f" refn;
            Printf.sprintf "%.2fx" (refn /. Float.max fast 1e-9);
            Printf.sprintf "%.0f" ob_ns; Printf.sprintf "%.1f" ob_w;
            Printf.sprintf "%.1f" pr_w ])
        rows);
+  Report.Table.print
+    ~title:
+      "Served path: minor words per hex request (Serve.handle_line and the \
+       printed reply), and per stage"
+    ~header:[ "uArch"; "miss"; "hit"; "Json.parse"; "Hex.decode"; "reply print" ]
+    (List.map
+       (fun (cfg, _, _, _, _, _, w) ->
+         cfg.Config.abbrev
+         :: List.map (Printf.sprintf "%.1f") [ w.miss; w.hit; w.parse; w.hex; w.print ])
+       rows);
   List.iter
-    (fun (cfg, fast, refn, _, _, _) ->
+    (fun (cfg, fast, refn, _, _, _, _) ->
       Printf.printf "%s ns/block %.0f (%.2fx vs reference)\n" cfg.Config.abbrev
         fast (refn /. Float.max fast 1e-9))
     rows;
@@ -723,7 +797,7 @@ let perf () =
       ( "arches",
         Json.Arr
           (List.map
-             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w) ->
+             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, w) ->
                Json.Obj
                  [ "arch", Json.Str cfg.Config.abbrev;
                    "ns_per_block", Json.Float fast;
@@ -731,7 +805,12 @@ let perf () =
                    "speedup", Json.Float (refn /. Float.max fast 1e-9);
                    "of_bytes_ns_per_block", Json.Float ob_ns;
                    "of_bytes_words_per_block", Json.Float ob_w;
-                   "predict_words_per_block", Json.Float pr_w ])
+                   "predict_words_per_block", Json.Float pr_w;
+                   "served_miss_words", Json.Float w.miss;
+                   "served_hit_words", Json.Float w.hit;
+                   "parse_words", Json.Float w.parse;
+                   "hex_decode_words", Json.Float w.hex;
+                   "reply_print_words", Json.Float w.print ])
              rows) ) ];
   (* Regression gates: each arch's ns/block may exceed its committed
      baseline by at most 20%, and each word count its committed count
@@ -777,13 +856,23 @@ let perf () =
     in
     let failures =
       List.concat_map
-        (fun (cfg, fast, _, _, ob_w, pr_w) ->
+        (fun (cfg, fast, _, _, ob_w, pr_w, w) ->
           List.filter_map Fun.id
             [ gate cfg "ns_per_block" ~unit_:"ns/block" ~slack:1.2 fast;
               gate cfg "of_bytes_words_per_block"
                 ~unit_:"Block.of_bytes words/block" ~slack:words_slack ob_w;
               gate cfg "predict_words_per_block"
-                ~unit_:"Model.predict words/block" ~slack:words_slack pr_w ])
+                ~unit_:"Model.predict words/block" ~slack:words_slack pr_w;
+              gate cfg "served_miss_words" ~unit_:"served miss words"
+                ~slack:words_slack w.miss;
+              gate cfg "served_hit_words" ~unit_:"served hit words"
+                ~slack:words_slack w.hit;
+              gate cfg "parse_words" ~unit_:"Json.parse words/request"
+                ~slack:words_slack w.parse;
+              gate cfg "hex_decode_words" ~unit_:"Hex.decode words/request"
+                ~slack:words_slack w.hex;
+              gate cfg "reply_print_words" ~unit_:"reply print words"
+                ~slack:words_slack w.print ])
         rows
     in
     match failures with

@@ -1280,10 +1280,7 @@ let disasm_cmd =
           (fun (e : Block.entry) ->
             let lay = e.Block.layout in
             let bytes =
-              String.concat ""
-                (List.init lay.Encode.len (fun i ->
-                     Printf.sprintf "%02x"
-                       (Char.code code.[lay.Encode.off + i])))
+              Hex.encode (String.sub code lay.Encode.off lay.Encode.len)
             in
             let d = e.Block.desc in
             Printf.printf "%-6d %-4d %-22s %-40s %d uop%s, lat %d%s%s%s\n"

@@ -5,4 +5,4 @@ let () =
      @ Test_obs.suite @ Test_supervise.suite @ Test_net.suite
      @ Test_check.suite @ Test_store.suite @ Test_shard_cache.suite
      @ Test_serve_hit.suite @ Test_cli.suite @ Test_pin.suite
-     @ Test_block.suite @ Test_precedence.suite)
+     @ Test_block.suite @ Test_precedence.suite @ Test_text.suite)

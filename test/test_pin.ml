@@ -69,4 +69,77 @@ let tests =
         if d <> pinned_digest then
           Alcotest.failf "prediction digest %s <> pinned %s" d pinned_digest) ]
 
-let suite = [ "pin.predictions", tests ]
+(* The wire bytes pinned across commits: what [Serve.handle_line]
+   prints for the same corpus's blocks, sent as hex requests on every
+   µarch, each twice (a miss, then a hit), and for a fixed list of
+   refusals and odd-but-valid lines.  Predictions are pinned above; this
+   digest moves when the printer, the parser, the hex decoder or the
+   reply shape does.  Taken when the text routines lost Printf, at the
+   commit before that change. *)
+let pinned_wire_digest = "df1d6ad13ebaed4897d6d4d034623713"
+
+let refusals =
+  let good = {|{"id":1,"arch":"SKL","mode":"auto","hex":"4801d8"}|} in
+  [ {|{"id":1,"hex":"not hex"}|}; {|{"id":2,"hex":"4801d"}|};
+    {|{"id":3,"hex":"48 01 d8 zz"}|}; "{\"id\":4,\"hex\":\"48\\u00010\"}";
+    {|{"id":5,"arch":"XYZ","hex":"4801d8"}|};
+    {|{"id":6,"mode":"fast","hex":"4801d8"}|}; {|{"id":7,"hex":"0f38f0c0"}|};
+    {|{"id":8}|}; {|{"id":9,"hex":4801}|}; {|{"id":10,"bogus":1}|};
+    {|{"id":11,"proto":2,"hex":"90"}|}; {|{"id":12,"cmd":"reboot"}|};
+    {|[1,2]|}; {|{"id":13,"asm":"bogus insn"}|};
+    {|{"id":14,"asm":"imul rax, rbx"}|}; {|{"id":15,"hex":"90"} x|};
+    {|{"id":"a\"b\u0001\/","hex":"90"}|}; {|{"id":"\ud83d\ude00","hex":"90"}|};
+    {|{"id":1.5e3,"hex":"90"}|}; {|{"id":-0.0,"hex":"90"}|};
+    {|{"id":0.1,"hex":"90"}|}; {|{"id":1e300,"hex":"90"}|};
+    {|{"id":12345678901234567890,"hex":"90"}|};
+    {|{"id":16,"hex":"|} ^ String.make 70_000 '9' ^ {|"}|};
+    String.make 257 '[' ^ String.make 257 ']';
+    String.make 258 '[' ^ String.make 258 ']' ]
+  @ List.map (fun i -> String.sub good 0 i) [ 0; 1; 5; 10; 20; 30; 43 ]
+
+let wire_text () =
+  let module Serve = Facile_engine.Serve in
+  let module Json = Facile_obs.Json in
+  let t =
+    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  let buf = Buffer.create (1 lsl 20) in
+  let send line =
+    Buffer.add_string buf
+      (Json.to_string (Serve.with_proto (Serve.handle_line t line)));
+    Buffer.add_char buf '\n'
+  in
+  let cases = Suite.corpus ~seed:2023 ~size:100 () in
+  let modes =
+    [| ""; {|"mode":"loop",|}; {|"mode":"unroll",|}; {|"mode":"auto",|} |]
+  in
+  let id = ref 0 in
+  List.iter
+    (fun (cfg : Config.t) ->
+      List.iter
+        (fun (c : Suite.case) ->
+          List.iter
+            (fun insts ->
+              let code = fst (Facile_x86.Encode.encode_block insts) in
+              let hex = Facile_x86.Hex.encode code in
+              for _ = 1 to 2 do
+                incr id;
+                send
+                  (Printf.sprintf {|{"id":%d,"arch":"%s",%s"hex":"%s"}|} !id
+                     cfg.Config.abbrev modes.(c.Suite.id mod 4) hex)
+              done)
+            [ c.Suite.body; c.Suite.loop ])
+        cases)
+    Config.all;
+  List.iter send refusals;
+  Buffer.contents buf
+
+let wire_tests =
+  [ Alcotest.test_case "served replies match the pinned digest" `Quick
+      (fun () ->
+        let d = Digest.to_hex (Digest.string (wire_text ())) in
+        if d <> pinned_wire_digest then
+          Alcotest.failf "wire digest %s <> pinned %s" d pinned_wire_digest) ]
+
+let suite = [ "pin.predictions", tests; "pin.wire", wire_tests ]

@@ -666,14 +666,35 @@ let words_slack = 1.1
    server answers every line first, so tables, arenas and histograms
    are warm; a fresh one then answers each line twice, a miss and then
    a hit.  The stages are counted on their own: the request parse, the
-   hex decode, and the reply as [Serve] builds and prints it. *)
+   hex decode, the memo cache's lookup, and the reply as [Serve] builds
+   and prints it. *)
 type served_words = {
   miss : float;
   hit : float;
   parse : float;
   hex : float;
+  memo_miss : float;
+  memo_hit : float;
   print : float;
 }
+
+(* Minor words per [Shard_cache.find_or_compute] miss and per hit, on
+   the engine's key type with a constant value, so that only the cache
+   allocates: a fresh cache shaped as a one-worker engine's misses
+   every key once, then hits each. *)
+let memo_words (cfg : Config.t) codes value =
+  let module Shard_cache = Facile_engine.Shard_cache in
+  let keys =
+    List.map (fun code -> (cfg.Config.arch, (`Auto : Model.notion), code)) codes
+  in
+  let cache =
+    Shard_cache.create ~shards:4 ~cap:Engine.default_cache_cap
+      ~hash:Hashtbl.hash ()
+  in
+  let compute () = value in
+  let lookup key = Shard_cache.find_or_compute cache key compute in
+  let miss = minor_words lookup keys in
+  (miss, minor_words lookup keys)
 
 let served_words (cfg : Config.t) codes =
   let module Json = Facile_obs.Json in
@@ -715,9 +736,11 @@ let served_words (cfg : Config.t) codes =
           | Json.Obj fields -> Json.Obj (("id", Json.Int i) :: fields)
           | other -> other))
   in
+  let memo_miss, memo_hit = memo_words cfg codes (List.hd replies) in
   { miss; hit;
     parse = minor_words_per Json.parse lines;
     hex = minor_words_per Hex.decode hexes;
+    memo_miss; memo_hit;
     print = minor_words_per print replies }
 
 let perf () =
@@ -780,11 +803,15 @@ let perf () =
     ~title:
       "Served path: minor words per hex request (Serve.handle_line and the \
        printed reply), and per stage"
-    ~header:[ "uArch"; "miss"; "hit"; "Json.parse"; "Hex.decode"; "reply print" ]
+    ~header:
+      [ "uArch"; "miss"; "hit"; "Json.parse"; "Hex.decode"; "memo miss";
+        "memo hit"; "reply print" ]
     (List.map
        (fun (cfg, _, _, _, _, _, w) ->
          cfg.Config.abbrev
-         :: List.map (Printf.sprintf "%.1f") [ w.miss; w.hit; w.parse; w.hex; w.print ])
+         :: List.map (Printf.sprintf "%.1f")
+              [ w.miss; w.hit; w.parse; w.hex; w.memo_miss; w.memo_hit;
+                w.print ])
        rows);
   List.iter
     (fun (cfg, fast, refn, _, _, _, _) ->
@@ -810,6 +837,8 @@ let perf () =
                    "served_hit_words", Json.Float w.hit;
                    "parse_words", Json.Float w.parse;
                    "hex_decode_words", Json.Float w.hex;
+                   "memo_miss_words", Json.Float w.memo_miss;
+                   "memo_hit_words", Json.Float w.memo_hit;
                    "reply_print_words", Json.Float w.print ])
              rows) ) ];
   (* Regression gates: each arch's ns/block may exceed its committed
@@ -871,6 +900,10 @@ let perf () =
                 ~slack:words_slack w.parse;
               gate cfg "hex_decode_words" ~unit_:"Hex.decode words/request"
                 ~slack:words_slack w.hex;
+              gate cfg "memo_miss_words" ~unit_:"memo miss words"
+                ~slack:words_slack w.memo_miss;
+              gate cfg "memo_hit_words" ~unit_:"memo hit words"
+                ~slack:words_slack w.memo_hit;
               gate cfg "reply_print_words" ~unit_:"reply print words"
                 ~slack:words_slack w.print ])
         rows

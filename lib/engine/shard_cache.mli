@@ -1,14 +1,15 @@
 (** Sharded concurrent bounded cache with single-flight miss
     coalescing.
 
-    A [('k, 'v) t] is an array of independent bounded {!Lru} shards,
-    each behind its own lock, selected by masking the caller-supplied
-    key hash — concurrent operations on keys in different shards never
-    contend.  A miss is computed under {e single-flight}: the first
-    requester of a key computes it (outside any lock) while concurrent
-    requesters of the same key wait on the shard's condition variable
-    and reuse the result, so K racing identical requests cost one
-    compute.  Hit/miss/coalesced counters are [Atomic] accumulators:
+    A [('k, 'v) t] is an array of independent bounded LRU shards, each
+    behind its own lock, selected by masking the caller-supplied key
+    hash — concurrent operations on keys in different shards never
+    contend.  Each shard is one intrusive hash table whose entries are
+    also its recency list, and a call hashes its key once.  A miss is
+    computed under {e single-flight}: the first requester of a key
+    computes it (outside any lock) while concurrent requesters of the
+    same key wait on the shard's condition variable and reuse the
+    result, so K racing identical requests cost one compute.  Hit/miss/coalesced counters are [Atomic] accumulators:
     monotone and cheap to bump, but {!stats} is not a simultaneous
     snapshot (see DESIGN.md section 15).
 
@@ -30,7 +31,7 @@ type stats = {
     split over [shards] shards ([hash] routes each key).  The shard
     count is rounded up to a power of two and clamped so each shard
     keeps at least 16 entries of capacity (down to a single shard,
-    which behaves exactly like one locked {!Lru}); the per-shard
+    which behaves exactly like one locked LRU map); the per-shard
     capacities sum to exactly [cap].
     @raise Invalid_argument if [cap < 1] or [shards < 1]. *)
 val create : shards:int -> cap:int -> hash:('k -> int) -> unit -> ('k, 'v) t
@@ -44,7 +45,9 @@ val shard_count : ('k, 'v) t -> int
     it resolves and share the result (counted as [coalesced] and then
     [hits]).  If the owner's [compute] raises, the exception
     propagates to the owner only; waiters retry and one of them
-    becomes the new owner. *)
+    becomes the new owner.  A value {!add}ed for [k] while its compute
+    is in flight is served to the waiters, and stays even if the owner
+    raises. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 (** Plain lookup; promotes to most-recent, does not count a hit. *)

@@ -1,30 +1,31 @@
-(* Bounded LRU map: a hashtable over an intrusive doubly-linked
-   recency list.  [find] promotes to most-recent; [add] beyond the
-   capacity evicts the least-recent entry and counts it.  All
-   operations are O(1); the structure is not synchronized — callers
-   (the engine memo cache) hold their own mutex. *)
+(* The bounded LRU map the engine's memo cache was built on, before
+   each cache shard became one intrusive table: a hashtable over a
+   doubly-linked recency list.  [find] promotes to most-recent; [add]
+   beyond the capacity evicts the least-recent entry and counts it.
+   Kept as a reference: the equivalence qchecks in test_shard_cache.ml
+   require a one-shard cache to answer, evict and order exactly as
+   this does, on every trace. *)
 
 type ('k, 'v) node = {
   key : 'k;
-  mutable value : 'v; (* lint: unguarded — caller holds the memo mutex *)
-  mutable prev : ('k, 'v) node option; (* lint: unguarded — towards most-recent *)
-  mutable next : ('k, 'v) node option; (* lint: unguarded — towards least-recent *)
+  mutable value : 'v;
+  mutable prev : ('k, 'v) node option; (* towards most-recent *)
+  mutable next : ('k, 'v) node option; (* towards least-recent *)
 }
 
 type ('k, 'v) t = {
   cap : int;
   tbl : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option; (* lint: unguarded — most-recent; caller-locked *)
-  mutable tail : ('k, 'v) node option; (* lint: unguarded — least-recent; caller-locked *)
-  mutable evictions : int; (* lint: unguarded — caller holds the memo mutex *)
+  mutable head : ('k, 'v) node option; (* most-recent *)
+  mutable tail : ('k, 'v) node option; (* least-recent *)
+  mutable evictions : int;
 }
 
 let create cap =
-  if cap < 1 then invalid_arg (Printf.sprintf "Lru.create: cap = %d" cap);
+  if cap < 1 then invalid_arg (Printf.sprintf "Lru_ref.create: cap = %d" cap);
   { cap; tbl = Hashtbl.create (min cap 1024); head = None; tail = None;
     evictions = 0 }
 
-let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
 let evictions t = t.evictions
 
@@ -76,8 +77,6 @@ let add t k v =
     let n = { key = k; value = v; prev = None; next = None } in
     push_front t n;
     Hashtbl.replace t.tbl k n
-
-let mem t k = Hashtbl.mem t.tbl k
 
 let to_list t =
   let rec go acc = function

@@ -1,12 +1,12 @@
-(* Fault-tolerance layer: bounded LRU semantics, the request boundary,
-   deterministic fault injection, and the serve-level failure paths
-   (timeout, too_large, crash isolation, EOF drain, shutdown of an
-   idle session). *)
+(* Fault-tolerance layer: the memo cache's bounded LRU semantics, the
+   request boundary, deterministic fault injection, and the serve-level
+   failure paths (timeout, too_large, crash isolation, EOF drain,
+   shutdown of an idle session). *)
 
 open Facile_uarch
 open Facile_core
 module Json = Facile_obs.Json
-module Lru = Facile_engine.Lru
+module Shard_cache = Facile_engine.Shard_cache
 module Supervise = Facile_engine.Supervise
 module Fault = Facile_engine.Fault
 module Engine = Facile_engine.Engine
@@ -33,73 +33,79 @@ let req ?(extra = []) hex =
   Json.to_string (Json.Obj (("hex", Json.Str hex) :: extra))
 
 (* ------------------------------------------------------------------ *)
-(* LRU                                                                 *)
+(* LRU: a one-shard cache is one bounded LRU.  Membership is read
+   through [to_list], which does not promote.                         *)
+
+let lru cap = Shard_cache.create ~shards:1 ~cap ~hash:Hashtbl.hash ()
+let mem c k = List.mem_assoc k (Shard_cache.to_list c)
+let entries c = (Shard_cache.stats c).Shard_cache.entries
+let evictions c = (Shard_cache.stats c).Shard_cache.evictions
 
 let lru_tests =
   [ Alcotest.test_case "evicts in LRU order" `Quick (fun () ->
-        let t = Lru.create 3 in
-        Lru.add t "a" 1; Lru.add t "b" 2; Lru.add t "c" 3;
-        Lru.add t "d" 4;  (* evicts a, the least recent *)
-        Alcotest.(check bool) "a gone" false (Lru.mem t "a");
-        Alcotest.(check bool) "b stays" true (Lru.mem t "b");
-        Alcotest.(check int) "length" 3 (Lru.length t);
-        Alcotest.(check int) "evictions" 1 (Lru.evictions t));
+        let t = lru 3 in
+        Shard_cache.add t "a" 1; Shard_cache.add t "b" 2; Shard_cache.add t "c" 3;
+        Shard_cache.add t "d" 4;  (* evicts a, the least recent *)
+        Alcotest.(check bool) "a gone" false (mem t "a");
+        Alcotest.(check bool) "b stays" true (mem t "b");
+        Alcotest.(check int) "length" 3 (entries t);
+        Alcotest.(check int) "evictions" 1 (evictions t));
     Alcotest.test_case "find promotes to most-recent" `Quick (fun () ->
-        let t = Lru.create 3 in
-        Lru.add t "a" 1; Lru.add t "b" 2; Lru.add t "c" 3;
-        Alcotest.(check (option int)) "find a" (Some 1) (Lru.find t "a");
-        Lru.add t "d" 4;  (* now b is least recent, not a *)
-        Alcotest.(check bool) "a survived" true (Lru.mem t "a");
-        Alcotest.(check bool) "b evicted" false (Lru.mem t "b"));
+        let t = lru 3 in
+        Shard_cache.add t "a" 1; Shard_cache.add t "b" 2; Shard_cache.add t "c" 3;
+        Alcotest.(check (option int)) "find a" (Some 1) (Shard_cache.find t "a");
+        Shard_cache.add t "d" 4;  (* now b is least recent, not a *)
+        Alcotest.(check bool) "a survived" true (mem t "a");
+        Alcotest.(check bool) "b evicted" false (mem t "b"));
     Alcotest.test_case "re-adding an existing key does not evict" `Quick
       (fun () ->
-        let t = Lru.create 2 in
-        Lru.add t "a" 1; Lru.add t "b" 2;
-        Lru.add t "a" 10;  (* update in place, promote *)
-        Alcotest.(check int) "no eviction" 0 (Lru.evictions t);
-        Alcotest.(check (option int)) "updated" (Some 10) (Lru.find t "a");
-        Lru.add t "c" 3;  (* b was least recent *)
-        Alcotest.(check bool) "b evicted" false (Lru.mem t "b");
-        Alcotest.(check bool) "a stays" true (Lru.mem t "a"));
+        let t = lru 2 in
+        Shard_cache.add t "a" 1; Shard_cache.add t "b" 2;
+        Shard_cache.add t "a" 10;  (* update in place, promote *)
+        Alcotest.(check int) "no eviction" 0 (evictions t);
+        Alcotest.(check (option int)) "updated" (Some 10) (Shard_cache.find t "a");
+        Shard_cache.add t "c" 3;  (* b was least recent *)
+        Alcotest.(check bool) "b evicted" false (mem t "b");
+        Alcotest.(check bool) "a stays" true (mem t "a"));
     Alcotest.test_case "capacity one churns correctly" `Quick (fun () ->
-        let t = Lru.create 1 in
-        for i = 1 to 50 do Lru.add t i i done;
-        Alcotest.(check int) "length" 1 (Lru.length t);
-        Alcotest.(check int) "evictions" 49 (Lru.evictions t);
+        let t = lru 1 in
+        for i = 1 to 50 do Shard_cache.add t i i done;
+        Alcotest.(check int) "length" 1 (entries t);
+        Alcotest.(check int) "evictions" 49 (evictions t);
         Alcotest.(check (option int)) "last one wins" (Some 50)
-          (Lru.find t 50));
+          (Shard_cache.find t 50));
     Alcotest.test_case "capacity one: promote and update churn" `Quick
       (fun () ->
         (* cap 1 is the degenerate case where head = tail: promote of
            the only entry and update-in-place must not corrupt the
            recency list while every new key evicts *)
-        let t = Lru.create 1 in
-        Lru.add t "a" 1;
+        let t = lru 1 in
+        Shard_cache.add t "a" 1;
         Alcotest.(check (option int)) "promote sole entry" (Some 1)
-          (Lru.find t "a");
-        Lru.add t "a" 2;  (* update in place: no eviction *)
-        Alcotest.(check int) "update is free" 0 (Lru.evictions t);
+          (Shard_cache.find t "a");
+        Shard_cache.add t "a" 2;  (* update in place: no eviction *)
+        Alcotest.(check int) "update is free" 0 (evictions t);
         for i = 1 to 25 do
-          Lru.add t (string_of_int i) i;
+          Shard_cache.add t (string_of_int i) i;
           Alcotest.(check (option int)) "new key readable" (Some i)
-            (Lru.find t (string_of_int i));
-          Alcotest.(check int) "bounded" 1 (Lru.length t)
+            (Shard_cache.find t (string_of_int i));
+          Alcotest.(check int) "bounded" 1 (entries t)
         done;
-        Alcotest.(check int) "one eviction per new key" 25 (Lru.evictions t);
-        Alcotest.(check bool) "a long gone" false (Lru.mem t "a"));
+        Alcotest.(check int) "one eviction per new key" 25 (evictions t);
+        Alcotest.(check bool) "a long gone" false (mem t "a"));
     Alcotest.test_case "to_list is most-recent first, no promotion" `Quick
       (fun () ->
-        let t = Lru.create 3 in
-        Lru.add t "a" 1; Lru.add t "b" 2; Lru.add t "c" 3;
-        ignore (Lru.find t "a");  (* promote a over c *)
+        let t = lru 3 in
+        Shard_cache.add t "a" 1; Shard_cache.add t "b" 2; Shard_cache.add t "c" 3;
+        ignore (Shard_cache.find t "a");  (* promote a over c *)
         Alcotest.(check (list (pair string int))) "snapshot order"
-          [ ("a", 1); ("c", 3); ("b", 2) ] (Lru.to_list t);
+          [ ("a", 1); ("c", 3); ("b", 2) ] (Shard_cache.to_list t);
         (* the snapshot itself must not have promoted anything *)
         Alcotest.(check (list (pair string int))) "stable"
-          [ ("a", 1); ("c", 3); ("b", 2) ] (Lru.to_list t));
+          [ ("a", 1); ("c", 3); ("b", 2) ] (Shard_cache.to_list t));
     Alcotest.test_case "rejects capacity < 1" `Quick (fun () ->
-        match Lru.create 0 with
-        | (_ : (int, int) Lru.t) -> Alcotest.fail "accepted cap 0"
+        match lru 0 with
+        | (_ : (int, int) Shard_cache.t) -> Alcotest.fail "accepted cap 0"
         | exception Invalid_argument _ -> ()) ]
 
 (* A memoized answer served after heavy eviction churn must equal a

@@ -661,13 +661,13 @@ let minor_words_per f xs =
 let words_slack = 1.1
 
 (* Minor words per request on the served path, for [codes] sent as hex
-   requests on [cfg], through the calls the wire makes: [Serve.handle_line],
-   then [Json.to_string] of the reply with its proto.  A throwaway
-   server answers every line first, so tables, arenas and histograms
-   are warm; a fresh one then answers each line twice, a miss and then
-   a hit.  The stages are counted on their own: the request parse, the
-   hex decode, the memo cache's lookup, and the reply as [Serve] builds
-   and prints it. *)
+   requests on [cfg], through the calls a session makes:
+   [Serve.handle_line], then [Serve.print_reply] into one reused buffer.
+   A throwaway server answers every line first, so tables, arenas and
+   histograms are warm; a fresh one then answers each line twice, a
+   miss and then a hit.  The stages are counted on their own: the
+   request parse, the hex decode, the memo cache's lookup, and the
+   reply as [Serve] builds and prints it. *)
 type served_words = {
   miss : float;
   hit : float;
@@ -691,8 +691,8 @@ let memo_words (cfg : Config.t) codes value =
     Shard_cache.create ~shards:4 ~cap:Engine.default_cache_cap
       ~hash:Hashtbl.hash ()
   in
-  let compute () = value in
-  let lookup key = Shard_cache.find_or_compute cache key compute in
+  let compute _ () = value in
+  let lookup key = Shard_cache.find_or_compute cache key compute () in
   let miss = minor_words lookup keys in
   (miss, minor_words lookup keys)
 
@@ -714,8 +714,11 @@ let served_words (cfg : Config.t) codes =
     in
     Fun.protect ~finally:(fun () -> Serve.shutdown t) (fun () -> f t)
   in
+  (* a session's reply buffer *)
+  let out = Buffer.create 1024 in
   let answer t line =
-    Json.to_string (Serve.with_proto (Serve.handle_line t line))
+    Buffer.clear out;
+    Serve.print_reply out (Serve.handle_line t line)
   in
   with_server (fun t -> List.iter (fun l -> ignore (answer t l)) lines);
   let miss, hit =
@@ -730,11 +733,11 @@ let served_words (cfg : Config.t) codes =
       codes
   in
   let print (i, p) =
-    Json.to_string
-      (Serve.with_proto
-         (match Model.prediction_to_json p with
-          | Json.Obj fields -> Json.Obj (("id", Json.Int i) :: fields)
-          | other -> other))
+    Buffer.clear out;
+    Serve.print_reply out
+      (match Model.prediction_to_json p with
+       | Json.Obj fields -> Json.Obj (("id", Json.Int i) :: fields)
+       | other -> other)
   in
   let memo_miss, memo_hit = memo_words cfg codes (List.hd replies) in
   { miss; hit;
@@ -742,6 +745,53 @@ let served_words (cfg : Config.t) codes =
     hex = minor_words_per Hex.decode hexes;
     memo_miss; memo_hit;
     print = minor_words_per print replies }
+
+(* Words the engine's memo cache retains per entry: [Obj.reachable_words]
+   of each value it keeps (instruction count and prediction) after
+   predicting [codes] on [cfg], averaged. *)
+let cached_words (cfg : Config.t) codes =
+  Engine.with_pool ~workers:1 (fun pool ->
+      List.iter
+        (fun code ->
+          ignore
+            (Engine.predict_code pool cfg ~mode:`Auto code ~analyze:(fun () ->
+                 Block.of_bytes cfg code)))
+        codes;
+      let entries = Engine.memo_entries pool in
+      List.fold_left
+        (fun acc ((_, _, insts, _), p) ->
+          acc +. float_of_int (Obj.reachable_words (Obj.repr (insts, p))))
+        0.0 entries
+      /. float_of_int (List.length entries))
+
+(* Wall ns per [Obs.timed] span around an empty thunk when [domains]
+   domains record into one histogram at once, the fastest of [reps]
+   rounds: what each always-on span costs the code it times. *)
+let span_ns ~domains =
+  let module Obs = Facile_obs.Obs in
+  let h = Obs.Histogram.create () and n = 200_000 and reps = 5 in
+  let spans () =
+    for _ = 1 to n do
+      Obs.timed h (fun () -> ignore (Sys.opaque_identity ()))
+    done
+  in
+  let round () =
+    let t0 = Facile_obs.Clock.now_ns () in
+    let others = List.init (domains - 1) (fun _ -> Domain.spawn spans) in
+    spans ();
+    List.iter Domain.join others;
+    float_of_int (Facile_obs.Clock.now_ns () - t0) /. float_of_int n
+  in
+  List.fold_left Float.min infinity (List.init reps (fun _ -> round ()))
+
+(* Wall ns per [Clock.now_ns] read; a span takes two. *)
+let clock_read_ns () =
+  let n = 1_000_000 in
+  let t0 = Facile_obs.Clock.now_ns () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Facile_obs.Clock.now_ns ()))
+  done;
+  float_of_int (Facile_obs.Clock.now_ns () - t0) /. float_of_int n
 
 let perf () =
   let module Json = Facile_obs.Json in
@@ -779,9 +829,11 @@ let perf () =
           minor_words_per (fun b -> Model.predict b) (List.map analyze codes)
         in
         ( cfg, fast, refn, of_bytes_ns, of_bytes_words, predict_words,
-          served_words cfg codes ))
+          served_words cfg codes, cached_words cfg codes ))
       Config.all
   in
+  let clock_ns = clock_read_ns () in
+  let span1_ns = span_ns ~domains:1 and span2_ns = span_ns ~domains:2 in
   Report.Table.print
     ~title:
       (Printf.sprintf
@@ -790,14 +842,15 @@ let perf () =
          (List.length cases) reps)
     ~header:
       [ "uArch"; "ns/block"; "reference ns/block"; "speedup";
-        "of_bytes ns/block"; "of_bytes words"; "predict words" ]
+        "of_bytes ns/block"; "of_bytes words"; "predict words";
+        "cached words" ]
     (List.map
-       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, _) ->
+       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, _, cached) ->
          [ cfg.Config.abbrev; Printf.sprintf "%.0f" fast;
            Printf.sprintf "%.0f" refn;
            Printf.sprintf "%.2fx" (refn /. Float.max fast 1e-9);
            Printf.sprintf "%.0f" ob_ns; Printf.sprintf "%.1f" ob_w;
-           Printf.sprintf "%.1f" pr_w ])
+           Printf.sprintf "%.1f" pr_w; Printf.sprintf "%.1f" cached ])
        rows);
   Report.Table.print
     ~title:
@@ -807,24 +860,31 @@ let perf () =
       [ "uArch"; "miss"; "hit"; "Json.parse"; "Hex.decode"; "memo miss";
         "memo hit"; "reply print" ]
     (List.map
-       (fun (cfg, _, _, _, _, _, w) ->
+       (fun (cfg, _, _, _, _, _, w, _) ->
          cfg.Config.abbrev
          :: List.map (Printf.sprintf "%.1f")
               [ w.miss; w.hit; w.parse; w.hex; w.memo_miss; w.memo_hit;
                 w.print ])
        rows);
   List.iter
-    (fun (cfg, fast, refn, _, _, _, _) ->
+    (fun (cfg, fast, refn, _, _, _, _, _) ->
       Printf.printf "%s ns/block %.0f (%.2fx vs reference)\n" cfg.Config.abbrev
         fast (refn /. Float.max fast 1e-9))
     rows;
+  Printf.printf
+    "always-on spans (ungated): Clock.now_ns %.0f ns; one Obs.timed span \
+     %.0f ns from one domain, %.0f ns from each of two into one histogram\n"
+    clock_ns span1_ns span2_ns;
   bench_record "perf"
     [ "corpus", Json.Int (List.length cases);
       "reps", Json.Int reps;
+      "clock_read_ns", Json.Float clock_ns;
+      "span_ns_one_domain", Json.Float span1_ns;
+      "span_ns_two_domains", Json.Float span2_ns;
       ( "arches",
         Json.Arr
           (List.map
-             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, w) ->
+             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, w, cached) ->
                Json.Obj
                  [ "arch", Json.Str cfg.Config.abbrev;
                    "ns_per_block", Json.Float fast;
@@ -839,7 +899,8 @@ let perf () =
                    "hex_decode_words", Json.Float w.hex;
                    "memo_miss_words", Json.Float w.memo_miss;
                    "memo_hit_words", Json.Float w.memo_hit;
-                   "reply_print_words", Json.Float w.print ])
+                   "reply_print_words", Json.Float w.print;
+                   "cached_words", Json.Float cached ])
              rows) ) ];
   (* Regression gates: each arch's ns/block may exceed its committed
      baseline by at most 20%, and each word count its committed count
@@ -885,7 +946,7 @@ let perf () =
     in
     let failures =
       List.concat_map
-        (fun (cfg, fast, _, _, ob_w, pr_w, w) ->
+        (fun (cfg, fast, _, _, ob_w, pr_w, w, cached) ->
           List.filter_map Fun.id
             [ gate cfg "ns_per_block" ~unit_:"ns/block" ~slack:1.2 fast;
               gate cfg "of_bytes_words_per_block"
@@ -905,7 +966,9 @@ let perf () =
               gate cfg "memo_hit_words" ~unit_:"memo hit words"
                 ~slack:words_slack w.memo_hit;
               gate cfg "reply_print_words" ~unit_:"reply print words"
-                ~slack:words_slack w.print ])
+                ~slack:words_slack w.print;
+              gate cfg "cached_words" ~unit_:"memo cache words/entry"
+                ~slack:words_slack cached ])
         rows
     in
     match failures with
@@ -1003,9 +1066,9 @@ let scale () =
     List.for_all2
       (fun (a : Model.prediction) (b : Model.prediction) ->
         Float.equal a.Model.cycles b.Model.cycles
-        && List.for_all2
-             (fun (c1, v1) (c2, v2) -> c1 = c2 && Float.equal v1 v2)
-             a.Model.values b.Model.values)
+        && List.for_all
+             (fun c -> Float.equal (Model.value a c) (Model.value b c))
+             Model.all_components)
       (with_shards 1) (with_shards 16)
   in
   if not identical then

@@ -104,10 +104,11 @@ let print_prediction cfg block mode (p : Model.prediction) =
     p.Model.cycles;
   Printf.printf "component bounds:\n";
   List.iter
-    (fun (c, v) ->
-      let tag = if List.mem c p.Model.bottlenecks then "  <- bottleneck" else "" in
-      Printf.printf "  %-11s %6.2f%s\n" (Model.component_name c) v tag)
-    p.Model.values
+    (fun c ->
+      let tag = if Model.is_bottleneck p c then "  <- bottleneck" else "" in
+      Printf.printf "  %-11s %6.2f%s\n" (Model.component_name c)
+        (Model.value p c) tag)
+    Model.all_components
 
 (* the shared prediction encoding (Model.prediction_to_json), prefixed
    with call-site context fields *)
@@ -226,11 +227,11 @@ let explain_cmd =
         let p = Model.predict ~notion block in
         print_prediction cfg block mode p;
         print_newline ();
-        if List.mem Model.Precedence p.Model.bottlenecks then begin
+        if Model.is_bottleneck p Model.Precedence then begin
           Printf.printf "critical dependency chain (instr:value:def/use):\n";
           List.iter (Printf.printf "  %s\n") (Precedence.critical_chain block)
         end;
-        if List.mem Model.Ports p.Model.bottlenecks then begin
+        if Model.is_bottleneck p Model.Ports then begin
           match Ports.critical_combination block with
           | Some (pc, n) ->
             Printf.printf "critical port combination: %s (%d uops -> %.2f)\n"
@@ -280,7 +281,7 @@ let sweep_cmd =
           (fun ((cfg : Config.t), (p : Model.prediction)) ->
             Printf.printf "%-14s %6.2f  %s\n" cfg.Config.name p.Model.cycles
               (String.concat "+"
-                 (List.map Model.component_name p.Model.bottlenecks)))
+                 (List.map Model.component_name (Model.bottlenecks p))))
           rows;
         Ok ())
   in
@@ -405,7 +406,7 @@ let batch_cmd =
             (fun (lineno, _, measured) (p : Model.prediction) ->
               Printf.printf "%-6d %8.2f  %s%s\n" lineno p.Model.cycles
                 (String.concat "+"
-                   (List.map Model.component_name p.Model.bottlenecks))
+                   (List.map Model.component_name (Model.bottlenecks p)))
                 (match measured with
                  | Some m -> Printf.sprintf "  (measured %.2f)" m
                  | None -> ""))

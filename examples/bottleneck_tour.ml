@@ -71,14 +71,15 @@ let () =
       Printf.printf "== %s ==\n" title;
       Printf.printf "   prediction: %.2f cycles/iteration; bottleneck: %s\n"
         p.Model.cycles
-        (String.concat ", " (List.map Model.component_name p.Model.bottlenecks));
-      if List.mem Model.Ports p.Model.bottlenecks then
+        (String.concat ", "
+           (List.map Model.component_name (Model.bottlenecks p)));
+      if Model.is_bottleneck p Model.Ports then
         (match Ports.critical_combination block with
          | Some (pc, count) ->
            Printf.printf "   port feedback: %d uops restricted to %s\n" count
              (Port.to_string pc)
          | None -> ());
-      if List.mem Model.Precedence p.Model.bottlenecks then begin
+      if Model.is_bottleneck p Model.Precedence then begin
         Printf.printf "   dependency chain:";
         List.iter (Printf.printf " %s") (Precedence.critical_chain block);
         print_newline ()

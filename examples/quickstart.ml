@@ -36,11 +36,11 @@ let () =
 
   Printf.printf "component bounds:\n";
   List.iter
-    (fun (c, v) ->
+    (fun c ->
       Printf.printf "  %-11s %5.2f%s\n"
-        (Model.component_name c) v
-        (if List.mem c p.Model.bottlenecks then "   <- bottleneck" else ""))
-    p.Model.values;
+        (Model.component_name c) (Model.value p c)
+        (if Model.is_bottleneck p c then "   <- bottleneck" else ""))
+    Model.all_components;
 
   (* cross-check against the cycle-level pipeline simulator *)
   let sim = Facile_sim.Sim.measure block in

@@ -110,4 +110,4 @@ let () =
     (sim insts) (sim !best);
   let p = Model.predict ~notion:`Unrolled (Block.of_instructions cfg !best) in
   Printf.printf "remaining bottleneck: %s\n"
-    (String.concat ", " (List.map Model.component_name p.Model.bottlenecks))
+    (String.concat ", " (List.map Model.component_name (Model.bottlenecks p)))

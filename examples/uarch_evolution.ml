@@ -34,7 +34,8 @@ let () =
       let speedup c = Model.speedup_idealizing block c in
       Printf.printf "%-14s %7.2f  %-22s %.2f / %.2f / %.2f / %.2f\n"
         cfg.Config.name p.Model.cycles
-        (String.concat "+" (List.map Model.component_name p.Model.bottlenecks))
+        (String.concat "+"
+           (List.map Model.component_name (Model.bottlenecks p)))
         (speedup Model.Predec) (speedup Model.Dec) (speedup Model.Ports)
         (speedup Model.Precedence))
     Config.all;

@@ -47,7 +47,7 @@ let () =
              | Model.FE_decoders -> "decoders"
              | Model.FE_none -> "-")
             (String.concat "+"
-               (List.map Model.component_name p.Model.bottlenecks)))
+               (List.map Model.component_name (Model.bottlenecks p))))
         [ 1; 2; 4; 8 ])
     [ Config.by_arch Config.HSW; Config.by_arch Config.SKL;
       Config.by_arch Config.RKL ]

@@ -27,35 +27,23 @@ let candidates (p : Model.prediction) =
   in
   fe @ [ Model.Issue; Model.Ports; Model.Precedence ]
 
-let value p c = List.assoc_opt c p.Model.values
-
 let check_prediction cfg tag ~notion (p : Model.prediction) =
   let w = where cfg tag in
   let err rule msg = [ error rule w msg ] in
   let finite =
     List.concat_map
-      (fun (c, v) ->
+      (fun c ->
+        let v = Model.value p c in
         if Float.is_finite v && v >= 0.0 then []
         else
           err "mdl-finite"
             (Printf.sprintf "%s bound is %g" (Model.component_name c) v))
-      p.Model.values
-  in
-  let complete =
-    List.concat_map
-      (fun c ->
-        if value p c <> None then []
-        else
-          err "mdl-finite"
-            (Printf.sprintf "no bound reported for %s"
-               (Model.component_name c)))
       Model.all_components
   in
   let max_rule =
     let expected =
       List.fold_left
-        (fun acc c ->
-          match value p c with Some v -> Float.max acc v | None -> acc)
+        (fun acc c -> Float.max acc (Model.value p c))
         0.0 (candidates p)
     in
     if Float.abs (p.Model.cycles -. expected) <= eps then []
@@ -66,18 +54,17 @@ let check_prediction cfg tag ~notion (p : Model.prediction) =
            (String.concat "," (List.map Model.component_name (candidates p))))
   in
   let bottleneck =
-    (if p.Model.cycles > 0.0 && p.Model.bottlenecks = [] then
+    (if p.Model.cycles > 0.0 && p.Model.bottleneck_mask = 0 then
        err "mdl-bottleneck" "positive cycles but empty bottleneck list"
      else [])
     @ List.concat_map
         (fun c ->
-          match value p c with
-          | Some v when Float.abs (v -. p.Model.cycles) <= eps -> []
-          | _ ->
+          if Float.abs (Model.value p c -. p.Model.cycles) <= eps then []
+          else
             err "mdl-bottleneck"
               (Printf.sprintf "bottleneck %s bound differs from cycles %g"
                  (Model.component_name c) p.Model.cycles))
-        p.Model.bottlenecks
+        (Model.bottlenecks p)
   in
   let fe =
     match notion, p.Model.fe_path with
@@ -87,11 +74,11 @@ let check_prediction cfg tag ~notion (p : Model.prediction) =
     | `Loop, Model.FE_none -> err "mdl-notion" "TP_L prediction reports FE_none"
     | `Loop, _ -> []
   in
-  finite @ complete @ max_rule @ bottleneck @ fe
+  finite @ max_rule @ bottleneck @ fe
 
 let same_prediction (a : Model.prediction) (b : Model.prediction) =
   Float.abs (a.Model.cycles -. b.Model.cycles) <= eps
-  && a.Model.bottlenecks = b.Model.bottlenecks
+  && a.Model.bottleneck_mask = b.Model.bottleneck_mask
   && a.Model.fe_path = b.Model.fe_path
 
 let check_block cfg tag insts =

@@ -30,16 +30,17 @@ let specimens () =
   let all_bytes = String.init 256 Char.chr in
   List.mapi
     (fun i arch ->
+      let values =
+        List.mapi (fun j c -> (c, float_of_int (i + j) /. 3.0))
+          Model.all_components
+      in
       let pred =
-        { Model.cycles = 0.25 +. (float_of_int i *. 1.5);
-          bottlenecks =
+        Model.make ~cycles:(0.25 +. (float_of_int i *. 1.5))
+          ~value:(fun c -> List.assoc c values)
+          ~bottlenecks:
             [ List.nth Model.all_components
-                (i mod List.length Model.all_components) ];
-          values =
-            List.mapi
-              (fun j c -> (c, float_of_int (i + j) /. 3.0))
-              Model.all_components;
-          fe_path = List.nth fe_paths (i mod List.length fe_paths) }
+                (i mod List.length Model.all_components) ]
+          ~fe_path:(List.nth fe_paths (i mod List.length fe_paths))
       in
       { Codec.arch;
         mode = List.nth [ `Loop; `Unrolled; `Auto ] (i / 3 mod 3);

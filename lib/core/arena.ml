@@ -30,8 +30,6 @@ type t = {
      path vector per logical *)
   mutable prec_codes : int array;
   mutable prec_paths : int array;
-  (* Model: the seven component bounds of the current prediction *)
-  vals : float array;
   (* Block analysis: per-logical values, read and write codes and port
      sets of the block being built, before the copy to exact size *)
   mutable blk_log : int array;
@@ -51,7 +49,6 @@ let create () =
     ports_cnt = [||];
     prec_codes = [||];
     prec_paths = [||];
-    vals = Array.make 7 0.0;
     blk_log = [||];
     blk_rcode = [||];
     blk_wcode = [||];

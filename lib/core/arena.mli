@@ -22,7 +22,6 @@ type t = {
   mutable prec_paths : int array;
       (** {!Precedence}'s per-code tables, and its matrix, Karp's
           table and path vectors *)
-  vals : float array;  (** the seven component bounds, see {!Model} *)
   mutable blk_log : int array;
   mutable blk_rcode : int array;
   mutable blk_wcode : int array;

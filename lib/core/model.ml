@@ -35,16 +35,19 @@ let default =
 
 type fe_path = FE_decoders | FE_lsd | FE_dsb | FE_none
 
+(* Fifteen words: the record, the box of [cycles] and the 7-slot float
+   array, indexed in [all_components] order.  The bottleneck set is an
+   int mask over the same indices and [fe_path] an immediate. *)
 type prediction = {
   cycles : float;
-  bottlenecks : component list;
-  values : (component * float) list;
+  bounds : float array;
+  bottleneck_mask : int;
   fe_path : fe_path;
 }
 
 (* The components as bit positions: the hot path represents component
-   sets as int masks and component values as the arena's 7-slot float
-   array, indexed in [all_components] order. *)
+   sets as int masks, and a prediction keeps its bounds in a float
+   array, both indexed in [all_components] order. *)
 let component_index = function
   | Predec -> 0
   | Dec -> 1
@@ -58,57 +61,67 @@ let component_bit c = 1 lsl component_index c
 
 let mask_of = List.fold_left (fun m c -> m lor component_bit c) 0
 
-(* Fill the arena's value slots for the given execution mode, threading
-   the arena through every component that uses scratch buffers. *)
-let fill_values (a : Arena.t) variant mode b =
-  let vals = a.Arena.vals in
-  vals.(0) <-
+let value p c = p.bounds.(component_index c)
+let is_bottleneck p c = p.bottleneck_mask land component_bit c <> 0
+let bottlenecks p = List.filter (is_bottleneck p) all_components
+
+let make ~cycles ~value ~bottlenecks ~fe_path =
+  { cycles;
+    bounds = Array.of_list (List.map value all_components);
+    bottleneck_mask = mask_of bottlenecks;
+    fe_path }
+
+(* The seven component bounds for the given execution mode, in a fresh
+   array that becomes the prediction's; the arena is threaded through
+   every component that uses scratch buffers. *)
+let fill_bounds (a : Arena.t) variant mode b =
+  let bounds = Array.make 7 0.0 in
+  bounds.(0) <-
     (if variant.simple_predec then Predec.simple b
      else Predec.throughput_in a ~mode b);
-  vals.(1) <-
+  bounds.(1) <-
     (if variant.simple_dec then Dec.simple b else Dec.throughput_in a b);
-  vals.(2) <- Lsd.throughput b;
-  vals.(3) <- Dsb.throughput b;
-  vals.(4) <- Issue.throughput b;
-  vals.(5) <- Ports.throughput_in a b;
-  vals.(6) <- Precedence.throughput_in a b
+  bounds.(2) <- Lsd.throughput b;
+  bounds.(3) <- Dsb.throughput b;
+  bounds.(4) <- Issue.throughput b;
+  bounds.(5) <- Ports.throughput_in a b;
+  bounds.(6) <- Precedence.throughput_in a b;
+  bounds
 
 (* Mask-based combine: same max / bottleneck / reporting semantics as
    the reference list pipeline below, without its per-candidate
-   [List.map]s — the only allocations left are the two constant-size
-   lists of the returned prediction. *)
-let combine_masks variant (vals : float array) candidates fe_path =
+   [List.map]s.  It idealizes [bounds] in place and returns them in the
+   prediction, so the record and the box of [cycles] are its only
+   allocations. *)
+let combine_masks variant (bounds : float array) candidates fe_path =
   let considered =
     match variant.only with
     | Some comps -> mask_of comps
     | None -> candidates land lnot (mask_of variant.without)
   in
+  (* report bounds after idealization too: [bottleneck_mask] and
+     [cycles] are computed on idealized bounds, so reporting the raw
+     ones would print a component table in which no entry equals
+     [cycles] *)
   let ideal = mask_of variant.idealized in
-  let value i = if ideal land (1 lsl i) <> 0 then 0.0 else vals.(i) in
+  for i = 0 to 6 do
+    if ideal land (1 lsl i) <> 0 then bounds.(i) <- 0.0
+  done;
   let cycles = ref 0.0 in
   for i = 0 to 6 do
-    if considered land (1 lsl i) <> 0 then cycles := Float.max !cycles (value i)
+    if considered land (1 lsl i) <> 0 then
+      cycles := Float.max !cycles bounds.(i)
   done;
   let cycles = !cycles in
-  let bottlenecks =
-    List.filter_map
-      (fun c ->
-        let i = component_index c in
-        if
-          considered land (1 lsl i) <> 0
-          && cycles > 0.0
-          && abs_float (value i -. cycles) < 1e-9
-        then Some c
-        else None)
-      all_components
-  in
-  (* report values after idealization too: [bottlenecks] and [cycles]
-     are computed on idealized bounds, so reporting the raw ones would
-     print a component table in which no entry equals [cycles] *)
-  let values =
-    List.map (fun c -> (c, value (component_index c))) all_components
-  in
-  { cycles; bottlenecks; values; fe_path }
+  let bottleneck_mask = ref 0 in
+  for i = 0 to 6 do
+    if
+      considered land (1 lsl i) <> 0
+      && cycles > 0.0
+      && abs_float (bounds.(i) -. cycles) < 1e-9
+    then bottleneck_mask := !bottleneck_mask lor (1 lsl i)
+  done;
+  { cycles; bounds; bottleneck_mask = !bottleneck_mask; fe_path }
 
 (* Throughput notion: TP_U (unrolled), TP_L (loop), or pick from the
    block's final instruction, the paper's §3.1 convention. *)
@@ -138,11 +151,11 @@ let unrolled_candidates = mask_of [ Predec; Dec; Issue; Ports; Precedence ]
 let be_candidates = mask_of [ Issue; Ports; Precedence ]
 
 let unrolled a variant b =
-  fill_values a variant `Unrolled b;
-  combine_masks variant a.Arena.vals unrolled_candidates FE_none
+  combine_masks variant (fill_bounds a variant `Unrolled b) unrolled_candidates
+    FE_none
 
 let looped a variant b =
-  fill_values a variant `Loop b;
+  let bounds = fill_bounds a variant `Loop b in
   let cfg = b.Block.cfg in
   let fe_candidates, fe_path =
     if cfg.Config.jcc_erratum && Block.jcc_erratum_affected b then
@@ -150,7 +163,7 @@ let looped a variant b =
     else if Lsd.applicable b then (component_bit LSD, FE_lsd)
     else (component_bit DSB, FE_dsb)
   in
-  combine_masks variant a.Arena.vals (fe_candidates lor be_candidates) fe_path
+  combine_masks variant bounds (fe_candidates lor be_candidates) fe_path
 
 (* The single prediction entry point; every surface (CLI, engine,
    bench, serve) goes through here.  One arena serves the whole
@@ -163,9 +176,10 @@ let predict ?(variant = default) ?(notion = `Auto) b =
 
 (* ----- reference pipeline ----------------------------------------- *)
 (* The pre-flattening model, verbatim: list-based component values and
-   the [List.map]-per-candidate combine. [predict_reference] must equal
-   [predict] on every block (property-tested); the perf bench times it
-   as the pre-PR inner loop. *)
+   the [List.map]-per-candidate combine, converted to a prediction once,
+   at the end. [predict_reference] must equal [predict] on every block
+   (property-tested); the perf bench times it as the pre-PR inner
+   loop. *)
 
 let raw_values_ref variant mode (b : Block.t) =
   let predec =
@@ -209,7 +223,7 @@ let combine_ref variant values candidates fe_path =
       all_components
   in
   let values = List.map (apply_idealized variant) values in
-  { cycles; bottlenecks; values; fe_path }
+  make ~cycles ~value:(fun c -> List.assoc c values) ~bottlenecks ~fe_path
 
 let unrolled_ref variant b =
   let values = raw_values_ref variant `Unrolled b in
@@ -239,8 +253,7 @@ let predict_reference ?(variant = default) ?(notion = `Auto) b =
 (* ------------------------------------------------------------------ *)
 
 let bottleneck ?(variant = default) b =
-  let p = predict ~variant b in
-  match p.bottlenecks with
+  match bottlenecks (predict ~variant b) with
   | c :: _ -> c
   | [] -> Issue (* empty block: arbitrary but stable *)
 
@@ -280,12 +293,17 @@ let prediction_to_json (p : prediction) : Facile_obs.Json.t =
   Json.Obj
     [ "cycles", Json.Float (finite "cycles" p.cycles);
       "bottlenecks",
-      Json.Arr (List.map (fun c -> Json.Str (component_name c)) p.bottlenecks);
+      Json.Arr
+        (List.fold_right
+           (fun c names ->
+             if is_bottleneck p c then Json.Str (component_name c) :: names
+             else names)
+           all_components []);
       "values",
       Json.Obj
         (List.map
-           (fun (c, v) ->
+           (fun c ->
              let name = component_name c in
-             (name, Json.Float (finite name v)))
-           p.values);
+             (name, Json.Float (finite name (value p c))))
+           all_components);
       "fe_path", Json.Str (fe_path_name p.fe_path) ]

@@ -32,17 +32,44 @@ val default : variant
 (** Which front-end source serves the loop in steady state (TP_L). *)
 type fe_path = FE_decoders | FE_lsd | FE_dsb | FE_none
 
-type prediction = {
+(** A prediction, as {!predict} returns it and the engine's memo cache
+    keeps it: 15 words (the record, the box of [cycles] and a 7-slot
+    float array).  Read the bounds and the bottlenecks through {!value},
+    {!is_bottleneck} and {!bottlenecks}; build one with {!make}. *)
+type prediction = private {
   cycles : float;  (** predicted inverse throughput (cycles/iteration) *)
-  bottlenecks : component list;
-      (** components whose bound equals [cycles]; ordered front-end
-          first (Predec > Dec > LSD > DSB > Issue > Ports > Precedence) *)
-  values : (component * float) list;
-      (** every component's bound (before ablation filtering, but after
-          [idealized] zeroing, so the table is consistent with
-          [cycles] and [bottlenecks]) *)
+  bounds : float array;
+      (** every component's bound, in {!all_components} order (before
+          ablation filtering, but after [idealized] zeroing, so the
+          table is consistent with [cycles] and the bottlenecks).
+          Shared by every holder of the prediction: never mutated. *)
+  bottleneck_mask : int;
+      (** bit [i] set when the [i]th component of {!all_components} is
+          a bottleneck *)
   fe_path : fe_path;
 }
+
+(** [value p c] — [c]'s bound in [p]. *)
+val value : prediction -> component -> float
+
+(** [is_bottleneck p c] — whether [c]'s bound equals [p.cycles] among
+    the components the prediction considered. *)
+val is_bottleneck : prediction -> component -> bool
+
+(** The bottleneck components, ordered front-end first (Predec > Dec >
+    LSD > DSB > Issue > Ports > Precedence, {!all_components} order). *)
+val bottlenecks : prediction -> component list
+
+(** [make ~cycles ~value ~bottlenecks ~fe_path] — the prediction whose
+    bound for [c] is [value c]; a component listed in [bottlenecks]
+    twice counts once.  For readers that hold a prediction in parts:
+    the reference pipeline, the store codec and tests. *)
+val make :
+  cycles:float ->
+  value:(component -> float) ->
+  bottlenecks:component list ->
+  fe_path:fe_path ->
+  prediction
 
 (** Throughput notion: [`Unrolled] — TP_U, Equation 1; [`Loop] — the
     block executed as a loop (TP_L, Equations 2 and 3, including the

@@ -82,7 +82,7 @@ let analyze (ws : weighted list) =
   let weighted_value c =
     List.fold_left
       (fun acc ((p : Model.prediction), w) ->
-        acc +. (w *. List.assoc c p.Model.values))
+        acc +. (w *. Model.value p c))
       0.0 per_block
   in
   let fe =
@@ -93,16 +93,10 @@ let analyze (ws : weighted list) =
         let p = Model.predict b in
         let fe_bound =
           match p.Model.fe_path with
-          | Model.FE_none ->
-            Float.max
-              (List.assoc Model.Predec p.Model.values)
-              (List.assoc Model.Dec p.Model.values)
-          | Model.FE_decoders ->
-            Float.max
-              (List.assoc Model.Predec p.Model.values)
-              (List.assoc Model.Dec p.Model.values)
-          | Model.FE_lsd -> List.assoc Model.LSD p.Model.values
-          | Model.FE_dsb -> List.assoc Model.DSB p.Model.values
+          | Model.FE_none | Model.FE_decoders ->
+            Float.max (Model.value p Model.Predec) (Model.value p Model.Dec)
+          | Model.FE_lsd -> Model.value p Model.LSD
+          | Model.FE_dsb -> Model.value p Model.DSB
         in
         acc +. (w *. fe_bound))
       0.0 blocks

@@ -165,38 +165,59 @@ let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 let batch_span = Facile_obs.Obs.histogram "engine.batch"
 let predict_span = Facile_obs.Obs.histogram "engine.predict"
 
+(* A memo entry: the block's instruction count and its prediction under
+   the key's mode.  Both are closed functions of the key and one
+   argument, so a call builds no closure for a miss it may not have. *)
+let entry_of_block ((_, mode, _) : key) b =
+  (Block.instruction_count b, Model.predict ~notion:mode b)
+
+let entry_of_code key analyze = entry_of_block key (analyze ())
+
 (* One pass over the sharded cache: a single lock acquisition settles
    hit / join-flight / own-compute, and duplicates — within a batch or
    across concurrent requests — coalesce onto one compute.  Only the
    compute analyses the block, so a hit costs the lookup alone. *)
-let memo_predict pool (cfg : Config.t) mode code analyze =
-  let compute () =
-    let b = analyze () in
-    (Block.instruction_count b, Model.predict ~notion:mode b)
-  in
-  if not pool.memoize then compute ()
-  else
-    Shard_cache.find_or_compute pool.memo (cfg.Config.arch, mode, code)
-      compute
+let memo pool key f x =
+  if pool.memoize then Shard_cache.find_or_compute pool.memo key f x
+  else f key x
 
-let predict_code pool cfg ~mode code ~analyze =
-  Facile_obs.Obs.timed predict_span @@ fun () ->
-  (* fault-injection hook for the serving path; a no-op unless
-     FACILE_FAULT is set *)
-  Fault.point "predict";
-  memo_predict pool cfg mode code analyze
+let record_predict t0 =
+  Facile_obs.Obs.Histogram.record predict_span
+    (Facile_obs.Clock.now_ns () - t0)
+
+(* The engine.predict span around one memoized prediction, timed with
+   two clock reads, not a thunk. *)
+let timed_memo pool key f x =
+  let t0 = Facile_obs.Clock.now_ns () in
+  match
+    (* fault-injection hook for the serving path; a no-op unless
+       FACILE_FAULT is set *)
+    Fault.point "predict";
+    memo pool key f x
+  with
+  | v ->
+    record_predict t0;
+    v
+  | exception e ->
+    record_predict t0;
+    raise e
+
+let predict_code pool (cfg : Config.t) ~mode code ~analyze =
+  timed_memo pool (cfg.Config.arch, mode, code) entry_of_code analyze
 
 (* Memoized single-block prediction on the calling domain, sharing the
    cross-batch cache (and its hit/miss accounting) with
    [predict_batch]. *)
 let predict pool ~mode (b : Block.t) =
   snd
-    (predict_code pool b.Block.cfg ~mode b.Block.bytes ~analyze:(fun () -> b))
+    (timed_memo pool (b.Block.cfg.Config.arch, mode, b.Block.bytes)
+       entry_of_block b)
 
 let predict_batch pool ~mode blocks =
   Facile_obs.Obs.timed batch_span @@ fun () ->
   let f (b : Block.t) =
-    snd (memo_predict pool b.Block.cfg mode b.Block.bytes (fun () -> b))
+    snd (memo pool (b.Block.cfg.Config.arch, mode, b.Block.bytes)
+           entry_of_block b)
   in
   Array.to_list (map pool f (Array.of_list blocks))
 

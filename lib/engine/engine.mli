@@ -115,8 +115,8 @@ val predict : t -> mode:Model.notion -> Block.t -> Model.prediction
     caller can refuse a block (size limit, deadline, bad encoding)
     from inside it.  Passes the ["predict"] fault point once; the
     ["engine.predict"] span times the whole call, so on a miss it
-    includes [analyze].  This is the serving layer's per-request
-    path. *)
+    includes [analyze].  A hit allocates only its key and the cache's
+    lookup.  This is the serving layer's per-request path. *)
 val predict_code :
   t -> Facile_uarch.Config.t -> mode:Model.notion -> string ->
   analyze:(unit -> Block.t) -> int * Model.prediction

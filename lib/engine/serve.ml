@@ -597,12 +597,14 @@ let rate_limited_for_line t line =
    wire, layer), the line cap, and the shared connection byte/EPIPE
    accounting.  {!run} (stdio) and
    {!Net.run} (each TCP connection) are both built on this. *)
+let print_reply buf j = Json.add buf (with_proto j)
+
 let session ?rate ?on_peer_gone t transport =
-  let out j = Json.to_string (with_proto j) in
   let callbacks =
-    { Session.on_line = (fun line -> out (handle_line t line));
-      on_oversized = (fun len -> out (handle_oversized t len));
-      on_rate_limited = (fun line -> out (rate_limited_for_line t line)) }
+    { Session.on_line = (fun out line -> print_reply out (handle_line t line));
+      on_oversized = (fun out len -> print_reply out (handle_oversized t len));
+      on_rate_limited =
+        (fun out line -> print_reply out (rate_limited_for_line t line)) }
   in
   let sink =
     { Session.on_bytes_in =
@@ -663,9 +665,9 @@ let run ?(signals = true) t ic oc =
   let transport =
     { (Session.fd_transport (Unix.descr_of_in_channel ic)) with
       Session.write =
-        (fun s ->
+        (fun buf ->
           try
-            output_string oc s;
+            Buffer.output_buffer oc buf;
             flush oc
           with Sys_error _ ->
             (* EPIPE: the client went away *)

@@ -138,6 +138,11 @@ val handle_line : t -> string -> Facile_obs.Json.t
     serializing to the wire. *)
 val with_proto : Facile_obs.Json.t -> Facile_obs.Json.t
 
+(** [print_reply buf j] — appends [j]'s wire line, {!with_proto}
+    applied, without the newline: what a {!session} prints into its
+    reply buffer. *)
+val print_reply : Buffer.t -> Facile_obs.Json.t -> unit
+
 (** The service-level statistics snapshot served for
     [{"cmd":"stats"}]: request counts (total/predicted/per-arch),
     error counts by kind, cache hits/misses/evictions, connection counts

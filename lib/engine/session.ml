@@ -2,7 +2,7 @@
    loop on the caller's thread:
 
      ready (0.1 s) -> read -> Framing -> for each line, in order:
-       admission (rate) -> callback -> write
+       admission (rate) -> callback prints the reply -> write
 
    Waiting with a timeout instead of blocking in [read] is what lets
    the loop notice [should_stop] without a watcher thread.
@@ -13,14 +13,14 @@ exception Peer_closed
 type transport = {
   ready : float -> bool;
   read : bytes -> int -> int -> int;
-  write : string -> unit;
+  write : Buffer.t -> unit;
   close : unit -> unit;
 }
 
 type callbacks = {
-  on_line : string -> string;
-  on_oversized : int -> string;
-  on_rate_limited : string -> string;
+  on_line : Buffer.t -> string -> unit;
+  on_oversized : Buffer.t -> int -> unit;
+  on_rate_limited : Buffer.t -> string -> unit;
 }
 
 type sink = {
@@ -36,6 +36,7 @@ type t = {
   should_stop : unit -> bool;
   on_peer_gone : unit -> unit;
   framing : Framing.t;
+  out : Buffer.t;  (* the reply being printed; only the session's thread *)
   peer_gone : bool Atomic.t;
   rate : float;
   burst : float;
@@ -67,19 +68,29 @@ let fd_transport fd =
     | exception Unix.Unix_error (e, _, _) when eof_errno e -> 0
     | exception (End_of_file | Sys_error _) -> 0
   in
-  let write s =
-    let b = Bytes.unsafe_of_string s in
-    let n = Bytes.length b in
-    let rec go off =
-      if off < n then
-        match Unix.write fd b off (n - off) with
-        | w -> go (off + w)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (e, _, _) when eof_errno e ->
-          raise Peer_closed
-        | exception Sys_error _ -> raise Peer_closed
+  (* a reply leaves the session's buffer through one scratch chunk, so
+     a write allocates nothing *)
+  let scratch = Bytes.create 4096 in
+  let rec write_scratch off len =
+    if len > 0 then
+      match Unix.write fd scratch off len with
+      | w -> write_scratch (off + w) (len - w)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_scratch off len
+      | exception Unix.Unix_error (e, _, _) when eof_errno e ->
+        raise Peer_closed
+      | exception Sys_error _ -> raise Peer_closed
+  in
+  let write buf =
+    let n = Buffer.length buf in
+    let rec from pos =
+      if pos < n then begin
+        let len = min (n - pos) (Bytes.length scratch) in
+        Buffer.blit buf pos scratch 0 len;
+        write_scratch 0 len;
+        from (pos + len)
+      end
     in
-    go 0
+    from 0
   in
   let close () =
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL
@@ -90,6 +101,12 @@ let fd_transport fd =
 
 (* How long [run] waits for input before polling [should_stop] again. *)
 let poll_s = 0.1
+
+(* The reply buffer starts at [out_bytes] and keeps what a reply grew
+   it to, up to [kept_out_bytes]: a rare larger one (a long echoed id)
+   is not held for the session's life. *)
+let out_bytes = 1024
+let kept_out_bytes = 65536
 
 let create ?(rate = 0.) ?(should_stop = fun () -> false)
     ?(on_peer_gone = fun () -> ()) ?sink ~max_line_bytes cb tr =
@@ -103,6 +120,7 @@ let create ?(rate = 0.) ?(should_stop = fun () -> false)
     should_stop;
     on_peer_gone;
     framing = Framing.create ~max_line_bytes;
+    out = Buffer.create out_bytes;
     peer_gone = Atomic.make false;
     rate;
     burst;
@@ -126,18 +144,24 @@ let admit t =
     else false
   end
 
-(* A failed write means the peer is gone: report it, run the policy
-   hook, and stop this session. *)
-let write_resp t s =
-  match t.tr.write (s ^ "\n") with
-  | () ->
-    (match t.sink with
-     | Some k -> k.on_bytes_out (String.length s + 1)
-     | None -> ())
-  | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
-    Atomic.set t.peer_gone true;
-    (match t.sink with Some k -> k.on_epipe () | None -> ());
-    try t.on_peer_gone () with _ -> ()
+(* Write the reply a callback printed into [t.out], with its newline,
+   and empty the buffer for the next one: a reply is printed once and
+   copied by nobody.  A failed write means the peer is gone: report
+   it, run the policy hook, and stop this session. *)
+let write_out t =
+  let out = t.out in
+  Buffer.add_char out '\n';
+  (match t.tr.write out with
+   | () ->
+     (match t.sink with
+      | Some k -> k.on_bytes_out (Buffer.length out)
+      | None -> ())
+   | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
+     Atomic.set t.peer_gone true;
+     (match t.sink with Some k -> k.on_epipe () | None -> ());
+     (try t.on_peer_gone () with _ -> ()));
+  if Buffer.length out > kept_out_bytes then Buffer.reset out
+  else Buffer.clear out
 
 (* Answer the events framed out of one read, in order.  Once the peer
    is gone nothing is left to answer. *)
@@ -148,9 +172,12 @@ let answer t events =
         match ev with
         | Framing.Line l when String.trim l = "" -> ()
         | Framing.Line l ->
-          write_resp t
-            (if admit t then t.cb.on_line l else t.cb.on_rate_limited l)
-        | Framing.Oversized n -> write_resp t (t.cb.on_oversized n))
+          if admit t then t.cb.on_line t.out l
+          else t.cb.on_rate_limited t.out l;
+          write_out t
+        | Framing.Oversized n ->
+          t.cb.on_oversized t.out n;
+          write_out t)
     events
 
 let run t =

@@ -12,11 +12,14 @@
     the session reads again, so a client that pipelines faster than
     the session answers is held back by its own unread replies (the
     pipe or socket fills), not refused.  A session holds at most one
-    64 KiB read and one partial line of up to [max_line_bytes].
+    64 KiB read, one partial line of up to [max_line_bytes] and a reply
+    buffer that it keeps at no more than 64 KiB between replies.
 
     The session knows nothing about sockets, pipes, or the prediction
     protocol: the transport is four functions over bytes, and the
-    protocol is four callbacks from line to response string.  The
+    protocol is three callbacks that print a line's response into the
+    session's one reply buffer, which the transport then writes: a
+    reply is printed once, not built as a string and copied.  The
     stdio serving loop ({!Serve.run}) and every TCP connection
     ({!Net.run}) are the same [Session.run] over different transports
     against one shared {!Serve.t} core.
@@ -44,9 +47,10 @@ type transport = {
       (** [read buf off len] — partial read; [0] means end of stream
           (transports map connection-reset errors on the read side to
           end-of-stream too). *)
-  write : string -> unit;
-      (** Write a complete response chunk (the session appends the
-          ['\n'] itself).  Raises {!Peer_closed} when the peer went
+  write : Buffer.t -> unit;
+      (** Write the buffer's contents: one complete response line and
+          its ['\n'].  The buffer is the session's and is reused for
+          the next line.  Raises {!Peer_closed} when the peer went
           away. *)
   close : unit -> unit;
       (** Release the underlying channel; called once when {!run}
@@ -61,11 +65,13 @@ type transport = {
 val fd_transport : Unix.file_descr -> transport
 
 (** The protocol half, supplied by the serving core.  Every callback
-    returns the complete response line (without trailing newline). *)
+    appends the complete response line (without trailing newline) to
+    the buffer it is given, which is empty on entry. *)
 type callbacks = {
-  on_line : string -> string;          (** a complete request line *)
-  on_oversized : int -> string;        (** a discarded over-cap line *)
-  on_rate_limited : string -> string;  (** admission rate exceeded *)
+  on_line : Buffer.t -> string -> unit;  (** a complete request line *)
+  on_oversized : Buffer.t -> int -> unit;  (** a discarded over-cap line *)
+  on_rate_limited : Buffer.t -> string -> unit;
+      (** admission rate exceeded *)
 }
 
 (** Live accounting hooks for aggregating into shared service stats,

@@ -311,13 +311,13 @@ let add t k v =
 (* [claim]'s entry is read after the lock is released: a value there is
    a hit, even one that an [add] has just published to the caller's own
    flight. *)
-let rec resolve (t : ('k, 'v) t) s h k compute =
+let rec resolve (t : ('k, 'v) t) s h k f x =
   match Sync.with_lock s.mu (fun () -> claim s h k) with
   | Entry { value = Some v; _ } ->
     Atomic.incr t.hits;
     v
   | Entry _ as flight ->
-    (match compute () with
+    (match f k x with
      | v ->
        Sync.with_lock s.mu (fun () -> settle s flight v);
        Atomic.incr t.misses;
@@ -338,11 +338,11 @@ let rec resolve (t : ('k, 'v) t) s h k compute =
        v
      | None ->
        (* the owner raised; race for ownership of the retry *)
-       resolve t s h k compute)
+       resolve t s h k f x)
 
-let find_or_compute t k compute =
+let find_or_compute t k f x =
   let h = hash_of t k in
-  resolve t (shard_of t h) h k compute
+  resolve t (shard_of t h) h k f x
 
 let stats (t : ('k, 'v) t) =
   let evictions = ref 0 and entries = ref 0 and capacity = ref 0 in

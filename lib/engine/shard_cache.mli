@@ -39,16 +39,18 @@ val create : shards:int -> cap:int -> hash:('k -> int) -> unit -> ('k, 'v) t
 (** Shard count actually in use (a power of two). *)
 val shard_count : ('k, 'v) t -> int
 
-(** [find_or_compute t k compute] — the cached value for [k], or
-    [compute ()] stored under [k].  Concurrent calls for the same [k]
-    compute once: one caller owns the compute, the others block until
-    it resolves and share the result (counted as [coalesced] and then
-    [hits]).  If the owner's [compute] raises, the exception
-    propagates to the owner only; waiters retry and one of them
-    becomes the new owner.  A value {!add}ed for [k] while its compute
-    is in flight is served to the waiters, and stays even if the owner
-    raises. *)
-val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** [find_or_compute t k f x] — the cached value for [k], or [f k x]
+    stored under [k].  Concurrent calls for the same [k] compute once:
+    one caller owns the compute, the others block until it resolves
+    and share the result (counted as [coalesced] and then [hits]).  If
+    the owner's [f] raises, the exception propagates to the owner only;
+    waiters retry and one of them becomes the new owner.  A value
+    {!add}ed for [k] while its compute is in flight is served to the
+    waiters, and stays even if the owner raises.  The compute comes as
+    a function and its argument, so a caller whose [f] is a closed
+    function builds no closure per call, and a hit allocates only the
+    cache's own lookup. *)
+val find_or_compute : ('k, 'v) t -> 'k -> ('k -> 'a -> 'v) -> 'a -> 'v
 
 (** Plain lookup; promotes to most-recent, does not count a hit. *)
 val find : ('k, 'v) t -> 'k -> 'v option

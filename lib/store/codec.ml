@@ -10,6 +10,14 @@
      u8   n | n * u8           (bottleneck component codes)
      u8   n | n * (u8, f64)    (component value table)
 
+   The encoder writes both lists in [Model.all_components] order, so
+   the value table always has seven entries.  A decoder, binary or
+   NDJSON, accepts either list in any order, but a value table must
+   name each of the seven components exactly once and a bottleneck
+   list may name each at most once: anything else is a bad record,
+   since a prediction keeps one bound per component and its
+   bottlenecks as a set.
+
    The numeric codes are wire format: changing any of them requires a
    segment format-version bump (Segment.version). *)
 
@@ -75,11 +83,31 @@ let float_bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
 let pred_equal (a : Model.prediction) (b : Model.prediction) =
   float_bits_equal a.Model.cycles b.Model.cycles
   && a.Model.fe_path = b.Model.fe_path
-  && a.Model.bottlenecks = b.Model.bottlenecks
-  && List.length a.Model.values = List.length b.Model.values
-  && List.for_all2
-       (fun (c1, v1) (c2, v2) -> c1 = c2 && float_bits_equal v1 v2)
-       a.Model.values b.Model.values
+  && a.Model.bottleneck_mask = b.Model.bottleneck_mask
+  && List.for_all
+       (fun c -> float_bits_equal (Model.value a c) (Model.value b c))
+       Model.all_components
+
+(* The decoders' rule for a prediction's two component lists; see the
+   layout comment above. *)
+let prediction ~cycles ~fe_path ~bottlenecks ~values =
+  let twice cs =
+    List.find_opt (fun c -> List.length (List.filter (( = ) c) cs) > 1) cs
+  in
+  let name = Model.component_name in
+  match
+    ( twice bottlenecks,
+      twice (List.map fst values),
+      List.find_opt (fun c -> not (List.mem_assoc c values))
+        Model.all_components )
+  with
+  | Some c, _, _ -> Error (Printf.sprintf "bottleneck %s listed twice" (name c))
+  | _, Some c, _ -> Error (Printf.sprintf "value of %s given twice" (name c))
+  | _, _, Some c -> Error (Printf.sprintf "no value for %s" (name c))
+  | None, None, None ->
+    Ok
+      (Model.make ~cycles ~value:(fun c -> List.assoc c values) ~bottlenecks
+         ~fe_path)
 
 (* ----- encoding ----- *)
 
@@ -112,14 +140,15 @@ let encode r =
   let p = r.pred in
   add_f64 b p.Model.cycles;
   add_u8 b (fe_code p.Model.fe_path);
-  add_u8 b (List.length p.Model.bottlenecks);
-  List.iter (fun c -> add_u8 b (component_code c)) p.Model.bottlenecks;
-  add_u8 b (List.length p.Model.values);
+  let bottlenecks = Model.bottlenecks p in
+  add_u8 b (List.length bottlenecks);
+  List.iter (fun c -> add_u8 b (component_code c)) bottlenecks;
+  add_u8 b (List.length Model.all_components);
   List.iter
-    (fun (c, v) ->
+    (fun c ->
       add_u8 b (component_code c);
-      add_f64 b v)
-    p.Model.values;
+      add_f64 b (Model.value p c))
+    Model.all_components;
   Buffer.contents b
 
 (* ----- decoding ----- *)
@@ -198,8 +227,9 @@ let decode s =
     in
     if !pos <> n then
       raise (Bad (Printf.sprintf "%d trailing bytes after record" (n - !pos)));
-    { arch; mode; insts; bytes;
-      pred = { Model.cycles; bottlenecks; values; fe_path } }
+    match prediction ~cycles ~fe_path ~bottlenecks ~values with
+    | Ok pred -> { arch; mode; insts; bytes; pred }
+    | Error m -> raise (Bad m)
   with
   | r -> Ok r
   | exception Bad m -> Error m
@@ -296,6 +326,8 @@ let of_json j =
       |> Result.map List.rev
     | _ -> Error "prediction: missing \"values\" object"
   in
-  Ok
-    { arch; mode; insts; bytes;
-      pred = { Model.cycles; bottlenecks; values; fe_path } }
+  let* pred =
+    Result.map_error (( ^ ) "prediction: ")
+      (prediction ~cycles ~fe_path ~bottlenecks ~values)
+  in
+  Ok { arch; mode; insts; bytes; pred }

@@ -9,7 +9,10 @@
     The codec is strict on decode: unknown arch/mode/component/
     fe-path codes, truncated fields, and trailing bytes are all
     rejected with a reason, so a frame whose CRC passed but whose
-    content is skewed is quarantined rather than half-trusted. *)
+    content is skewed is quarantined rather than half-trusted.  Both
+    decoders take a prediction's component lists in any order, but
+    reject a value table that misses or repeats one of the seven
+    components and a bottleneck list that repeats one. *)
 
 open Facile_uarch
 open Facile_core

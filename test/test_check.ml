@@ -199,36 +199,41 @@ let test_mdl_mutations () =
             Operand.Reg (Register.Gpr (Register.W64, Register.RBX)) ] ]
   in
   let p = Model.predict ~notion:`Unrolled block in
+  (* [p] with some of its parts replaced *)
+  let edit ?(cycles = p.Model.cycles) ?(value = Model.value p)
+      ?(bottlenecks = Model.bottlenecks p) ?(fe_path = p.Model.fe_path) () =
+    Model.make ~cycles ~value ~bottlenecks ~fe_path
+  in
   assert_clean (Model_check.check_prediction skl "t" ~notion:`Unrolled p);
   (* prediction no longer the max over its candidates *)
   assert_fires "mdl-max"
     (Model_check.check_prediction skl "t" ~notion:`Unrolled
-       { p with Model.cycles = p.Model.cycles +. 1.0 });
+       (edit ~cycles:(p.Model.cycles +. 1.0) ()));
   (* a non-finite component bound *)
   assert_fires "mdl-finite"
     (Model_check.check_prediction skl "t" ~notion:`Unrolled
-       { p with Model.values = (Model.Ports, Float.nan) :: p.Model.values });
+       (edit
+          ~value:(fun c ->
+            if c = Model.Ports then Float.nan else Model.value p c)
+          ()));
   (* bottleneck list inconsistent with cycles: emptied despite a
      positive prediction *)
   assert_fires "mdl-bottleneck"
     (Model_check.check_prediction skl "t" ~notion:`Unrolled
-       { p with Model.bottlenecks = [] });
+       (edit ~bottlenecks:[] ()));
   (* and a listed bottleneck whose bound does not equal cycles *)
   assert_fires "mdl-bottleneck"
     (Model_check.check_prediction skl "t" ~notion:`Unrolled
-       { p with
-         Model.values =
-           List.map
-             (fun (c, v) ->
-               if List.mem c p.Model.bottlenecks then (c, v +. 1.0)
-               else (c, v))
-             p.Model.values;
-         Model.cycles = p.Model.cycles +. 1.0;
-         Model.bottlenecks = Model.all_components });
+       (edit
+          ~value:(fun c ->
+            if Model.is_bottleneck p c then Model.value p c +. 1.0
+            else Model.value p c)
+          ~cycles:(p.Model.cycles +. 1.0)
+          ~bottlenecks:Model.all_components ()));
   (* notion/front-end-path contradiction *)
   assert_fires "mdl-notion"
     (Model_check.check_prediction skl "t" ~notion:`Loop
-       { p with Model.fe_path = Model.FE_none })
+       (edit ~fe_path:Model.FE_none ()))
 
 (* ----- no false positives on generated blocks ----- *)
 

@@ -256,7 +256,7 @@ let model_tests =
         (* Predec 1.25 dominates Dec/Issue/Ports/Precedence (all 1.0) *)
         checkf "cycles" 1.25 p.Model.cycles;
         Alcotest.(check bool) "predec bottleneck" true
-          (List.mem Model.Predec p.Model.bottlenecks));
+          (Model.is_bottleneck p Model.Predec));
     Alcotest.test_case "TP_L uses LSD on HSW" `Quick (fun () ->
         let insts = parse_block four_adds in
         let looped = Facile_bhive.Genblock.looped insts in
@@ -418,10 +418,10 @@ let invariant_tests =
                     cfg.Config.abbrev;
                 (* the prediction equals the max over its bottlenecks *)
                 let p = Model.predict ~notion:`Loop b in
-                (match p.Model.bottlenecks with
+                (match Model.bottlenecks p with
                  | [] -> Alcotest.fail "no bottleneck reported"
                  | bn :: _ ->
-                   let v = List.assoc bn p.Model.values in
+                   let v = Model.value p bn in
                    if abs_float (v -. p.Model.cycles) > 1e-9 then
                      Alcotest.fail "bottleneck value <> prediction"))
               cases)
@@ -441,13 +441,13 @@ let invariant_tests =
                 if abs_float (p1.Model.cycles -. p2.Model.cycles) > 1e-9 then
                   Alcotest.failf "path mismatch on case %d: %.4f vs %.4f"
                     c.Facile_bhive.Suite.id p1.Model.cycles p2.Model.cycles;
-                List.iter2
-                  (fun (c1, v1) (c2, v2) ->
-                    assert (c1 = c2);
-                    if abs_float (v1 -. v2) > 1e-9 then
+                List.iter
+                  (fun c ->
+                    if abs_float (Model.value p1 c -. Model.value p2 c) > 1e-9
+                    then
                       Alcotest.failf "component %s differs by path"
-                        (Model.component_name c1))
-                  p1.Model.values p2.Model.values)
+                        (Model.component_name c))
+                  Model.all_components)
               [ c.Facile_bhive.Suite.body; c.Facile_bhive.Suite.loop ])
           cases);
     Alcotest.test_case "blocks of one instruction" `Quick (fun () ->
@@ -528,19 +528,56 @@ module Engine = Facile_engine.Engine
 let check_predictions_equal (a : Model.prediction) (b : Model.prediction) =
   if not (Float.equal a.Model.cycles b.Model.cycles) then
     Alcotest.failf "cycles differ: %h vs %h" a.Model.cycles b.Model.cycles;
-  if a.Model.bottlenecks <> b.Model.bottlenecks then
+  if a.Model.bottleneck_mask <> b.Model.bottleneck_mask then
     Alcotest.fail "bottlenecks differ";
   if a.Model.fe_path <> b.Model.fe_path then Alcotest.fail "fe_path differs";
-  List.iter2
-    (fun (c1, v1) (c2, v2) ->
-      assert (c1 = c2);
+  List.iter
+    (fun c ->
+      let v1 = Model.value a c and v2 = Model.value b c in
       if not (Float.equal v1 v2) then
         Alcotest.failf "component %s differs: %h vs %h"
-          (Model.component_name c1) v1 v2)
-    a.Model.values b.Model.values
+          (Model.component_name c) v1 v2)
+    Model.all_components
+
+(* Minor words per call of [f], after one warming call. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
 
 let engine_tests =
-  [ Alcotest.test_case "parallel = sequential, bit-identical" `Quick (fun () ->
+  [ Alcotest.test_case "a memo hit allocates only its lookup" `Quick (fun () ->
+        (* the key tuple and what the cache itself allocates on a hit,
+           measured on the same key with a constant value: no closure
+           for the miss, no thunk for the span *)
+        let b = Block.of_instructions skl (parse_block "add rax, rbx") in
+        let code = b.Block.bytes and analyze () = b in
+        let key = (Config.SKL, (`Auto : Model.notion), code) in
+        let cache =
+          Facile_engine.Shard_cache.create ~shards:4 ~cap:16
+            ~hash:Hashtbl.hash ()
+        in
+        let entry = (1, Model.predict b) in
+        let compute _ () = entry in
+        let lookup =
+          words_per_call (fun () ->
+              Facile_engine.Shard_cache.find_or_compute cache key compute ())
+        in
+        Engine.with_pool ~workers:1 (fun pool ->
+            let hit =
+              words_per_call (fun () ->
+                  Engine.predict_code pool skl ~mode:`Auto code ~analyze)
+            in
+            let key_words = 4. in
+            if hit > lookup +. key_words then
+              Alcotest.failf
+                "a hit allocates %.1f words, its lookup %.1f + %.0f" hit lookup
+                key_words));
+    Alcotest.test_case "parallel = sequential, bit-identical" `Quick (fun () ->
         let cases = Facile_bhive.Suite.corpus ~seed:41 ~size:100 () in
         let blocks =
           List.concat_map
@@ -669,11 +706,11 @@ let qcheck_threads_one_domain =
       let bits = Int64.bits_of_float in
       let same (p : Model.prediction) (q : Model.prediction) =
         bits p.Model.cycles = bits q.Model.cycles
-        && p.Model.bottlenecks = q.Model.bottlenecks
+        && p.Model.bottleneck_mask = q.Model.bottleneck_mask
         && p.Model.fe_path = q.Model.fe_path
-        && List.for_all2
-             (fun (c, v) (c', v') -> c = c' && bits v = bits v')
-             p.Model.values q.Model.values
+        && List.for_all
+             (fun c -> bits (Model.value p c) = bits (Model.value q c))
+             Model.all_components
       in
       let wrong = Atomic.make 0 and raised = Atomic.make 0 in
       let rounds = 60 / threads in

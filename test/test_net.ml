@@ -281,7 +281,7 @@ let fake_transport chunks =
   in
   ( { Session.ready = (fun _ -> true);
       read;
-      write = (fun s -> written := String.trim s :: !written);
+      write = (fun b -> written := String.trim (Buffer.contents b) :: !written);
       close = (fun () -> ()) },
     fun () -> List.rev !written )
 
@@ -297,9 +297,10 @@ let every_line_test =
       in
       let tr, written = fake_transport [ lines n 0; lines k n ] in
       let callbacks =
-        { Session.on_line = (fun l -> "ok " ^ l);
-          on_oversized = (fun n -> "big " ^ string_of_int n);
-          on_rate_limited = (fun l -> "slow " ^ l) }
+        { Session.on_line = (fun out l -> Buffer.add_string out ("ok " ^ l));
+          on_oversized =
+            (fun out n -> Buffer.add_string out ("big " ^ string_of_int n));
+          on_rate_limited = (fun out l -> Buffer.add_string out ("slow " ^ l)) }
       in
       Session.run (Session.create ~max_line_bytes:64 callbacks tr);
       Alcotest.(check (list string)) "answers in input order"

@@ -307,7 +307,11 @@ let err_tests =
         let p = Model.predict (Block.of_bytes cfg code) in
         List.iter
           (fun bad ->
-            match Model.prediction_to_json { p with Model.cycles = bad } with
+            let p =
+              Model.make ~cycles:bad ~value:(Model.value p)
+                ~bottlenecks:(Model.bottlenecks p) ~fe_path:p.Model.fe_path
+            in
+            match Model.prediction_to_json p with
             | _ -> Alcotest.failf "accepted cycles = %h" bad
             | exception Err.Error e ->
               Alcotest.(check bool) "internal kind" true

@@ -25,10 +25,11 @@ let pinned_digest = "713adc8ac818d146de5e93b93a6f968b"
 let add_prediction buf (p : Model.prediction) =
   Printf.bprintf buf " cycles=%h fe=%s bn=%s" p.Model.cycles
     (Model.fe_path_name p.Model.fe_path)
-    (String.concat "," (List.map Model.component_name p.Model.bottlenecks));
+    (String.concat "," (List.map Model.component_name (Model.bottlenecks p)));
   List.iter
-    (fun (c, v) -> Printf.bprintf buf " %s=%h" (Model.component_name c) v)
-    p.Model.values
+    (fun c ->
+      Printf.bprintf buf " %s=%h" (Model.component_name c) (Model.value p c))
+    Model.all_components
 
 let add_block buf label (b : Block.t) =
   Printf.bprintf buf "%s:" label;
@@ -142,4 +143,60 @@ let wire_tests =
         if d <> pinned_wire_digest then
           Alcotest.failf "wire digest %s <> pinned %s" d pinned_wire_digest) ]
 
-let suite = [ "pin.predictions", tests; "pin.wire", wire_tests ]
+(* The store format pinned across commits: [pinned.store] was written
+   by `facile batch -a ARCH -m MODE --store pinned.store` for each of
+   the nine µarchs and the three modes, over [pinned_blocks.txt] (the
+   bodies and loops of [Suite.corpus ~seed:2023 ~size:4], then a loop
+   that SKL decodes on the legacy path), by the build before
+   predictions became a float array and a bottleneck mask.  Every
+   record must equal a fresh prediction and encode back to the bytes
+   it was read from.  A change that moves the store fingerprint
+   rewrites the store with the same commands. *)
+let pinned_store = "pinned.store"
+
+let store_tests =
+  let module Codec = Facile_store.Codec in
+  let module Segment = Facile_store.Segment in
+  let module Store = Facile_store.Store in
+  [ Alcotest.test_case "a pinned store recomputes and re-encodes" `Quick
+      (fun () ->
+        let content =
+          In_channel.with_open_bin pinned_store In_channel.input_all
+        in
+        (match
+           Segment.decode_header (String.sub content 0 Segment.header_size)
+         with
+         | Ok fp when Int64.equal fp (Store.fingerprint ()) -> ()
+         | Ok fp ->
+           Alcotest.failf "store fingerprint %Lx is not this build's" fp
+         | Error e -> Alcotest.fail (Segment.header_error_to_string e));
+        let scan = Segment.scan content in
+        if scan.Segment.findings <> [] then
+          Alcotest.fail "the pinned store has damaged frames";
+        let keys =
+          List.map
+            (fun (off, payload) ->
+              match Codec.decode payload with
+              | Error m -> Alcotest.failf "frame at %d: %s" off m
+              | Ok r ->
+                if Codec.encode r <> payload then
+                  Alcotest.failf "frame at %d re-encodes differently" off;
+                let cfg = Config.by_arch r.Codec.arch in
+                let b = Block.of_bytes cfg r.Codec.bytes in
+                if Block.instruction_count b <> r.Codec.insts then
+                  Alcotest.failf "frame at %d: instruction count moved" off;
+                if
+                  not
+                    (Codec.pred_equal
+                       (Model.predict ~notion:r.Codec.mode b)
+                       r.Codec.pred)
+                then Alcotest.failf "frame at %d: prediction moved" off;
+                (r.Codec.arch, r.Codec.mode))
+            scan.Segment.frames
+        in
+        Alcotest.(check int) "records" 243 (List.length keys);
+        Alcotest.(check int) "µarch and mode pairs" 27
+          (List.length (List.sort_uniq compare keys))) ]
+
+let suite =
+  [ "pin.predictions", tests; "pin.wire", wire_tests; "pin.store", store_tests ]

@@ -14,6 +14,7 @@ module Codec = Facile_store.Codec
 module Segment = Facile_store.Segment
 module Store = Facile_store.Store
 module Err = Facile_x86.Err
+module Json = Facile_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -109,6 +110,58 @@ let crc_tests =
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 
+(* A record whose prediction has two bottlenecks. *)
+let two_bottlenecks () =
+  let r = mk_record "4801d8" in
+  { r with
+    Codec.pred =
+      Model.make ~cycles:2.0
+        ~value:(fun c ->
+          match c with Model.Issue | Model.Ports -> 2.0 | _ -> 0.5)
+        ~bottlenecks:[ Model.Issue; Model.Ports ] ~fe_path:Model.FE_none }
+
+(* The store's component codes: wire format, pinned here. *)
+let component_code = function
+  | Model.Predec -> 0 | Model.Dec -> 1 | Model.DSB -> 2 | Model.LSD -> 3
+  | Model.Issue -> 4 | Model.Ports -> 5 | Model.Precedence -> 6
+
+(* [r]'s binary encoding with its bottleneck list and value table
+   spelled as given. *)
+let with_tables (r : Codec.record) ~bottlenecks ~values =
+  let s = Codec.encode r in
+  (* arch, mode, insts, length-prefixed bytes, cycles, fe_path *)
+  let head = 1 + 1 + 4 + 4 + String.length r.Codec.bytes + 8 + 1 in
+  let b = Buffer.create 128 in
+  Buffer.add_string b (String.sub s 0 head);
+  Buffer.add_uint8 b (List.length bottlenecks);
+  List.iter (fun c -> Buffer.add_uint8 b (component_code c)) bottlenecks;
+  Buffer.add_uint8 b (List.length values);
+  List.iter
+    (fun (c, v) ->
+      Buffer.add_uint8 b (component_code c);
+      Buffer.add_int64_le b (Int64.bits_of_float v))
+    values;
+  Buffer.contents b
+
+(* [r]'s NDJSON object with its prediction's bottleneck array and value
+   object passed through [bottlenecks] and [values]. *)
+let edit_json r ~bottlenecks ~values =
+  let edit = function
+    | "bottlenecks", Json.Arr l -> ("bottlenecks", Json.Arr (bottlenecks l))
+    | "values", Json.Obj kvs -> ("values", Json.Obj (values kvs))
+    | kv -> kv
+  in
+  match Codec.to_json r with
+  | Json.Obj fields ->
+    Json.Obj
+      (List.map
+         (function
+           | "prediction", Json.Obj p ->
+             ("prediction", Json.Obj (List.map edit p))
+           | kv -> kv)
+         fields)
+  | _ -> Alcotest.fail "a record's JSON is not an object"
+
 let codec_tests =
   [ Alcotest.test_case "binary encode/decode is identity" `Quick (fun () ->
         List.iter
@@ -150,7 +203,74 @@ let codec_tests =
           match Codec.decode (String.sub s 0 n) with
           | Ok _ -> Alcotest.failf "accepted %d-byte prefix" n
           | Error _ -> ()
-        done) ]
+        done);
+    Alcotest.test_case "component lists in any order are the same record"
+      `Quick (fun () ->
+        let r = two_bottlenecks () in
+        let values = List.map (fun c -> (c, Model.value r.Codec.pred c)) in
+        Alcotest.(check string) "the encoder's own order"
+          (Codec.encode r)
+          (with_tables r ~bottlenecks:[ Model.Issue; Model.Ports ]
+             ~values:(values Model.all_components));
+        let reordered =
+          with_tables r ~bottlenecks:[ Model.Ports; Model.Issue ]
+            ~values:(values (List.rev Model.all_components))
+        in
+        (match Codec.decode reordered with
+         | Ok r' ->
+           Alcotest.(check bool) "same record" true (record_equal r r');
+           Alcotest.(check string) "re-encodes in order" (Codec.encode r)
+             (Codec.encode r')
+         | Error m -> Alcotest.failf "decode failed: %s" m);
+        let json =
+          edit_json r
+            ~bottlenecks:(fun l -> List.rev l)
+            ~values:(fun kvs -> List.rev kvs)
+        in
+        match Codec.of_json json with
+        | Ok r' -> Alcotest.(check bool) "same record" true (record_equal r r')
+        | Error m -> Alcotest.failf "of_json failed: %s" m);
+    Alcotest.test_case "a component missing or repeated is a bad record"
+      `Quick (fun () ->
+        let r = two_bottlenecks () in
+        let value c = (c, Model.value r.Codec.pred c) in
+        let without_ports =
+          List.filter (( <> ) Model.Ports) Model.all_components
+        in
+        let bad =
+          [ ( "no value for Ports",
+              [ Model.Issue; Model.Ports ], List.map value without_ports );
+            ( "value of Dec given twice",
+              [ Model.Issue; Model.Ports ],
+              List.map value (Model.Dec :: without_ports) );
+            ( "value of Ports given twice",
+              [ Model.Issue; Model.Ports ],
+              List.map value (Model.Ports :: Model.all_components) );
+            ( "bottleneck Ports listed twice",
+              [ Model.Issue; Model.Ports; Model.Ports ],
+              List.map value Model.all_components ) ]
+        in
+        List.iter
+          (fun (msg, bottlenecks, values) ->
+            (match Codec.decode (with_tables r ~bottlenecks ~values) with
+             | Ok _ -> Alcotest.failf "binary: accepted a record with %s" msg
+             | Error m -> Alcotest.(check string) "binary" msg m);
+            let json =
+              edit_json r
+                ~bottlenecks:(fun _ ->
+                  List.map
+                    (fun c -> Json.Str (Model.component_name c))
+                    bottlenecks)
+                ~values:(fun _ ->
+                  List.map
+                    (fun (c, v) -> (Model.component_name c, Json.Float v))
+                    values)
+            in
+            match Codec.of_json json with
+            | Ok _ -> Alcotest.failf "NDJSON: accepted a record with %s" msg
+            | Error m ->
+              Alcotest.(check string) "NDJSON" ("prediction: " ^ msg) m)
+          bad) ]
 
 (* ------------------------------------------------------------------ *)
 (* Segment scanning                                                    *)
@@ -608,9 +728,11 @@ let cli_tests =
         let good = mk_record "4801d8" in
         let bad = mk_record ~arch:Config.HSW ~mode:`Loop "4829d8" in
         let p = bad.Codec.pred in
-        populate path
-          [ good;
-            { bad with Codec.pred = { p with Model.cycles = p.Model.cycles +. 1. } } ];
+        let off_by_one =
+          Model.make ~cycles:(p.Model.cycles +. 1.) ~value:(Model.value p)
+            ~bottlenecks:(Model.bottlenecks p) ~fe_path:p.Model.fe_path
+        in
+        populate path [ good; { bad with Codec.pred = off_by_one } ];
         let rc, out =
           run_cli_out
             (Printf.sprintf "cache verify --recompute %s" (Filename.quote path))
@@ -658,7 +780,24 @@ let cli_tests =
             ("cache verify", "");
             ("cache import", "");
             ("batch --store", "4801d8\n");
-            ("serve --store", "") ]) ]
+            ("serve --store", "") ]);
+    Alcotest.test_case "cache import refuses a value table without Ports"
+      `Quick (fun () ->
+        with_temp @@ fun path ->
+        let r = mk_record "4801d8" in
+        let line =
+          Json.to_string
+            (edit_json r ~bottlenecks:Fun.id
+               ~values:(List.filter (fun (k, _) -> k <> "Ports")))
+        in
+        let good = Json.to_string (Codec.to_json r) in
+        let rc, err =
+          run_cli_err ~stdin:(good ^ "\n" ^ line ^ "\n")
+            (Printf.sprintf "cache import %s" (Filename.quote path))
+        in
+        Alcotest.(check int) "exit code" 4 rc;
+        Alcotest.(check string) "stderr"
+          "error: line 2: prediction: no value for Ports (parse_error)\n" err) ]
 
 let suite =
   [ "store.crc32", crc_tests;

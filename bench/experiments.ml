@@ -12,6 +12,7 @@ module Stats = Facile_stats
 module Report = Facile_report
 module Engine = Facile_engine.Engine
 module Clock = Facile_obs.Clock
+module Reference = Facile_reference
 
 let eval_seed = 2023
 let train_seed = 77
@@ -373,7 +374,7 @@ let fig4 () =
         component "Ports" Ports.throughput;
         component "Precedence (max-plus)" Precedence.throughput;
         (* the paper's algorithm: Howard on the full dependence graph *)
-        component "Precedence (Howard)" Precedence.throughput_ref ]
+        component "Precedence (Howard)" Reference.Precedence_ref.throughput ]
     in
     Report.Table.print
       ~title:
@@ -515,7 +516,8 @@ let ablations () =
     timed (fun () -> List.map (fun x -> Ports.throughput x.block) s)
   in
   let exact, t_exact =
-    timed (fun () -> List.map (fun x -> Ports.throughput_exhaustive x.block) s)
+    timed (fun () ->
+        List.map (fun x -> Reference.Ports_ref.throughput_exhaustive x.block) s)
   in
   let agree =
     List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) fast exact
@@ -526,10 +528,12 @@ let ablations () =
     timed (fun () -> List.map (fun x -> Precedence.throughput x.block) s)
   in
   let howard, t_howard =
-    timed (fun () -> List.map (fun x -> Precedence.throughput_ref x.block) s)
+    timed (fun () ->
+        List.map (fun x -> Reference.Precedence_ref.throughput x.block) s)
   in
   let lawler, t_lawler =
-    timed (fun () -> List.map (fun x -> Precedence.throughput_lawler x.block) s)
+    timed (fun () ->
+        List.map (fun x -> Reference.Precedence_ref.throughput_lawler x.block) s)
   in
   let maxplus_agree =
     List.for_all2
@@ -818,7 +822,7 @@ let perf () =
             cases
         in
         let fast = measure (fun b -> Model.predict b) blocks in
-        let refn = measure (fun b -> Model.predict_reference b) blocks in
+        let refn = measure (fun b -> Reference.Model_ref.predict b) blocks in
         (* the same corpus re-encoded to bytes: the embedded path
            (`facile batch`, a linked compiler) analyzes from code *)
         let codes = List.map (fun (b : Block.t) -> b.Block.bytes) blocks in

@@ -321,6 +321,27 @@ let open_store = function
 let warm pool (report : Store.report) =
   Engine.memo_seed pool (List.rev_map Store_codec.to_memo report.Store.records)
 
+(* A batch's results as memo entries, most recent first: each key at
+   its last occurrence in the input, the recency a one-worker run
+   leaves in each shard.  Writing these, not the cache's snapshot
+   (whose shard order follows the domains' timing, and whose capacity
+   may have dropped some), gives the same store bytes for any
+   --workers. *)
+let batch_entries notion blocks preds =
+  let seen = Hashtbl.create 1024 in
+  List.filter_map
+    (fun ((b : Block.t), p) ->
+      let key =
+        (b.Block.cfg.Config.arch, notion, Block.instruction_count b,
+         b.Block.bytes)
+      in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        Some (key, p)
+      end)
+    (List.rev (List.combine blocks preds))
+
 let batch_cmd =
   let run arch mode workers no_memo cache_cap store quiet json file =
     run_command arch (fun cfg ->
@@ -382,7 +403,8 @@ let batch_cmd =
             (fun (w, _) ->
               Fun.protect
                 ~finally:(fun () -> Store.close w)
-                (fun () -> Store.sync_memo w (Engine.memo_entries pool)))
+                (fun () ->
+                  Store.sync_memo w (batch_entries notion blocks preds)))
             store
         in
         if json then

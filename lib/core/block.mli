@@ -129,7 +129,7 @@ val jcc_erratum_affected : t -> bool
 
     Derived on demand from [insts], [cfg] and [flat] on every call, for
     the reference pipeline, the simulator, the baselines, regions and
-    the CLI's [explain] and [disasm]; nothing on the prediction path
+    the CLI's [disasm]; nothing on the prediction path
     calls them.  They are not cached: a caller that walks one several
     times binds it once. *)
 

@@ -95,13 +95,6 @@ val resolve : notion -> Block.t -> [ `Unrolled | `Loop ]
     [notion] defaults to [`Auto]. *)
 val predict : ?variant:variant -> ?notion:notion -> Block.t -> prediction
 
-(** The pre-flattening model pipeline, verbatim: list-based component
-    values (the [_ref] component spellings) and the list-based combine.
-    Equal to {!predict} on every block — property-tested — and timed by
-    the perf bench as the pre-PR inner loop. *)
-val predict_reference :
-  ?variant:variant -> ?notion:notion -> Block.t -> prediction
-
 (** [bottleneck b] — the single bottleneck under the paper's
     front-end-first tie-breaking (used for the Figure 6 Sankey). *)
 val bottleneck : ?variant:variant -> Block.t -> component

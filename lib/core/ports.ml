@@ -1,50 +1,12 @@
 open Facile_uarch
 
-let uop_masks (b : Block.t) =
-  List.concat_map
-    (fun (l : Block.logical) ->
-      if l.Block.eliminated then []
-      else
-        List.filter_map
-          (fun (u : Facile_db.Db.uop) ->
-            if Port.is_empty u.Facile_db.Db.ports then None
-            else Some u.Facile_db.Db.ports)
-          l.Block.dispatched)
-    (Block.logicals b)
-
-let dedup l =
-  List.fold_left
-    (fun acc x -> if List.exists (Port.equal x) acc then acc else x :: acc)
-    [] l
-
-let best (b : Block.t) =
-  let masks = uop_masks b in
-  let pc = dedup masks in
-  let pc' =
-    dedup
-      (List.concat_map (fun a -> List.map (fun c -> Port.union a c) pc) pc)
-  in
-  List.fold_left
-    (fun acc comb ->
-      let count =
-        List.length (List.filter (fun m -> Port.subset m comb) masks)
-      in
-      let bound = float_of_int count /. float_of_int (Port.cardinal comb) in
-      match acc with
-      | Some (_, _, b0) when b0 >= bound -> acc
-      | _ -> Some (comb, count, bound))
-    None pc'
-
 let span = Facile_obs.Obs.histogram "model.ports"
 
-(* Fast path: the same pairwise-union bound over the precomputed
-   [port_masks] array, with the two dedup tables in the arena. The
-   result is the maximum of the same set of bounds the list-based [best]
-   folds over, so the two paths return identical floats (the list path's
-   dedup order only affects which combination ties are reported on).
+(* The pairwise-union bound over the precomputed [port_masks] array,
+   with the two dedup tables in the arena.  It leaves the combination
+   that reached the bound, the first of them, in [ports_pairs.(0)].
    Allocation-free after arena warm-up. *)
-let throughput_in (a : Arena.t) (b : Block.t) =
-  Facile_obs.Obs.timed span @@ fun () ->
+let best_in (a : Arena.t) (b : Block.t) =
   let masks = b.Block.flat.Block.port_masks in
   let nm = Array.length masks in
   if nm = 0 then 0.0
@@ -85,7 +47,7 @@ let throughput_in (a : Arena.t) (b : Block.t) =
         end
       done
     done;
-    let best = ref 0.0 in
+    let best = ref 0.0 and arg = ref 0 in
     for k = 0 to !np2 - 1 do
       let comb = pc2.(k) in
       let count = ref 0 in
@@ -95,45 +57,28 @@ let throughput_in (a : Arena.t) (b : Block.t) =
       let bound =
         float_of_int !count /. float_of_int (Port.cardinal comb)
       in
-      if bound > !best then best := bound
+      if bound > !best then begin
+        best := bound;
+        arg := k
+      end
     done;
+    pc2.(0) <- pc2.(!arg);
     !best
   end
 
+let throughput_in a b = Facile_obs.Obs.timed span @@ fun () -> best_in a b
+
 let throughput b = Arena.with_ (fun a -> throughput_in a b)
 
-(* Reference path: the pre-flattening list pipeline. *)
-let throughput_ref b =
-  Facile_obs.Obs.timed span @@ fun () ->
-  match best b with Some (_, _, bound) -> bound | None -> 0.0
-
-let critical_combination b =
-  match best b with Some (comb, count, _) -> Some (comb, count) | None -> None
-
-let throughput_exhaustive (b : Block.t) =
-  let masks = uop_masks b in
-  if masks = [] then 0.0
+let critical_combination (b : Block.t) =
+  Arena.with_ @@ fun a ->
+  if best_in a b = 0.0 then None
   else begin
-    (* only ports that actually appear matter; enumerate all subsets of
-       their union *)
-    let union = List.fold_left Port.union Port.empty masks in
-    let ports = Port.to_list union in
-    let k = List.length ports in
-    let best = ref 0.0 in
-    for subset = 1 to (1 lsl k) - 1 do
-      let pc =
-        List.fold_left
-          (fun acc (bit, p) ->
-            if subset land (1 lsl bit) <> 0 then Port.union acc (Port.singleton p)
-            else acc)
-          Port.empty
-          (List.mapi (fun i p -> (i, p)) ports)
-      in
-      let count =
-        List.length (List.filter (fun m -> Port.subset m pc) masks)
-      in
-      let bound = float_of_int count /. float_of_int (Port.cardinal pc) in
-      if bound > !best then best := bound
-    done;
-    !best
+    let comb = a.Arena.ports_pairs.(0) in
+    let count =
+      Array.fold_left
+        (fun n m -> if Port.subset m comb then n + 1 else n)
+        0 b.Block.flat.Block.port_masks
+    in
+    Some (comb, count)
   end

@@ -14,21 +14,8 @@ val throughput : Block.t -> float
     through all components of a prediction). *)
 val throughput_in : Arena.t -> Block.t -> float
 
-(** Reference (pre-flattening) implementation: the list pipeline over
-    [uop_masks]. Identical results to {!throughput} (the bound is the
-    maximum over the same set of port combinations); kept for
-    differential tests and the perf bench. *)
-val throughput_ref : Block.t -> float
-
-(** The port combination achieving the bound, with its µop count —
-    the interpretable feedback for a Ports bottleneck. *)
+(** The port combination that reached the bound, with its µop count:
+    the first combination, in {!throughput}'s order, whose
+    [count / |pc|] is the maximum — the interpretable feedback for a
+    Ports bottleneck.  [None] for a block with no µops on ports. *)
 val critical_combination : Block.t -> (Port.t * int) option
-
-(** The exact bound: the maximum of [count / |pc|] over {e every}
-    subset [pc] of the machine's ports (equivalent to the linear
-    program of uops.info [8] on these instances). The paper observes
-    that the pairwise heuristic reaches the same bound on all BHive
-    benchmarks; [throughput b = throughput_exhaustive b] is
-    property-tested on our corpus, and an ablation bench compares their
-    cost. *)
-val throughput_exhaustive : Block.t -> float

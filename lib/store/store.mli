@@ -72,8 +72,9 @@ val append : writer -> Codec.record -> unit
 
 (** [sync_memo w entries] appends every entry whose key the writer has
     not seen, oldest-recency first, then fsyncs if anything was
-    written.  [entries] is in {!Facile_engine.Engine.memo_entries}
-    order (most-recent first).  Returns the number appended. *)
+    written.  [entries] is most-recent first, as
+    {!Facile_engine.Engine.memo_entries} lists each shard.  Returns the
+    number appended. *)
 val sync_memo :
   writer ->
   (Facile_engine.Engine.memo_key * Model.prediction) list ->

@@ -1,6 +1,7 @@
 open Facile_x86
 open Facile_uarch
 open Facile_core
+open Facile_reference
 
 let parse_block s =
   match Asm.parse_block s with
@@ -111,13 +112,39 @@ let component_tests =
               (fun (c : Facile_bhive.Suite.case) ->
                 let b = Block.of_instructions cfg c.Facile_bhive.Suite.loop in
                 let fast = Ports.throughput b in
-                let exact = Ports.throughput_exhaustive b in
+                let exact = Ports_ref.throughput_exhaustive b in
                 if abs_float (fast -. exact) > 1e-9 then
                   Alcotest.failf
                     "case %d on %s: pairwise %.4f <> exhaustive %.4f"
                     c.Facile_bhive.Suite.id cfg.Config.abbrev fast exact)
               cases)
           [ skl; snb; rkl ]);
+    Alcotest.test_case "ports: the critical combination reaches the bound"
+      `Quick (fun () ->
+        (* its µop count over its port count is the bound bit for bit;
+           no combination exactly when no µop uses a port *)
+        let cases = Facile_bhive.Suite.corpus ~seed:29 ~size:120 () in
+        List.iter
+          (fun cfg ->
+            List.iter
+              (fun (c : Facile_bhive.Suite.case) ->
+                List.iter
+                  (fun insts ->
+                    let b = Block.of_instructions cfg insts in
+                    let bound = Ports.throughput b in
+                    let reached =
+                      match Ports.critical_combination b with
+                      | Some (pc, n) ->
+                        float_of_int n /. float_of_int (Port.cardinal pc)
+                      | None -> 0.0
+                    in
+                    if Int64.bits_of_float reached <> Int64.bits_of_float bound
+                    then
+                      Alcotest.failf "case %d on %s: combination %h, bound %h"
+                        c.Facile_bhive.Suite.id cfg.Config.abbrev reached bound)
+                  [ c.Facile_bhive.Suite.body; c.Facile_bhive.Suite.loop ])
+              cases)
+          Config.all);
     Alcotest.test_case "precedence chains" `Quick (fun () ->
         checkf "independent adds" 1.0
           (Precedence.throughput (block skl four_adds));
@@ -144,7 +171,7 @@ let component_tests =
           (fun (c : Facile_bhive.Suite.case) ->
             let b = Block.of_instructions skl c.Facile_bhive.Suite.loop in
             let h = Precedence.throughput b in
-            let l = Precedence.throughput_lawler b in
+            let l = Precedence_ref.throughput_lawler b in
             if abs_float (h -. l) > 1e-5 then
               Alcotest.failf "howard %f <> lawler %f on case %d" h l
                 c.Facile_bhive.Suite.id)
@@ -506,7 +533,7 @@ let qcheck_ports_heuristic =
         (fun cfg ->
           let b = Block.of_instructions cfg insts in
           let fast = Ports.throughput b in
-          let exact = Ports.throughput_exhaustive b in
+          let exact = Ports_ref.throughput_exhaustive b in
           if fast > exact +. 1e-9 then
             QCheck.Test.fail_reportf
               "pairwise %.4f exceeds exhaustive %.4f on %s" fast exact
@@ -665,7 +692,7 @@ let qcheck_flat_pipeline =
         List.for_all
           (fun notion ->
             let f = Model.predict ~notion b in
-            let r = Model.predict_reference ~notion b in
+            let r = Model_ref.predict ~notion b in
             if f = r then true
             else
               QCheck.Test.fail_reportf

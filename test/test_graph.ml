@@ -1,4 +1,4 @@
-open Facile_graph
+open Facile_reference
 
 let mk n edges =
   let g = Digraph.create ~n in
@@ -143,7 +143,12 @@ let karp_agreement =
           Digraph.add_edge g ~src:s ~dst:d ~weight:(float_of_int w) ~count:1;
           a.((s * n) + d) <- max w a.((s * n) + d))
         edges;
-      match Cycle_ratio.howard g, Cycle_ratio.karp ~n a with
+      let karp =
+        match Facile_core.Karp.max_cycle_mean ~n a with
+        | 0 -> None
+        | den -> Some (float_of_int a.(n * n) /. float_of_int den)
+      in
+      match Cycle_ratio.howard g, karp with
       | None, None -> true
       | Some h, Some k when Int64.bits_of_float h = Int64.bits_of_float k ->
         true

@@ -1,17 +1,20 @@
 (* Precedence is the maximum cycle ratio of the dependence graph.  The
    model computes it as the maximum cycle mean of a max-plus matrix
    over the loop-carried resources ([Precedence.throughput]); the
-   reference runs Howard on the full graph ([throughput_ref]).  These
-   tests hold the two together bit for bit, pin two blocks on which
-   Howard used to cycle until its guard gave up, and check three
-   metamorphic relations: repeating a block scales the bound exactly,
-   as it does Issue and Ports; appending an instruction never lowers
-   Issue or Ports; renaming registers moves none of the three. *)
+   reference runs Howard on the full graph ([Precedence_ref]).  These
+   tests hold the two together bit for bit, check that every critical
+   chain the model reads off its pass is a witness in the reference
+   graph, pin two blocks on which Howard used to cycle until its guard
+   gave up, and check three metamorphic relations: repeating a block
+   scales the bound exactly, as it does Issue and Ports; appending an
+   instruction never lowers Issue or Ports; renaming registers moves
+   none of the three. *)
 
 open Facile_x86
 open Facile_uarch
 open Facile_db
 open Facile_core
+open Facile_reference
 module Baselines = Facile_baselines.Baselines
 module Genblock = Facile_bhive.Genblock
 module Prng = Facile_bhive.Prng
@@ -48,15 +51,55 @@ let block_b =
    d9f2440f7cd6f2450f7cd84d31ec420f1f84db0004000049d3e44501e6f2490f2ac341\
    d3f8f2410f5ee741d3e44d299d00040000f3440f2ad3f3410f2ac5f2450f7ce8"
 
+(* [witness_error b chain] is [None] when [chain] is a critical cycle
+   of [b]'s reference graph: each label, the last included, has an edge
+   to the next; the cycle crosses a back edge (count 1); and its weight
+   over its back edges is [Precedence.throughput b] bit for bit.  The
+   chain is empty exactly when that bound is 0. *)
+let witness_error b chain =
+  let bound = Precedence.throughput b in
+  match chain with
+  | [] ->
+    if bits bound = bits 0.0 then None
+    else Some (Printf.sprintf "no chain for a bound of %h" bound)
+  | first :: rest ->
+    let g, label = Precedence_ref.graph b in
+    (* label pair -> (weight, count) *)
+    let edges = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Digraph.edge) ->
+        Hashtbl.replace edges
+          (label e.Digraph.src, label e.Digraph.dst)
+          (e.Digraph.weight, e.Digraph.count))
+      (Digraph.edges g);
+    let rec walk weight back = function
+      | (src, dst) :: pairs ->
+        (match Hashtbl.find_opt edges (src, dst) with
+         | Some (w, t) -> walk (weight +. w) (back + t) pairs
+         | None -> Error (Printf.sprintf "no edge %s -> %s" src dst))
+      | [] -> Ok (weight, back)
+    in
+    (match walk 0.0 0 (List.combine chain (rest @ [ first ])) with
+     | Error m -> Some m
+     | Ok (_, 0) -> Some "the chain crosses no back edge"
+     | Ok (weight, back) ->
+       let ratio = weight /. float_of_int back in
+       if bits ratio = bits bound then None
+       else
+         Some
+           (Printf.sprintf "weight %g over %d back edges is %h, not %h"
+              weight back ratio bound))
+
 let check_exact name arch ?(times = 1) hex expected =
   let cfg = Config.by_arch arch in
   let b = Block.of_bytes cfg (repeat times (code_of_hex hex)) in
   let what = Printf.sprintf "%s x%d on %s" name times cfg.Config.abbrev in
   Alcotest.check exact (what ^ ": max-plus") expected (Precedence.throughput b);
   Alcotest.check exact (what ^ ": Howard") expected
-    (Precedence.throughput_ref b);
-  if Precedence.critical_chain b = [] then
-    Alcotest.failf "%s: no critical chain" what
+    (Precedence_ref.throughput b);
+  match witness_error b (Precedence.critical_chain b) with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: critical chain: %s" what m
 
 let converges_tests =
   [ Alcotest.test_case "Howard converges on block A" `Quick (fun () ->
@@ -87,31 +130,46 @@ let body_of (seed, len, profile_idx) =
 
 let show insts = String.concat "\n" (List.map Inst.to_string insts)
 
-(* Every profile, FMA on, bodies and their loops, the nine µarchs and
-   their de-fused configs (which take the [Db.describe] fallback), both
-   front ends. *)
+(* [on_every_block check params] holds when [check cfg front insts b]
+   does on every block of [params]'s body and its loop, every profile,
+   FMA on, on the nine µarchs and their de-fused configs (which take
+   the [Db.describe] fallback), through both front ends. *)
+let on_every_block check params =
+  let body = body_of params in
+  let on cfg insts =
+    match Block.of_instructions cfg insts with
+    | exception Db.Unsupported _ -> true (* FMA or BMI before Haswell *)
+    | bi ->
+      check cfg "of_instructions" insts bi
+      && check cfg "of_bytes" insts (Block.of_bytes cfg bi.Block.bytes)
+  in
+  List.for_all
+    (fun cfg -> on cfg body && on cfg (Genblock.looped body))
+    (Config.all @ List.map Baselines.defused_cfg Config.all)
+
 let qcheck_maxplus_equals_howard =
   QCheck.Test.make ~name:"max-plus = Howard on the full graph" ~count:200
-    gen_body (fun params ->
-      let body = body_of params in
-      let check cfg insts =
-        match Block.of_instructions cfg insts with
-        | exception Db.Unsupported _ -> true (* FMA or BMI before Haswell *)
-        | bi ->
-          let bb = Block.of_bytes cfg bi.Block.bytes in
-          List.for_all
-            (fun (front, b) ->
-              let fast = Precedence.throughput b in
-              let reference = Precedence.throughput_ref b in
-              bits fast = bits reference
-              || QCheck.Test.fail_reportf
-                   "%s via %s: max-plus %h <> Howard %h on\n%s" (cfg_name cfg)
-                   front fast reference (show insts))
-            [ ("of_instructions", bi); ("of_bytes", bb) ]
-      in
-      List.for_all
-        (fun cfg -> check cfg body && check cfg (Genblock.looped body))
-        (Config.all @ List.map Baselines.defused_cfg Config.all))
+    gen_body
+    (on_every_block (fun cfg front insts b ->
+         let fast = Precedence.throughput b in
+         let reference = Precedence_ref.throughput b in
+         bits fast = bits reference
+         || QCheck.Test.fail_reportf
+              "%s via %s: max-plus %h <> Howard %h on\n%s" (cfg_name cfg)
+              front fast reference (show insts)))
+
+(* The chain the model reads off its max-plus pass is a witness for
+   its bound in the reference graph. *)
+let qcheck_chain_is_witness =
+  QCheck.Test.make ~name:"every critical chain is a witness" ~count:200
+    gen_body
+    (on_every_block (fun cfg front insts b ->
+         let chain = Precedence.critical_chain b in
+         match witness_error b chain with
+         | None -> true
+         | Some m ->
+           QCheck.Test.fail_reportf "%s via %s: %s, chain [%s] on\n%s"
+             (cfg_name cfg) front m (String.concat "; " chain) (show insts)))
 
 (* Repeating a block k times raises its matrix to the k-th max-plus
    power, whose maximum cycle mean is k times the block's.  Issue and
@@ -268,5 +326,6 @@ let suite =
   [ "core.precedence",
     converges_tests
     @ List.map QCheck_alcotest.to_alcotest
-        [ qcheck_maxplus_equals_howard; qcheck_repetition_scales;
+        [ qcheck_maxplus_equals_howard; qcheck_chain_is_witness;
+          qcheck_repetition_scales;
           qcheck_append_never_lowers; qcheck_renaming_invariant ] ]

@@ -766,6 +766,49 @@ let cli_tests =
               (Printf.sprintf "%sstore_skew in %S" what err) true
               (String.ends_with ~suffix:"(store_skew)\n" err))
           older_fingerprints);
+    Alcotest.test_case "batch --store writes the same bytes for any --workers"
+      `Quick (fun () ->
+        (* 200 loops, then the first 50 again: each record goes where
+           its block last occurs *)
+        let hexes =
+          List.map
+            (fun (c : Facile_bhive.Suite.case) ->
+              Facile_x86.Hex.encode
+                (fst (Facile_x86.Encode.encode_block c.Facile_bhive.Suite.loop)))
+            (Facile_bhive.Suite.corpus ~seed:7 ~size:200 ())
+        in
+        let lines = hexes @ List.filteri (fun i _ -> i < 50) hexes in
+        with_temp @@ fun input ->
+        write_file input (String.concat "\n" lines ^ "\n");
+        let batch ~workers store =
+          run_cli_out
+            (Printf.sprintf "batch --json -a HSW -m loop --workers %d --store %s %s"
+               workers (Filename.quote store) (Filename.quote input))
+        in
+        let runs =
+          List.map
+            (fun workers ->
+              with_temp @@ fun store ->
+              let rc, out = batch ~workers store in
+              Alcotest.(check int) "exit code" 0 rc;
+              (workers, out, read_file store))
+            [ 1; 1; 2; 2 ]
+        in
+        let _, cold, bytes = List.hd runs in
+        List.iter
+          (fun (workers, out, bytes') ->
+            let what = Printf.sprintf "--workers %d" workers in
+            Alcotest.(check string) (what ^ ": --json") cold out;
+            Alcotest.(check bool) (what ^ ": store bytes") true
+              (String.equal bytes bytes'))
+          runs;
+        with_temp @@ fun store ->
+        write_file store bytes;
+        let rc, warm = batch ~workers:2 store in
+        Alcotest.(check int) "warm exit code" 0 rc;
+        Alcotest.(check string) "warm --json" cold warm;
+        Alcotest.(check bool) "a warm rerun appends nothing" true
+          (String.equal bytes (read_file store)));
     Alcotest.test_case "a directory as the store is refused by name" `Quick
       (fun () ->
         let dir = Filename.get_temp_dir_name () in

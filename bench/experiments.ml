@@ -26,9 +26,9 @@ let timed f =
   (r, Clock.ns_to_s (Clock.now_ns () - t0))
 
 (* One shared worker pool for every embarrassingly-parallel per-block
-   loop below. Memoization is off: the harness caches analyzed samples
-   itself, and variant predictions must not alias default ones. *)
-let engine = lazy (Engine.create ~memoize:false ())
+   loop below.  They only [Engine.map_list], which never reads the
+   memo cache; the harness caches analyzed samples itself. *)
+let engine = lazy (Engine.create ())
 
 (* Machine-readable benchmark records: one `BENCH {...}` line on stdout
    (greppable from CI logs) and the same JSON persisted to

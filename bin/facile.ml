@@ -252,8 +252,8 @@ let explain_cmd =
         List.iter
           (fun c ->
             Printf.printf "  %-11s %.2fx\n" (Model.component_name c)
-              (Model.speedup_idealizing block c))
-          Model.[ Predec; Dec; Issue; Ports; Precedence ];
+              (Model.speedup_idealizing ~notion block c))
+          (Model.candidates p);
         Ok ())
   in
   Cmd.v
@@ -290,10 +290,6 @@ let sweep_cmd =
     Term.(const run $ mode_arg $ hex_arg $ file_arg)
 
 (* ----- batch: parallel prediction of many blocks ----- *)
-
-let no_memo_arg =
-  let doc = "Disable memoization of repeated blocks." in
-  Arg.(value & flag & info [ "no-memo" ] ~doc)
 
 let store_arg =
   let doc =
@@ -343,14 +339,12 @@ let batch_entries notion blocks preds =
     (List.rev (List.combine blocks preds))
 
 let batch_cmd =
-  let run arch mode workers no_memo cache_cap store quiet json file =
+  let run arch mode workers cache_cap store quiet json file =
     run_command arch (fun cfg ->
         (* flag validation first: a bad flag must fail the same way on
            an empty stdin as on a full corpus *)
         require_opt_at_least ~flag:"--workers" 1 workers;
         require_at_least ~flag:"--cache-cap" 1 cache_cap;
-        if store <> None && no_memo then
-          failwith "--store requires memoization (drop --no-memo)";
         let* notion = Model.notion_of_string mode in
         (* one block per line: hex machine code, optionally followed by
            ",<measured cycles>"; blank lines and '#' comments skipped *)
@@ -389,7 +383,7 @@ let batch_cmd =
         configure_faults ();
         let* store = open_store store in
         let blocks = List.map (fun (_, b, _) -> b) cases in
-        let pool = Engine.create ?workers ~memoize:(not no_memo) ~cache_cap () in
+        let pool = Engine.create ?workers ~cache_cap () in
         Option.iter (fun (_, report) -> warm pool report) store;
         let t0 = Unix.gettimeofday () in
         let preds =
@@ -438,15 +432,14 @@ let batch_cmd =
         let n = List.length blocks in
         let { Engine.hits; misses; _ } = Engine.cache_stats pool in
         Printf.fprintf out
-          "%d blocks on %s in %.3f s (%.0f blocks/s, %d worker%s%s)\n" n
-          cfg.Config.name dt
+          "%d blocks on %s in %.3f s (%.0f blocks/s, %d worker%s, %d unique, \
+           %d memo hit%s)\n"
+          n cfg.Config.name dt
           (float_of_int n /. Float.max dt 1e-9)
           (Engine.size pool)
           (if Engine.size pool = 1 then "" else "s")
-          (if no_memo then ""
-           else
-             Printf.sprintf ", %d unique, %d memo hit%s" misses hits
-               (if hits = 1 then "" else "s"));
+          misses hits
+          (if hits = 1 then "" else "s");
         (match flushed with
          | None -> ()
          | Some n ->
@@ -484,13 +477,13 @@ let batch_cmd =
          "Predict many blocks in parallel (one hex-encoded block per \
           line, optionally ',<measured cycles>' for aggregate error \
           metrics).")
-    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ no_memo_arg
-          $ cache_cap_arg $ store_arg $ quiet_arg $ json_arg $ file_arg)
+    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ cache_cap_arg
+          $ store_arg $ quiet_arg $ json_arg $ file_arg)
 
 (* ----- serve: long-running NDJSON prediction service ----- *)
 
 let serve_cmd =
-  let run workers no_memo deadline_ms no_deadline cache_cap store store_flush
+  let run workers deadline_ms no_deadline cache_cap store store_flush
       max_input_bytes max_insts tcp max_conns conn_rate =
     finish @@ fun () ->
     require_opt_at_least ~flag:"--workers" 1 workers;
@@ -504,8 +497,6 @@ let serve_cmd =
       failwith (Printf.sprintf "--conn-rate must be >= 0, got %g" conn_rate);
     if store = None && store_flush <> None then
       failwith "--store-flush needs --store";
-    if store <> None && no_memo then
-      failwith "--store requires memoization (drop --no-memo)";
     let tcp_endpoint =
       match tcp with
       | None -> None
@@ -523,7 +514,6 @@ let serve_cmd =
     let t =
       Serve.of_config
         { Serve.workers;
-          memoize = not no_memo;
           cache_cap = Some cache_cap;
           deadline_ms;
           flush_every = store_flush;
@@ -548,7 +538,6 @@ let serve_cmd =
             [ "config",
               Json.Obj
                 [ "workers", Json.Int (Serve.workers t);
-                  "memoize", Json.Bool (not no_memo);
                   "cache_cap", Json.Int cache_cap;
                   "cache_shards", Json.Int (Engine.cache_shard_count engine);
                   "deadline_ms",
@@ -580,7 +569,7 @@ let serve_cmd =
           (fun () -> Serve.shutdown t))
       (fun () ->
         match tcp_endpoint with
-        | None -> Serve.run t stdin stdout
+        | None -> Net.run_stdio t stdin stdout
         | Some (host, port) ->
           (* the bound address goes to stderr as one JSON line so
              clients (and the chaos harness) can discover an
@@ -732,7 +721,7 @@ let serve_cmd =
        ~doc:
          "Serve predictions over a fault-tolerant NDJSON loop (stdio \
           or multi-client TCP).")
-    Term.(const run $ serve_workers_arg $ no_memo_arg $ deadline_arg
+    Term.(const run $ serve_workers_arg $ deadline_arg
           $ no_deadline_arg $ cache_cap_arg $ store_arg $ store_flush_arg
           $ serve_max_input_arg $ max_insts_arg $ tcp_arg $ max_conns_arg
           $ conn_rate_arg)

@@ -31,7 +31,7 @@ let () =
     (fun (cfg : Config.t) ->
       let block = Block.of_instructions cfg insts in
       let p = Model.predict ~notion:`Unrolled block in
-      let speedup c = Model.speedup_idealizing block c in
+      let speedup c = Model.speedup_idealizing ~notion:`Unrolled block c in
       Printf.printf "%-14s %7.2f  %-22s %.2f / %.2f / %.2f / %.2f\n"
         cfg.Config.name p.Model.cycles
         (String.concat "+"

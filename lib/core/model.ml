@@ -147,23 +147,33 @@ let resolve notion b =
   | (`Unrolled | `Loop) as n -> n
   | `Auto -> if Block.ends_in_branch b then `Loop else `Unrolled
 
-let unrolled_candidates = mask_of [ Predec; Dec; Issue; Ports; Precedence ]
+let decoders = mask_of [ Predec; Dec ]
 let be_candidates = mask_of [ Issue; Ports; Precedence ]
 
+(* The components the max ranges over: the front end the prediction
+   reads ([FE_none] is TP_U's predecoder and decoders), then the back
+   end. *)
+let candidates_mask fe_path =
+  be_candidates
+  lor
+  match fe_path with
+  | FE_none | FE_decoders -> decoders
+  | FE_lsd -> component_bit LSD
+  | FE_dsb -> component_bit DSB
+
 let unrolled a variant b =
-  combine_masks variant (fill_bounds a variant `Unrolled b) unrolled_candidates
-    FE_none
+  combine_masks variant (fill_bounds a variant `Unrolled b)
+    (candidates_mask FE_none) FE_none
 
 let looped a variant b =
   let bounds = fill_bounds a variant `Loop b in
-  let cfg = b.Block.cfg in
-  let fe_candidates, fe_path =
-    if cfg.Config.jcc_erratum && Block.jcc_erratum_affected b then
-      (mask_of [ Predec; Dec ], FE_decoders)
-    else if Lsd.applicable b then (component_bit LSD, FE_lsd)
-    else (component_bit DSB, FE_dsb)
+  let fe_path =
+    if b.Block.cfg.Config.jcc_erratum && Block.jcc_erratum_affected b then
+      FE_decoders
+    else if Lsd.applicable b then FE_lsd
+    else FE_dsb
   in
-  combine_masks variant bounds (fe_candidates lor be_candidates) fe_path
+  combine_masks variant bounds (candidates_mask fe_path) fe_path
 
 (* The single prediction entry point; every surface (CLI, engine,
    bench, serve) goes through here.  One arena serves the whole
@@ -181,11 +191,14 @@ let bottleneck ?(variant = default) b =
   | c :: _ -> c
   | [] -> Issue (* empty block: arbitrary but stable *)
 
-let speedup_idealizing b c =
-  let base = (predict ~notion:`Unrolled b).cycles in
+let candidates p =
+  let m = candidates_mask p.fe_path in
+  List.filter (fun c -> m land component_bit c <> 0) all_components
+
+let speedup_idealizing ~notion b c =
+  let base = (predict ~notion b).cycles in
   let ideal =
-    (predict ~variant:{ default with idealized = [ c ] } ~notion:`Unrolled b)
-      .cycles
+    (predict ~variant:{ default with idealized = [ c ] } ~notion b).cycles
   in
   if ideal <= 0.0 then 1.0 else base /. ideal
 

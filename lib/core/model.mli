@@ -99,9 +99,17 @@ val predict : ?variant:variant -> ?notion:notion -> Block.t -> prediction
     front-end-first tie-breaking (used for the Figure 6 Sankey). *)
 val bottleneck : ?variant:variant -> Block.t -> component
 
-(** [speedup_idealizing b c] — ratio [cycles / cycles-with-c-idealized]
-    under TP_U (Table 4); 1.0 when [c] is not a bottleneck. *)
-val speedup_idealizing : Block.t -> component -> float
+(** [candidates p] — the components [p]'s cycles are the maximum of,
+    in {!all_components} order: under TP_U Predec and Dec, under TP_L
+    the front-end path's (Predec and Dec under the JCC erratum, else
+    LSD or DSB); then Issue, Ports and Precedence. *)
+val candidates : prediction -> component list
+
+(** [speedup_idealizing ~notion b c] — ratio
+    [cycles / cycles-with-c-idealized] of [b] predicted under [notion]
+    (Table 4 uses TP_U); 1.0 when [c] is not a bottleneck, and when
+    [c] is not among the {!candidates} of that prediction. *)
+val speedup_idealizing : notion:notion -> Block.t -> component -> float
 
 (** Wire name of a front-end path ("decoders", "lsd", "dsb", "none"). *)
 val fe_path_name : fe_path -> string

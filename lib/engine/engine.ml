@@ -36,7 +36,6 @@ type t = {
      (lock per shard, single-flight misses) so a serving process under
      endless distinct traffic cannot grow without limit and concurrent
      requests do not serialize on one cache lock *)
-  memoize : bool;
   memo : (key, int * Model.prediction) Shard_cache.t;
 }
 
@@ -60,8 +59,7 @@ let rec worker_loop pool seen_epoch =
 
 let default_cache_cap = 65536
 
-let create ?workers ?(memoize = true) ?(cache_cap = default_cache_cap)
-    ?cache_shards () =
+let create ?workers ?(cache_cap = default_cache_cap) ?cache_shards () =
   let size =
     match workers with
     | None -> max 1 (Domain.recommended_domain_count ())
@@ -83,7 +81,7 @@ let create ?workers ?(memoize = true) ?(cache_cap = default_cache_cap)
   let pool =
     { size; mutex = Mutex.create (); have_work = Condition.create ();
       quiesced = Condition.create (); batch = None; epoch = 0; active = 0;
-      stop = false; domains = []; memoize;
+      stop = false; domains = [];
       (* the shard hash mixes all three key components, the whole byte
          string included *)
       memo = Shard_cache.create ~shards ~cap:cache_cap ~hash:Hashtbl.hash () }
@@ -102,8 +100,8 @@ let shutdown pool =
   List.iter Domain.join pool.domains;
   pool.domains <- []
 
-let with_pool ?workers ?memoize ?cache_shards f =
-  let pool = create ?workers ?memoize ?cache_shards () in
+let with_pool ?workers ?cache_shards f =
+  let pool = create ?workers ?cache_shards () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* Run one batch closure on every domain of the pool (caller included)
@@ -173,27 +171,22 @@ let entry_of_block ((_, mode, _) : key) b =
 
 let entry_of_code key analyze = entry_of_block key (analyze ())
 
-(* One pass over the sharded cache: a single lock acquisition settles
-   hit / join-flight / own-compute, and duplicates — within a batch or
-   across concurrent requests — coalesce onto one compute.  Only the
-   compute analyses the block, so a hit costs the lookup alone. *)
-let memo pool key f x =
-  if pool.memoize then Shard_cache.find_or_compute pool.memo key f x
-  else f key x
-
 let record_predict t0 =
   Facile_obs.Obs.Histogram.record predict_span
     (Facile_obs.Clock.now_ns () - t0)
 
-(* The engine.predict span around one memoized prediction, timed with
-   two clock reads, not a thunk. *)
+(* One pass over the sharded cache: a single lock acquisition settles
+   hit / join-flight / own-compute, and duplicates — within a batch or
+   across concurrent requests — coalesce onto one compute.  Only the
+   compute analyses the block, so a hit costs the lookup alone.  The
+   engine.predict span around it is two clock reads, not a thunk. *)
 let timed_memo pool key f x =
   let t0 = Facile_obs.Clock.now_ns () in
   match
     (* fault-injection hook for the serving path; a no-op unless
        FACILE_FAULT is set *)
     Fault.point "predict";
-    memo pool key f x
+    Shard_cache.find_or_compute pool.memo key f x
   with
   | v ->
     record_predict t0;
@@ -216,8 +209,10 @@ let predict pool ~mode (b : Block.t) =
 let predict_batch pool ~mode blocks =
   Facile_obs.Obs.timed batch_span @@ fun () ->
   let f (b : Block.t) =
-    snd (memo pool (b.Block.cfg.Config.arch, mode, b.Block.bytes)
-           entry_of_block b)
+    snd
+      (Shard_cache.find_or_compute pool.memo
+         (b.Block.cfg.Config.arch, mode, b.Block.bytes)
+         entry_of_block b)
   in
   Array.to_list (map pool f (Array.of_list blocks))
 
@@ -233,16 +228,14 @@ let memo_entries pool =
     (fun ((arch, mode, code), (insts, p)) -> ((arch, mode, insts, code), p))
     (Shard_cache.to_list pool.memo)
 
+(* Entries arrive most-recent first ([memo_entries] order, which the
+   store preserves); insert oldest first so each shard's LRU keeps the
+   same recency and a bounded cache evicts the same cold tail. *)
 let memo_seed pool entries =
-  if pool.memoize then
-    (* entries arrive most-recent first ([memo_entries] order, which
-       the store preserves); insert oldest first so each shard's LRU
-       keeps the same recency and a bounded cache evicts the same cold
-       tail *)
-    List.iter
-      (fun ((arch, mode, insts, code), p) ->
-        Shard_cache.add pool.memo (arch, mode, code) (insts, p))
-      (List.rev entries)
+  List.iter
+    (fun ((arch, mode, insts, code), p) ->
+      Shard_cache.add pool.memo (arch, mode, code) (insts, p))
+    (List.rev entries)
 
 type cache_stats = Shard_cache.stats = {
   hits : int;

@@ -25,11 +25,11 @@ open Facile_core
 
 type t
 
-(** [create ?workers ?memoize ?cache_cap ?cache_shards ()] starts a
-    pool. [workers] defaults to [Domain.recommended_domain_count ()];
-    with [workers = 1] the pool is purely sequential. [memoize]
-    (default [true]) enables the prediction cache of {!predict_batch}
-    and {!predict}; the cache holds at most [cache_cap] entries
+(** [create ?workers ?cache_cap ?cache_shards ()] starts a pool.
+    [workers] defaults to [Domain.recommended_domain_count ()]; with
+    [workers = 1] the pool is purely sequential. The prediction cache
+    of {!predict_batch}, {!predict} and {!predict_code} (not {!map})
+    holds at most [cache_cap] entries
     (default 65536) split over [cache_shards] shards (default
     [workers * 4]; rounded up to a power of two and clamped so every
     shard keeps a useful capacity — see {!Shard_cache.create}), so
@@ -38,8 +38,7 @@ type t
     @raise Invalid_argument if [workers < 1], [cache_cap < 1], or
     [cache_shards < 1]. *)
 val create :
-  ?workers:int -> ?memoize:bool -> ?cache_cap:int -> ?cache_shards:int ->
-  unit -> t
+  ?workers:int -> ?cache_cap:int -> ?cache_shards:int -> unit -> t
 
 val default_cache_cap : int
 
@@ -54,10 +53,9 @@ val cache_shard_count : t -> int
     afterwards. Idempotent. *)
 val shutdown : t -> unit
 
-(** [with_pool ?workers ?memoize ?cache_shards f] runs [f] on a fresh
-    pool and shuts it down afterwards, also on exception. *)
-val with_pool :
-  ?workers:int -> ?memoize:bool -> ?cache_shards:int -> (t -> 'a) -> 'a
+(** [with_pool ?workers ?cache_shards f] runs [f] on a fresh pool and
+    shuts it down afterwards, also on exception. *)
+val with_pool : ?workers:int -> ?cache_shards:int -> (t -> 'a) -> 'a
 
 type cache_stats = Shard_cache.stats = {
   hits : int;      (** found cached, including coalesced waits *)
@@ -87,7 +85,7 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [predict_batch t ~mode blocks] predicts every block, in parallel,
-    memoized on [(arch, mode, b.bytes)]: the notion as requested, so
+    cached on [(arch, mode, b.bytes)]: the notion as requested, so
     [`Auto] entries are a key space of their own, not the notion they
     resolve to. The result list is ordered like the input, and is
     bit-identical to a sequential [List.map] of
@@ -98,13 +96,13 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val predict_batch :
   t -> mode:Model.notion -> Block.t list -> Model.prediction list
 
-(** [predict t ~mode b] — memoized single-block prediction on the
+(** [predict t ~mode b] — cached single-block prediction on the
     calling domain, sharing the cache (and hit/miss accounting) with
     {!predict_batch}: {!predict_code} on [b.bytes] with [b] as the
     analysis. *)
 val predict : t -> mode:Model.notion -> Block.t -> Model.prediction
 
-(** [predict_code t cfg ~mode code ~analyze] — memoized prediction of
+(** [predict_code t cfg ~mode code ~analyze] — cached prediction of
     the machine code [code] on [cfg], in one pass over the cache, on
     the calling domain.  Returns the block's instruction count with
     its prediction.  A hit returns both from the cache without calling
@@ -137,6 +135,5 @@ val memo_entries : t -> (memo_key * Model.prediction) list
     with [entries] in {!memo_entries} order (most-recent first within
     each shard), preserving per-shard recency.  Seeded entries do not
     count as hits or misses; a bounded cache keeps only the most
-    recent entries per shard.  A no-op on a pool created with
-    [~memoize:false]. *)
+    recent entries per shard. *)
 val memo_seed : t -> (memo_key * Model.prediction) list -> unit

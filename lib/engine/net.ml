@@ -1,6 +1,8 @@
-(* TCP listener for the NDJSON service: one accept loop, and each
-   accepted connection served as one {!Session} on one thread of one of
-   [Serve.workers t] serving domains, all against a shared {!Serve.t}.
+(* The NDJSON service's two ways in, each connection one {!Session} of
+   a shared {!Serve.t}: stdio, served as one session on the calling
+   thread, and a TCP listener, one accept loop and each accepted
+   connection served on one thread of one of [Serve.workers t] serving
+   domains.
 
    Concurrency shape.  The calling domain is serving domain 0: it runs
    the accept loop, with a 0.1 s select timeout so it notices the
@@ -51,6 +53,10 @@ let parse_endpoint s =
        Ok ((if host = "" then "127.0.0.1" else host), p)
      | _ -> Error (Printf.sprintf "invalid port %S in %S" port s))
 
+let close_conn fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* One refusal line for a connection over the limit, then close; the
    write is best-effort (the client may already be gone). *)
 let refuse_conn t fd ~max_conns =
@@ -73,10 +79,8 @@ let refuse_conn t fd ~max_conns =
   in
   let b = Bytes.unsafe_of_string line in
   (try ignore (Unix.write fd b 0 (Bytes.length b))
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ | Sys_error _ -> ()
+   with Unix.Unix_error _ -> ());
+  close_conn fd
 
 let resolve host port =
   match Unix.inet_addr_of_string host with
@@ -195,9 +199,10 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
      is [lane]'s. *)
   let start lane (id, cfd) =
     let session =
-      Serve.session ~rate:cfg.conn_rate t (Session.fd_transport cfd)
+      Session.create ~rate:cfg.conn_rate t (Session.fd_transport cfd)
     in
     let release () =
+      close_conn cfd;
       Serve.conn_closed t;
       Atomic.decr lane.open_conns
     in
@@ -218,7 +223,6 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
     | exception Sys_error _ ->
       (* no thread to serve it (the system refused one): close it, as a
          client that left would *)
-      (try Unix.close cfd with Unix.Unix_error _ -> ());
       release ()
   in
   let next_id = ref 0 in
@@ -268,3 +272,18 @@ let run ?(signals = true) ?(announce = fun ~host:_ ~port:_ -> ()) t cfg =
         domains := Domain.spawn (fun () -> serve_lane l (start l)) :: !domains
       done;
       accept_loop ())
+
+(* Stdio is one more session: it reads [ic]'s descriptor and writes
+   [oc]'s, with no channel buffer in the way, and closes neither, since
+   the caller owns both.  Its one session ending ends the service. *)
+let run_stdio ?(signals = true) t ic oc =
+  if signals then Serve.install_signal_handlers t;
+  let out = Session.fd_transport (Unix.descr_of_out_channel oc) in
+  let transport =
+    { (Session.fd_transport (Unix.descr_of_in_channel ic)) with
+      Session.write = out.Session.write }
+  in
+  Serve.conn_opened t;
+  Fun.protect ~finally:(fun () -> Serve.conn_closed t) (fun () ->
+      Session.run (Session.create t transport));
+  Serve.print_final_stats t

@@ -1,19 +1,18 @@
-(** Multi-client TCP transport for the NDJSON prediction service.
+(** The transports of the NDJSON prediction service: stdio and
+    multi-client TCP.  Each connection is one {!Session} of a shared
+    {!Serve.t}: every client shares the engine, memo cache and
+    statistics, each request is predicted on its connection's thread,
+    and framing, admission and write failures stay per connection.
 
-    [Net.run t cfg] listens on [cfg.host:cfg.port] and serves each
-    accepted connection as one {!Session} ({!Serve.session}) on one
-    thread, against the shared {!Serve.t} core — every client shares
-    the engine, memo cache and statistics, and each request is
-    predicted on its connection's thread, while framing, admission
-    and write failures stay per connection.
-
-    The threads run on {!Serve.workers} serving domains: the calling
-    domain, which also runs the accept loop, and [workers - 1] domains
-    spawned when the listener is up, each with a 128k-word minor heap
-    (half the default).
-    Each accepted connection goes to the serving domain with the
-    fewest open connections, ties to the lowest index (the calling
-    domain is index 0), and stays there until it closes.
+    {!run_stdio} serves stdio as one session on the calling thread.
+    {!run} listens on [cfg.host:cfg.port] and serves each accepted
+    connection as one session on one thread.  Its threads run on
+    {!Serve.workers} serving domains: the calling domain, which also
+    runs the accept loop, and [workers - 1] domains spawned when the
+    listener is up, each with a 128k-word minor heap (half the
+    default).  Each accepted connection goes to the serving domain
+    with the fewest open connections, ties to the lowest index (the
+    calling domain is index 0), and stays there until it closes.
 
     - at most [max_conns] connections are served concurrently (the
       service's [connections.active] count); connections over the
@@ -58,9 +57,8 @@ val parse_endpoint : string -> (string * int, string) result
     shutdown.  [announce] (default ignore) receives the actually
     bound address and port once listening — the way callers learn the
     ephemeral port when [cfg.port = 0].  [signals] (default [true])
-    installs the serving signal discipline
-    ({!Serve.install_signal_handlers}).  Returns after the graceful
-    drain, with every spawned domain joined; does not call
+    installs {!Serve.install_signal_handlers}.  Returns after the
+    graceful drain, with every spawned domain joined; does not call
     {!Serve.shutdown}.
     @raise Invalid_argument if [max_conns < 1], [conn_rate] is
     negative or not finite, or the port is out of range.
@@ -71,3 +69,13 @@ val run :
   Serve.t ->
   config ->
   unit
+
+(** [run_stdio ?signals t ic oc] — one session over stdio on the
+    calling thread, reading [ic]'s descriptor and writing [oc]'s
+    directly (not through the channels' buffers), closing neither.
+    Returns, having answered every line read and flushed final stats
+    to stderr, after EOF, a stop (within about 0.1 s, even on an idle
+    open pipe), or a reader that left (counted under [io.epipe]).
+    [signals] as for {!run}; does not call {!Serve.shutdown}. *)
+val run_stdio :
+  ?signals:bool -> Serve.t -> in_channel -> out_channel -> unit

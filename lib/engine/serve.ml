@@ -1,4 +1,4 @@
-(* NDJSON prediction service core, shared by every transport: one
+(* NDJSON prediction service core, shared by every connection: one
    JSON request object per line in, one JSON response object per line
    out.  The engine and its bounded LRU memo cache persist across
    requests and across *connections*, so a traffic-serving deployment
@@ -7,13 +7,14 @@
    predicted on its session's thread, and {!Net.run} spreads the
    sessions over [workers] serving domains.
 
-   This module is the protocol/session core only: request parsing,
-   admission limits, deadlines, the request boundary, response
-   encoding, and the shared statistics.  Byte-stream mechanics live in
-   {!Session} (framing, admission, the per-connection loop); {!run}
-   below drives one stdio session, and {!Net.run} drives one session
-   per TCP connection — both against the same [t].  Every request is
-   handled on the thread of the session that read it.
+   This module is the protocol core only: request parsing, admission
+   limits, deadlines, the request boundary, response encoding, and the
+   shared statistics.  A {!Session} is one connection of a [t]: it
+   frames the bytes, answers each line through {!handle_line} (or
+   {!handle_oversized} and {!rate_limited}), writes the reply, and
+   counts its bytes and dead peers here.  {!Net.run_stdio} serves
+   stdio as one such session and {!Net.run} one per TCP connection.
+   Every request is handled on the thread of the session that read it.
 
    The memo cache is keyed on the request as sent: (µarch, requested
    mode, the bytes of its [hex]).  A [hex] request takes one pass over
@@ -25,25 +26,8 @@
    "timeout" (the deadline is checked before the lookup).  Fault
    points: a hit passes "predict" once and skips "decode"; a miss, and
    every [asm] request, passes "decode" and "predict" once each; every
-   answered line passes "respond".
-
-   The pipeline is built to degrade gracefully rather than die:
-
-   - the heavy per-request work (decode + predict) runs inside a
-     request boundary ({!Supervise.run}); an exception escaping it —
-     real bug or injected fault — yields a typed "internal" error for
-     that request only;
-   - each request carries its own optional wall-clock deadline and
-     answers "timeout" when the budget is spent;
-   - a session answers every line it reads before it reads again, so
-     a pipelining client is held back by its own unread replies, and a
-     per-session token bucket can refuse over-rate clients with
-     "rate_limited";
-   - oversized lines, inputs, and blocks answer "too_large";
-   - EOF, SIGINT, and SIGTERM all answer what was read, flush a final
-     stats snapshot to stderr, and return normally; a client that
-     closes its end (EPIPE/ECONNRESET) stops only its own session, is
-     counted under io.epipe, and never takes down the process. *)
+   answered line passes "respond".  The robustness model (request
+   boundary, deadlines, size limits, graceful shutdown) is serve.mli's. *)
 
 open Facile_x86
 open Facile_uarch
@@ -71,7 +55,6 @@ let default_limits =
 
 type config = {
   workers : int option;
-  memoize : bool;
   cache_cap : int option;
   deadline_ms : int option;
   flush_every : int option;
@@ -80,7 +63,6 @@ type config = {
 
 let default_config =
   { workers = None;
-    memoize = true;
     cache_cap = None;
     deadline_ms = Some 2000;
     flush_every = None;
@@ -151,7 +133,7 @@ let of_config (c : config) =
      serving domains are {!Net.run}'s; the memo cache is sharded for
      them, as {!Engine.create} would for a pool of [workers] *)
   { engine =
-      Engine.create ~workers:1 ~memoize:c.memoize ?cache_cap:c.cache_cap
+      Engine.create ~workers:1 ?cache_cap:c.cache_cap
         ~cache_shards:(workers * 4) ();
     workers;
     sup = Supervise.create ();
@@ -386,47 +368,55 @@ exception Refused of Err.t
 
 let refuse = function Ok v -> v | Error e -> raise (Refused e)
 
+(* A request's deadline is an instant of its own, [max_int] when the
+   service has no budget: concurrent requests cannot arm or disarm it. *)
+let deadline_of t =
+  match t.deadline_ns with
+  | Some ns -> Clock.now_ns () + ns
+  | None -> max_int
+
+let check_time t deadline =
+  if deadline < max_int && Clock.now_ns () >= deadline then
+    raise (Refused (timeout_err t))
+
+let check_size t n =
+  if n > t.limits.max_insts then raise (Refused (too_many_insts t n))
+
+(* the cold path's checks between analysing a block and the model *)
+let admit t deadline block =
+  check_size t (Block.instruction_count block);
+  check_time t deadline;
+  block
+
 (* The heavy half of a request, inside the request boundary.  Injected
-   faults and real bugs raise.  The request's deadline is a value of
-   its own, checked before the cache lookup and, on a miss, again
-   before predicting; a spent one answers timeout.  A [hex] request
-   takes one pass over the memo cache keyed on its bytes: a hit
-   answers from the stored prediction and instruction count without
-   decoding, and only a miss decodes, analyses and checks the block
-   before the model runs.  [asm] requests are analysed first, since
-   their bytes come from encoding. *)
+   faults and real bugs raise.  The deadline is checked before the
+   cache lookup and, on a miss, again before predicting; a spent one
+   answers timeout.  A [hex] request takes one pass over the memo
+   cache keyed on its bytes: a hit answers from the stored prediction
+   and instruction count without decoding, and only a miss decodes,
+   analyses and checks the block before the model runs.  [asm]
+   requests are analysed first, since their bytes come from
+   encoding. *)
 let compute t cfg ~mode ~hex ~asm =
-  let deadline = Option.map (( + ) (Clock.now_ns ())) t.deadline_ns in
-  let spent () =
-    match deadline with Some d -> Clock.now_ns () >= d | None -> false
-  in
-  let check_size n =
-    if n > t.limits.max_insts then raise (Refused (too_many_insts t n))
-  in
-  (* the cold path's checks between analysing a block and the model *)
-  let admit block =
-    check_size (Block.instruction_count block);
-    if spent () then raise (Refused (timeout_err t));
-    block
-  in
+  let deadline = deadline_of t in
   match
-    if spent () then raise (Refused (timeout_err t));
+    check_time t deadline;
     match hex, asm with
     | Some h, _ ->
       let code = refuse (Hex.decode h) in
       let n, p =
         Engine.predict_code t.engine cfg ~mode code ~analyze:(fun () ->
             Fault.point "decode";
-            admit (refuse (Block.analyze cfg (`Code code))))
+            admit t deadline (refuse (Block.analyze cfg (`Code code))))
       in
       (* a hit skipped [admit]: its stored count meets this server's
          limit here, exactly as the cold path would have *)
-      check_size n;
+      check_size t n;
       p
     | None, Some a ->
       Fault.point "decode";
       let block = refuse (Block.analyze cfg (`Asm a)) in
-      Engine.predict t.engine ~mode (admit block)
+      Engine.predict t.engine ~mode (admit t deadline block)
     | None, None -> assert false
   with
   | p -> Ok p
@@ -537,10 +527,7 @@ let line_too_large_err len cap =
     (Printf.sprintf "request line of %d bytes exceeds the %d-byte limit" len
        cap)
 
-(* [handle_line] never raises: whatever arrives on the wire, the
-   caller gets exactly one JSON response object back. *)
-let handle_line t line : Json.t =
-  Obs.timed t.latency @@ fun () ->
+let answer_line t line =
   Atomic.incr t.total;
   let resp =
     if String.length line > t.limits.max_line_bytes then
@@ -567,16 +554,30 @@ let handle_line t line : Json.t =
       ~id:(Option.value ~default:Json.Null (Json.member "id" resp))
       ~kind:"internal" "injected fault at respond"
 
+let answer_oversized t len =
+  Atomic.incr t.total;
+  err_response t ~id:Json.Null (line_too_large_err len t.limits.max_line_bytes)
+
+(* [f t x] timed into the latency histogram with two clock reads, not
+   a thunk; a raise is recorded too. *)
+let timed t f x =
+  let t0 = Clock.now_ns () in
+  match f t x with
+  | r ->
+    Obs.Histogram.record t.latency (Clock.now_ns () - t0);
+    r
+  | exception e ->
+    Obs.Histogram.record t.latency (Clock.now_ns () - t0);
+    raise e
+
+(* [handle_line] never raises: whatever arrives on the wire, the
+   caller gets exactly one JSON response object back. *)
+let handle_line t line : Json.t = timed t answer_line line
+
 (* A line the framer discarded for being over the cap gets the same
    accounting and response as an oversized line through [handle_line],
    without the line ever having been buffered. *)
-let handle_oversized t len : Json.t =
-  Obs.timed t.latency @@ fun () ->
-  Atomic.incr t.total;
-  err_response t ~id:Json.Null
-    (line_too_large_err len t.limits.max_line_bytes)
-
-(* ----- the session API: protocol callbacks over any transport ----- *)
+let handle_oversized t len : Json.t = timed t answer_oversized len
 
 (* A rate-limit answer skips the request: only the id is worth parsing
    out of the raw line. *)
@@ -585,43 +586,26 @@ let id_of_line line =
   | Ok r -> Option.value ~default:Json.Null (Json.member "id" r)
   | Error _ -> Json.Null
 
-let rate_limited_for_line t line =
+let rate_limited t line =
   Atomic.incr t.total;
   Atomic.incr t.conns.rate_limited;
   error_response t ~id:(id_of_line line) ~kind:"rate_limited"
     ~extra:[ "retry_after_ms", Json.Int retry_after_ms ]
     "request rate limit exceeded for this connection"
 
-(* [session t transport] wires the protocol core to one byte-stream
-   transport: responses (with the proto tag appended at this, the
-   wire, layer), the line cap, and the shared connection byte/EPIPE
-   accounting.  {!run} (stdio) and
-   {!Net.run} (each TCP connection) are both built on this. *)
+(* A reply on the wire: the proto tag is appended at this layer. *)
 let print_reply buf j = Json.add buf (with_proto j)
 
-let session ?rate ?on_peer_gone t transport =
-  let callbacks =
-    { Session.on_line = (fun out line -> print_reply out (handle_line t line));
-      on_oversized = (fun out len -> print_reply out (handle_oversized t len));
-      on_rate_limited =
-        (fun out line -> print_reply out (rate_limited_for_line t line)) }
-  in
-  let sink =
-    { Session.on_bytes_in =
-        (fun n -> ignore (Atomic.fetch_and_add t.conns.bytes_in n));
-      on_bytes_out =
-        (fun n -> ignore (Atomic.fetch_and_add t.conns.bytes_out n));
-      on_epipe = (fun () -> Atomic.incr t.epipe) }
-  in
-  Session.create ?rate ~should_stop:(fun () -> Atomic.get t.stop)
-    ?on_peer_gone ~sink ~max_line_bytes:t.limits.max_line_bytes callbacks
-    transport
+(* ----- what a session reports back ----- *)
 
-(* ----- the stdio serving loop ----- *)
+let limits t = t.limits
+let count_bytes_in t n = ignore (Atomic.fetch_and_add t.conns.bytes_in n)
+let count_bytes_out t n = ignore (Atomic.fetch_and_add t.conns.bytes_out n)
+let count_epipe t = Atomic.incr t.epipe
 
 let install_signal_handlers t =
   let quiet f = try f () with Invalid_argument _ | Sys_error _ -> () in
-  (* a closed client pipe must surface as Sys_error on write (counted,
+  (* a closed client pipe must surface as EPIPE on write (counted,
      clean shutdown), not as a process-killing SIGPIPE *)
   quiet (fun () -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore);
   List.iter
@@ -641,43 +625,3 @@ let print_final_stats t =
       (Json.to_string (Json.Obj [ "final_stats", stats_json t ]));
     flush stderr
   with Sys_error _ -> ()
-
-(* Stdio NDJSON loop: exactly one {!Session}, run on the calling
-   thread, reading [ic]'s descriptor and writing [oc].  Ends — after
-   answering everything read — on EOF, SIGINT/SIGTERM, or a client
-   that closed the pipe, flushing a final stats snapshot to stderr. *)
-let run ?(signals = true) t ic oc =
-  if signals then install_signal_handlers t;
-  (* park stdout on /dev/null once the client is gone so the runtime's
-     at-exit flush of the dead descriptor cannot turn a clean shutdown
-     into a fatal Sys_error *)
-  let park_stdout () =
-    if oc == stdout then
-      try
-        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-        (* if fd 1 was closed outright, openfile just reused it *)
-        if null <> Unix.stdout then begin
-          Unix.dup2 null Unix.stdout;
-          Unix.close null
-        end
-      with Unix.Unix_error _ | Sys_error _ -> ()
-  in
-  let transport =
-    { (Session.fd_transport (Unix.descr_of_in_channel ic)) with
-      Session.write =
-        (fun buf ->
-          try
-            Buffer.output_buffer oc buf;
-            flush oc
-          with Sys_error _ ->
-            (* EPIPE: the client went away *)
-            park_stdout ();
-            raise Session.Peer_closed);
-      close = (fun () -> ()) }
-  in
-  conn_opened t;
-  let s =
-    session t transport ~on_peer_gone:(fun () -> Atomic.set t.stop true)
-  in
-  Fun.protect ~finally:(fun () -> conn_closed t) (fun () -> Session.run s);
-  print_final_stats t

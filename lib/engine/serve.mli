@@ -1,7 +1,7 @@
 (** Fault-tolerant NDJSON prediction service on top of {!Engine}.
 
     Wire protocol, version {!proto_version} (one JSON object per
-    line; responses from {!run}/{!Net.run} carry ["proto"]):
+    line; responses on the wire carry ["proto"]):
     {v
     -> {"id":1,"arch":"SKL","mode":"auto","hex":"4801d8"}
     <- {"id":1,"cycles":..,"bottlenecks":[..],"values":{..},
@@ -44,13 +44,10 @@
     stderr) before returning.  A dead client stops only its own
     session, never the process.
 
-    One [t] serves any number of concurrent transports: {!run} drives
-    it over stdio, {!Net.run} over N TCP connections, and {!session}
-    builds a {!Session.t} over any custom transport — all sharing the
-    engine, memo cache, and statistics.  The engine runs on one domain
-    and predicts each request on the thread of its session; {!run}
-    serves on the calling thread, and {!Net.run} spreads its
-    connections over {!workers} serving domains. *)
+    One [t] serves any number of connections, each a {!Session.t}
+    ({!Net.run_stdio} for stdio, {!Net.run} for TCP connections on
+    {!workers} serving domains), all sharing the engine, memo cache
+    and statistics.  The engine itself runs on one domain. *)
 
 (** Version of the NDJSON wire protocol spoken by this build. *)
 val proto_version : int
@@ -70,9 +67,8 @@ type config = {
   workers : int option;
       (** serving domains for {!Net.run}, the calling domain included;
           [None] = [Domain.recommended_domain_count ()].  The engine
-          itself always has one domain, and stdio {!run} uses only the
-          calling one. *)
-  memoize : bool;            (** memoize predictions in a bounded LRU *)
+          itself always has one domain, and {!Net.run_stdio} uses only
+          the calling one. *)
   cache_cap : int option;
       (** LRU capacity; [None] = default.  The cache has [workers * 4]
           shards (see {!Engine.create}). *)
@@ -83,8 +79,8 @@ type config = {
   limits : limits;
 }
 
-(** [workers = None], memoization on, the default cache capacity, a
-    2000 ms deadline, no periodic flush and {!default_limits}. *)
+(** [workers = None], the default cache capacity, a 2000 ms deadline,
+    no periodic flush and {!default_limits}. *)
 val default_config : config
 
 type t
@@ -129,17 +125,28 @@ val request_shutdown : t -> unit
 val stopping : t -> bool
 
 (** [handle_line t line] processes one request line and returns the
-    response object (without the wire-layer ["proto"] tag — transports
-    add it via {!with_proto}). Never raises. *)
+    response object (without the wire-layer ["proto"] tag —
+    {!print_reply} adds it). Never raises. *)
 val handle_line : t -> string -> Facile_obs.Json.t
 
+(** [handle_oversized t len] — the answer to a line of [len] bytes
+    that the session's framer discarded for being over
+    [limits.max_line_bytes]: ["too_large"], counted and timed as
+    {!handle_line} counts and times an oversized line. *)
+val handle_oversized : t -> int -> Facile_obs.Json.t
+
+(** [rate_limited t line] — the answer to a line refused by its
+    session's token bucket: ["rate_limited"] with the line's id and a
+    ["retry_after_ms"] hint of 50, counted under
+    [connections.rate_limited]. *)
+val rate_limited : t -> string -> Facile_obs.Json.t
+
 (** Append [("proto", proto_version)] to a response object that does
-    not already carry it; what every transport applies when
-    serializing to the wire. *)
+    not already carry it; what {!print_reply} applies. *)
 val with_proto : Facile_obs.Json.t -> Facile_obs.Json.t
 
 (** [print_reply buf j] — appends [j]'s wire line, {!with_proto}
-    applied, without the newline: what a {!session} prints into its
+    applied, without the newline: what a {!Session} prints into its
     reply buffer. *)
 val print_reply : Buffer.t -> Facile_obs.Json.t -> unit
 
@@ -153,11 +160,13 @@ val print_reply : Buffer.t -> Facile_obs.Json.t -> unit
     attributing time to model components. *)
 val stats_json : t -> Facile_obs.Json.t
 
-(** {2 Transport plumbing}
+(** {2 Connection plumbing}
 
-    Building blocks for serving loops ({!run} here, {!Net.run} for
-    TCP): connection accounting surfaced in the stats ["connections"]
-    section, and session construction over an arbitrary transport. *)
+    What {!Session} and {!Net} read from the core and count into its
+    stats ["connections"] and ["io"] sections. *)
+
+(** The request limits; a session frames lines at [max_line_bytes]. *)
+val limits : t -> limits
 
 val conn_opened : t -> unit
 val conn_closed : t -> unit
@@ -169,18 +178,11 @@ val active_conns : t -> int
 (** Count a connection refused at the connection limit. *)
 val conn_rejected : t -> unit
 
-(** [session t transport] — a {!Session.t} speaking this service's
-    protocol over [transport]: every line is answered, in order,
-    responses carry ["proto"], lines over [limits.max_line_bytes]
-    answer ["too_large"], and [rate] (requests/second; absent or [0.]
-    is off) arms a per-session token bucket
-    holding up to [max 1. rate] requests, answering ["rate_limited"].
-    Bytes and EPIPEs are accounted into [t]'s shared stats;
-    [on_peer_gone] is the session's policy hook (stdio passes "stop the
-    whole service", TCP connections pass nothing). *)
-val session :
-  ?rate:float -> ?on_peer_gone:(unit -> unit) -> t -> Session.transport ->
-  Session.t
+(** Count bytes a session read or wrote, newlines included, and a
+    write that found the peer gone. *)
+val count_bytes_in : t -> int -> unit
+val count_bytes_out : t -> int -> unit
+val count_epipe : t -> unit
 
 (** Install the serving signal discipline on the process: ignore
     SIGPIPE, and turn SIGINT/SIGTERM into {!request_shutdown}. *)
@@ -190,13 +192,3 @@ val install_signal_handlers : t -> unit
     [{"final_stats":..}] snapshot on stderr — so the snapshot's store
     counters include the end-of-service flush. *)
 val print_final_stats : t -> unit
-
-(** [run ?signals t ic oc] — one stdio NDJSON session, run on the
-    calling thread: it reads [ic]'s file descriptor directly (not
-    through the channel's buffer) and answers on [oc].  Returns after
-    EOF, {!request_shutdown}, SIGINT/SIGTERM (within about 0.1 s, even
-    while the client stays connected and idle), or EPIPE, answering
-    every line already read and flushing final stats to stderr.
-    [signals] (default [true]) installs the SIGPIPE-ignore and
-    SIGINT/SIGTERM handlers; pass [false] in embedded/test use. *)
-val run : ?signals:bool -> t -> in_channel -> out_channel -> unit

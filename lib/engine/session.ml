@@ -1,11 +1,11 @@
-(* One protocol session over one byte-stream transport, run as a single
-   loop on the caller's thread:
+(* One connection of a {!Serve.t}, run as a single loop on the
+   caller's thread:
 
      ready (0.1 s) -> read -> Framing -> for each line, in order:
-       admission (rate) -> callback prints the reply -> write
+       admission (rate) -> Serve answers into the reply buffer -> write
 
    Waiting with a timeout instead of blocking in [read] is what lets
-   the loop notice [should_stop] without a watcher thread.
+   the loop notice [Serve.stopping] without a watcher thread.
    A dead peer stops only this session. *)
 
 exception Peer_closed
@@ -14,30 +14,14 @@ type transport = {
   ready : float -> bool;
   read : bytes -> int -> int -> int;
   write : Buffer.t -> unit;
-  close : unit -> unit;
-}
-
-type callbacks = {
-  on_line : Buffer.t -> string -> unit;
-  on_oversized : Buffer.t -> int -> unit;
-  on_rate_limited : Buffer.t -> string -> unit;
-}
-
-type sink = {
-  on_bytes_in : int -> unit;
-  on_bytes_out : int -> unit;
-  on_epipe : unit -> unit;
 }
 
 type t = {
+  core : Serve.t;
   tr : transport;
-  cb : callbacks;
-  sink : sink option;
-  should_stop : unit -> bool;
-  on_peer_gone : unit -> unit;
   framing : Framing.t;
   out : Buffer.t;  (* the reply being printed; only the session's thread *)
-  peer_gone : bool Atomic.t;
+  mutable peer_gone : bool; (* lint: unguarded — only the session's thread *)
   rate : float;
   burst : float;
   mutable tokens : float; (* lint: unguarded — only the session's thread *)
@@ -66,7 +50,6 @@ let fd_transport fd =
     | n -> n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> read buf off len
     | exception Unix.Unix_error (e, _, _) when eof_errno e -> 0
-    | exception (End_of_file | Sys_error _) -> 0
   in
   (* a reply leaves the session's buffer through one scratch chunk, so
      a write allocates nothing *)
@@ -78,7 +61,6 @@ let fd_transport fd =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_scratch off len
       | exception Unix.Unix_error (e, _, _) when eof_errno e ->
         raise Peer_closed
-      | exception Sys_error _ -> raise Peer_closed
   in
   let write buf =
     let n = Buffer.length buf in
@@ -92,14 +74,10 @@ let fd_transport fd =
     in
     from 0
   in
-  let close () =
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ | Sys_error _ -> ()
-  in
-  { ready; read; write; close }
+  { ready; read; write }
 
-(* How long [run] waits for input before polling [should_stop] again. *)
+(* How long [run] waits for input before polling [Serve.stopping]
+   again. *)
 let poll_s = 0.1
 
 (* The reply buffer starts at [out_bytes] and keeps what a reply grew
@@ -108,26 +86,21 @@ let poll_s = 0.1
 let out_bytes = 1024
 let kept_out_bytes = 65536
 
-let create ?(rate = 0.) ?(should_stop = fun () -> false)
-    ?(on_peer_gone = fun () -> ()) ?sink ~max_line_bytes cb tr =
+let create ?(rate = 0.) core tr =
   if rate < 0. || not (Float.is_finite rate) then
     invalid_arg (Printf.sprintf "Session.create: rate = %g" rate);
   (* a second's worth of requests, and at least one *)
   let burst = Float.max 1. rate in
-  { tr;
-    cb;
-    sink;
-    should_stop;
-    on_peer_gone;
-    framing = Framing.create ~max_line_bytes;
+  { core;
+    tr;
+    framing =
+      Framing.create ~max_line_bytes:(Serve.limits core).Serve.max_line_bytes;
     out = Buffer.create out_bytes;
-    peer_gone = Atomic.make false;
+    peer_gone = false;
     rate;
     burst;
     tokens = burst;
     last_refill_ns = Facile_obs.Clock.now_ns () }
-
-let stopped t = Atomic.get t.peer_gone
 
 (* Refill-then-take token bucket. *)
 let admit t =
@@ -144,22 +117,18 @@ let admit t =
     else false
   end
 
-(* Write the reply a callback printed into [t.out], with its newline,
-   and empty the buffer for the next one: a reply is printed once and
-   copied by nobody.  A failed write means the peer is gone: report
-   it, run the policy hook, and stop this session. *)
+(* Write the reply printed into [t.out], with its newline, and empty
+   the buffer for the next one: a reply is printed once and copied by
+   nobody.  A failed write means the peer is gone: count it and stop
+   this session. *)
 let write_out t =
   let out = t.out in
   Buffer.add_char out '\n';
   (match t.tr.write out with
-   | () ->
-     (match t.sink with
-      | Some k -> k.on_bytes_out (Buffer.length out)
-      | None -> ())
-   | exception (Peer_closed | Sys_error _ | Unix.Unix_error _) ->
-     Atomic.set t.peer_gone true;
-     (match t.sink with Some k -> k.on_epipe () | None -> ());
-     (try t.on_peer_gone () with _ -> ()));
+   | () -> Serve.count_bytes_out t.core (Buffer.length out)
+   | exception (Peer_closed | Unix.Unix_error _) ->
+     t.peer_gone <- true;
+     Serve.count_epipe t.core);
   if Buffer.length out > kept_out_bytes then Buffer.reset out
   else Buffer.clear out
 
@@ -168,22 +137,23 @@ let write_out t =
 let answer t events =
   List.iter
     (fun ev ->
-      if not (Atomic.get t.peer_gone) then
+      if not t.peer_gone then
         match ev with
         | Framing.Line l when String.trim l = "" -> ()
         | Framing.Line l ->
-          if admit t then t.cb.on_line t.out l
-          else t.cb.on_rate_limited t.out l;
+          Serve.print_reply t.out
+            (if admit t then Serve.handle_line t.core l
+             else Serve.rate_limited t.core l);
           write_out t
         | Framing.Oversized n ->
-          t.cb.on_oversized t.out n;
+          Serve.print_reply t.out (Serve.handle_oversized t.core n);
           write_out t)
     events
 
 let run t =
   let buf = Bytes.create 65536 in
   let rec loop () =
-    if not (stopped t || t.should_stop ()) then
+    if not (t.peer_gone || Serve.stopping t.core) then
       if not (t.tr.ready poll_s) then loop ()
       else
         match t.tr.read buf 0 (Bytes.length buf) with
@@ -191,11 +161,10 @@ let run t =
           (* like input_line: trailing bytes with no '\n' are a line *)
           answer t (Option.to_list (Framing.finish t.framing))
         | n ->
-          (match t.sink with Some k -> k.on_bytes_in n | None -> ());
+          Serve.count_bytes_in t.core n;
           answer t (Framing.feed t.framing buf 0 n);
           loop ()
-        | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
+        | exception Unix.Unix_error _ ->
           answer t (Option.to_list (Framing.finish t.framing))
   in
-  loop ();
-  try t.tr.close () with _ -> ()
+  loop ()

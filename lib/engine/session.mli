@@ -1,12 +1,17 @@
-(** Transport-agnostic NDJSON protocol session.
+(** One connection of the NDJSON prediction service.
 
-    A session owns one side of a byte-stream conversation and runs it
-    as one loop on the thread that calls {!run}: wait for input (with
-    a 0.1 s timeout, so stop flags are noticed), read, reassemble the
-    chunk into request lines ({!Framing}), and answer each line in
-    order — per-session admission (a token-bucket request rate) first,
-    then the protocol callback, then the write.  A request crosses no
-    queue, thread or domain between its read and its reply.
+    A session is one connection of a {!Serve.t}: it owns one side of a
+    byte-stream conversation and runs it as one loop on the thread
+    that calls {!run}: wait for input (with a 0.1 s timeout, so
+    {!Serve.stopping} is noticed), read, reassemble the chunk into
+    request lines ({!Framing}, at the core's [max_line_bytes]), and
+    answer each line in order — per-session admission (a token-bucket
+    request rate) first, then the core's answer ({!Serve.handle_line},
+    or {!Serve.rate_limited} and {!Serve.handle_oversized}), printed
+    by {!Serve.print_reply} into the session's one reply buffer, then
+    the write.  A reply is printed once, not built as a string and
+    copied.  A request crosses no queue, thread or domain between its
+    read and its reply.
 
     Backpressure: every line of a read is answered, in order, before
     the session reads again, so a client that pipelines faster than
@@ -15,27 +20,22 @@
     64 KiB read, one partial line of up to [max_line_bytes] and a reply
     buffer that it keeps at no more than 64 KiB between replies.
 
-    The session knows nothing about sockets, pipes, or the prediction
-    protocol: the transport is four functions over bytes, and the
-    protocol is three callbacks that print a line's response into the
-    session's one reply buffer, which the transport then writes: a
-    reply is printed once, not built as a string and copied.  The
-    stdio serving loop ({!Serve.run}) and every TCP connection
-    ({!Net.run}) are the same [Session.run] over different transports
-    against one shared {!Serve.t} core.
+    The transport is three functions over bytes, and the descriptors
+    under it stay the caller's.  {!Net.run_stdio} serves stdio as one
+    session and {!Net.run} one per TCP connection, both over
+    {!fd_transport}'s reads and writes.
 
     Failure model: a write that finds the peer gone ({!Peer_closed},
     [EPIPE]/[ECONNRESET] mapped by the transport) stops *this* session
-    only — it is reported to the sink's [on_epipe], the optional
-    [on_peer_gone] policy hook runs, the rest of the read is dropped,
-    and [run] returns normally.  Nothing here ever raises out of
-    {!run}.  The session keeps no counters of its own: rate-limited
-    lines reach their callback, bytes and dead peers the sink, and the
-    serving core ({!Serve}) tallies them. *)
+    only — it is counted into the core's [io.epipe], the rest of the
+    read is dropped, and [run] returns normally.  Nothing here ever
+    raises out of {!run}.  The session keeps no counters of its own:
+    its bytes, dead peers and rate-limited lines are tallied in the
+    core. *)
 
 (** Raised by [transport.write] when the peer has closed the
     connection; the transport must map its I/O errors ([EPIPE],
-    [ECONNRESET], [Sys_error] on a broken pipe) to this. *)
+    [ECONNRESET]) to this. *)
 exception Peer_closed
 
 type transport = {
@@ -52,65 +52,29 @@ type transport = {
           its ['\n'].  The buffer is the session's and is reused for
           the next line.  Raises {!Peer_closed} when the peer went
           away. *)
-  close : unit -> unit;
-      (** Release the underlying channel; called once when {!run}
-          finishes.  Must not raise. *)
 }
 
 (** [fd_transport fd] — a transport over a connected socket or any
     stream descriptor: [ready] waits with [select], reads map
     reset-style errors to end of stream, writes map
-    [EPIPE]/[ECONNRESET] to {!Peer_closed}, and close shuts the socket
-    down and closes it. *)
+    [EPIPE]/[ECONNRESET] to {!Peer_closed}.  The descriptor stays the
+    caller's to close. *)
 val fd_transport : Unix.file_descr -> transport
-
-(** The protocol half, supplied by the serving core.  Every callback
-    appends the complete response line (without trailing newline) to
-    the buffer it is given, which is empty on entry. *)
-type callbacks = {
-  on_line : Buffer.t -> string -> unit;  (** a complete request line *)
-  on_oversized : Buffer.t -> int -> unit;  (** a discarded over-cap line *)
-  on_rate_limited : Buffer.t -> string -> unit;
-      (** admission rate exceeded *)
-}
-
-(** Live accounting hooks for aggregating into shared service stats,
-    all called from the session's thread. *)
-type sink = {
-  on_bytes_in : int -> unit;   (** raw bytes read, including newlines *)
-  on_bytes_out : int -> unit;  (** raw bytes written, including newlines *)
-  on_epipe : unit -> unit;     (** a write found the peer gone *)
-}
 
 type t
 
-(** [create ~max_line_bytes callbacks transport] — a fresh session.
+(** [create ?rate core transport] — a fresh session of [core].
 
     [rate] > 0 arms a token-bucket admission limit of [rate] requests
     per second with a burst capacity of [max 1. rate]; refused lines
-    are answered with [on_rate_limited].  [should_stop]
-    is polled between reads so a process-wide shutdown flag also stops
-    the session.  [on_peer_gone] runs once if a write finds the peer
-    closed — transport policy like "stdio client vanished: stop the
-    whole process" lives there.
+    are answered with {!Serve.rate_limited}.
     @raise Invalid_argument if [rate] is negative or not finite. *)
-val create :
-  ?rate:float ->
-  ?should_stop:(unit -> bool) ->
-  ?on_peer_gone:(unit -> unit) ->
-  ?sink:sink ->
-  max_line_bytes:int ->
-  callbacks ->
-  transport ->
-  t
+val create : ?rate:float -> Serve.t -> transport -> t
 
 (** Drive the session to completion on the calling thread.  Returns
-    after end of stream, [should_stop ()], or a closed peer; every
+    after end of stream, {!Serve.stopping}, or a closed peer; every
     line already read is answered first (graceful drain).  A stop is
     polled between reads: an idle session notices it within about
-    0.1 s, a busy one once it has answered the read in hand.  Closes
-    the transport.  Never raises. *)
+    0.1 s, a busy one once it has answered the read in hand.  Never
+    raises. *)
 val run : t -> unit
-
-(** [true] once a write found the peer gone. *)
-val stopped : t -> bool

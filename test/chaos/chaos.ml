@@ -691,7 +691,7 @@ let corpus_hexes ~seed ~size =
 let phase_tcp_fault_answers () =
   let conns = 6 and per = 1500 in
   Printf.printf
-    "phase: TCP answers under predict faults (%d connections, --no-memo)\n%!"
+    "phase: TCP answers under predict faults (%d connections)\n%!"
     conns;
   let hexes = Array.of_list (corpus_hexes ~seed:17 ~size:400) in
   let arches = [| "SKL"; "HSW"; "SNB"; "ICL"; "RKL"; "BDW" |] in
@@ -703,15 +703,14 @@ let phase_tcp_fault_answers () =
            "hex", Json.Str hexes.(k mod Array.length hexes) ])
   in
   let reqs c = List.init per (fun i -> request ((c * per) + i)) in
-  let args = [ "--no-memo" ] in
-  let clean = spawn_tcp args in
+  let clean = spawn_tcp [] in
   let reference =
     by_id (tcp_client clean.port (List.concat (List.init conns reqs)))
   in
   ignore (stop_tcp clean);
   checkf "reference answered" (List.length reference = conns * per)
     "%d of %d" (List.length reference) (conns * per);
-  let s = spawn_tcp ~env:[ "FACILE_FAULT", "predict:0.02:29" ] args in
+  let s = spawn_tcp ~env:[ "FACILE_FAULT", "predict:0.02:29" ] [] in
   let results = Array.make conns [] in
   let threads =
     List.init conns (fun c ->

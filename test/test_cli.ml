@@ -126,8 +126,7 @@ critical dependency chain (instr:value:def/use):
 front-end path: decoded stream buffer
 
 counterfactual speedups (component made infinitely fast):
-  Predec      1.00x
-  Dec         1.00x
+  DSB         1.00x
   Issue       1.00x
   Ports       1.00x
   Precedence  1.00x
@@ -150,8 +149,7 @@ critical port combination: p1 (4 uops -> 4.00)
 front-end path: decoded stream buffer
 
 counterfactual speedups (component made infinitely fast):
-  Predec      1.00x
-  Dec         1.00x
+  DSB         1.00x
   Issue       1.00x
   Ports       1.33x
   Precedence  1.00x
@@ -276,7 +274,50 @@ let serve_tests =
              (fun j -> Option.bind (member "id" j) Facile_obs.Json.int_opt)
              replies);
         Alcotest.(check int) "no error replies" 0
-          (List.length (List.filter (fun j -> member "error" j <> None) replies)))
+          (List.length (List.filter (fun j -> member "error" j <> None) replies)));
+    (* `... | facile serve | head -n 1`: the reader leaves after the
+       first reply, so a later write finds the pipe closed.  That ends
+       the service cleanly: exit 0, the dead reader counted once. *)
+    Alcotest.test_case "serve exits 0 when its reader leaves" `Quick
+      (fun () ->
+        let tmp ext = Filename.temp_file "facile_cli" ext in
+        let inp = tmp ".in" and err = tmp ".err" in
+        Fun.protect ~finally:(fun () -> List.iter Sys.remove [ inp; err ])
+        @@ fun () ->
+        Out_channel.with_open_bin inp (fun oc ->
+            for _ = 1 to 200_000 do
+              output_string oc "{\"id\":1,\"hex\":\"90\"}\n"
+            done);
+        let in_fd = Unix.openfile inp [ Unix.O_RDONLY ] 0 in
+        let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+        let out_r, out_w = Unix.pipe ~cloexec:true () in
+        let pid =
+          Unix.create_process facile_exe [| facile_exe; "serve" |] in_fd out_w
+            err_fd
+        in
+        List.iter Unix.close [ in_fd; err_fd; out_w ];
+        let reader = Unix.in_channel_of_descr out_r in
+        let first = input_line reader in
+        close_in reader;
+        let _, status = Unix.waitpid [] pid in
+        Alcotest.(check bool) ("first reply " ^ first) true
+          (contains ~sub:{|"cycles"|} first);
+        let stderr_text = In_channel.with_open_bin err In_channel.input_all in
+        Alcotest.(check bool) ("exit 0, stderr " ^ stderr_text) true
+          (status = Unix.WEXITED 0);
+        let epipe =
+          List.find_map
+            (fun l ->
+              match Facile_obs.Json.parse l with
+              | Ok j ->
+                Option.bind (Facile_obs.Json.member "final_stats" j) (fun s ->
+                    Option.bind (Facile_obs.Json.member "io" s) (fun io ->
+                        Option.bind (Facile_obs.Json.member "epipe" io)
+                          Facile_obs.Json.int_opt))
+              | Error _ -> None)
+            (String.split_on_char '\n' stderr_text)
+        in
+        Alcotest.(check (option int)) "final_stats io.epipe" (Some 1) epipe)
   ]
 
 let suite =

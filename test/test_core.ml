@@ -338,9 +338,33 @@ let model_tests =
         in
         checkf "only ports" 1.0 only_ports;
         let ideal =
-          Model.speedup_idealizing b Model.Predec
+          Model.speedup_idealizing ~notion:`Unrolled b Model.Predec
         in
         checkf "idealizing predec" (1.25 /. 1.0) ideal);
+    Alcotest.test_case "a loop's speedups are TP_L's, over its candidates"
+      `Quick (fun () ->
+        (* DSB binds this loop at 2.00; Predec (5.00) is no TP_L
+           candidate on the DSB path, and idealizing it would be TP_U's
+           2.44x *)
+        let b =
+          match
+            Facile_x86.Hex.decode
+              "6641bae8034901de450fbfe849c1fd1c4501d4bb00001000664529e175e2"
+          with
+          | Ok code -> Block.of_bytes skl code
+          | Error _ -> Alcotest.fail "bad hex"
+        in
+        let p = Model.predict ~notion:`Loop b in
+        checkf "cycles" 2.0 p.Model.cycles;
+        Alcotest.(check (list string)) "bottlenecks" [ "DSB" ]
+          (List.map Model.component_name (Model.bottlenecks p));
+        Alcotest.(check (list string)) "candidates"
+          [ "DSB"; "Issue"; "Ports"; "Precedence" ]
+          (List.map Model.component_name (Model.candidates p));
+        checkf "idealizing DSB" (2.0 /. 1.75)
+          (Model.speedup_idealizing ~notion:`Loop b Model.DSB);
+        checkf "idealizing Predec" 1.0
+          (Model.speedup_idealizing ~notion:`Loop b Model.Predec));
     Alcotest.test_case "variant monotonicity" `Quick (fun () ->
         let cases = Facile_bhive.Suite.corpus ~seed:3 ~size:80 () in
         List.iter
@@ -615,17 +639,15 @@ let engine_tests =
         in
         (* duplicates exercise the memoization path *)
         let blocks = blocks @ blocks in
-        let predict ~workers ~memoize =
-          Engine.with_pool ~workers ~memoize (fun pool ->
-              Engine.predict_batch pool ~mode:`Auto blocks)
-        in
-        let seq = predict ~workers:1 ~memoize:false in
+        let seq = List.map (Model.predict ~notion:`Auto) blocks in
         List.iter
-          (fun (workers, memoize) ->
-            let par = predict ~workers ~memoize in
+          (fun workers ->
+            let par =
+              Engine.with_pool ~workers (fun pool ->
+                  Engine.predict_batch pool ~mode:`Auto blocks)
+            in
             List.iter2 check_predictions_equal seq par)
-          [ (1, true); (2, false); (4, true);
-            (max 1 (Domain.recommended_domain_count ()), true) ]);
+          [ 1; 2; 4; max 1 (Domain.recommended_domain_count ()) ]);
     Alcotest.test_case "memoization predicts repeated blocks once" `Quick
       (fun () ->
         let cases = Facile_bhive.Suite.corpus ~seed:43 ~size:40 () in

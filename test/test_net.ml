@@ -250,13 +250,15 @@ let stat serve section key =
    on its own thread, exactly as a TCP connection does under Net. *)
 let with_session_client ?rate serve ~payload =
   let server_fd, client_fd = socketpair () in
-  let session = Serve.session ?rate serve (Session.fd_transport server_fd) in
+  let session = Session.create ?rate serve (Session.fd_transport server_fd) in
   Serve.conn_opened serve;
   let th =
     Thread.create
       (fun () ->
         Fun.protect
-          ~finally:(fun () -> Serve.conn_closed serve)
+          ~finally:(fun () ->
+            Unix.close server_fd;
+            Serve.conn_closed serve)
           (fun () -> Session.run session))
       ()
   in
@@ -281,34 +283,35 @@ let fake_transport chunks =
   in
   ( { Session.ready = (fun _ -> true);
       read;
-      write = (fun b -> written := String.trim (Buffer.contents b) :: !written);
-      close = (fun () -> ()) },
+      write = (fun b -> written := String.trim (Buffer.contents b) :: !written) },
     fun () -> List.rev !written )
 
 (* A client that pipelines is answered in full: however many lines one
    read frames, the session answers each of them, in order, before it
    reads again. *)
-let every_line_test =
+let every_line_test serve =
   Alcotest.test_case "every line of one read is answered, in order"
     `Quick (fun () ->
       let n = 1000 and k = 7 in
       let lines n from =
-        String.concat "" (List.init n (fun i -> string_of_int (from + i) ^ "\n"))
+        String.concat ""
+          (List.init n (fun i ->
+               Printf.sprintf {|{"id":%d,"hex":"90"}|} (from + i) ^ "\n"))
       in
       let tr, written = fake_transport [ lines n 0; lines k n ] in
-      let callbacks =
-        { Session.on_line = (fun out l -> Buffer.add_string out ("ok " ^ l));
-          on_oversized =
-            (fun out n -> Buffer.add_string out ("big " ^ string_of_int n));
-          on_rate_limited = (fun out l -> Buffer.add_string out ("slow " ^ l)) }
-      in
-      Session.run (Session.create ~max_line_bytes:64 callbacks tr);
-      Alcotest.(check (list string)) "answers in input order"
-        (List.init (n + k) (fun i -> Printf.sprintf "ok %d" i))
-        (written ()))
+      Session.run (Session.create serve tr);
+      let replies = List.map parse_line (written ()) in
+      Alcotest.(check (list (option int))) "answers in input order"
+        (List.init (n + k) Option.some)
+        (List.map
+           (fun j -> Option.bind (Json.member "id" j) Json.int_opt)
+           replies);
+      Alcotest.(check bool) "every answer a prediction" true
+        (List.for_all (fun j -> Json.member "cycles" j <> None) replies))
 
 let session_tests serve =
-  [ every_line_test; Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
+  [ every_line_test serve;
+    Alcotest.test_case "concurrent clients share one core" `Quick (fun () ->
         let payload c =
           String.concat ""
             (List.init 20 (fun i ->
@@ -396,18 +399,19 @@ let session_tests serve =
     Alcotest.test_case "a dead client kills only its own session" `Quick
       (fun () ->
         let server_fd, client_fd = socketpair () in
-        let session = Serve.session serve (Session.fd_transport server_fd) in
+        let session = Session.create serve (Session.fd_transport server_fd) in
         let epipe_before = Option.get (stat serve "io" "epipe") in
         (* the client sends one request and stops reading before the
            answer can be written: the session's write must fail, be
-           counted, and stop only this session *)
+           counted, and stop only this session.  The client never
+           closes its send side, so [run] returns only because the
+           session saw the peer gone. *)
         send_all client_fd ({|{"id":1,"hex":"90"}|} ^ "\n");
         Unix.shutdown client_fd Unix.SHUTDOWN_RECEIVE;
         Session.run session;
-        (try Unix.close client_fd with Unix.Unix_error _ -> ());
+        List.iter Unix.close [ server_fd; client_fd ];
         Alcotest.(check (option int)) "io.epipe counted once"
           (Some (epipe_before + 1)) (stat serve "io" "epipe");
-        Alcotest.(check bool) "session stopped" true (Session.stopped session);
         (* the shared core survived and still serves *)
         Alcotest.(check bool)
           "core still serves" true
@@ -443,8 +447,82 @@ let connect host port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   fd
 
+(* Every byte [fd] yields until EOF. *)
+let read_all fd =
+  let b = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* [payload] sent to [fd] from a thread of its own, then [fd]'s write
+   side closed, while the caller reads the replies. *)
+let send_then_close fd payload ~close =
+  Thread.create (fun () -> send_all fd payload; close fd) ()
+
+(* The replies of [Net.run_stdio] to [payload] over two pipes. *)
+let stdio_replies serve payload =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let ic = Unix.in_channel_of_descr req_r in
+  let oc = Unix.out_channel_of_descr resp_w in
+  let writer = send_then_close req_w payload ~close:Unix.close in
+  let server =
+    Thread.create
+      (fun () ->
+        Net.run_stdio ~signals:false serve ic oc;
+        (* run_stdio closes neither channel: its caller owns both *)
+        close_out oc)
+      ()
+  in
+  let replies = read_all resp_r in
+  List.iter Thread.join [ writer; server ];
+  close_in ic;
+  Unix.close resp_r;
+  replies
+
+let fresh_serve () =
+  Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+
 let tcp_tests () =
-  [ Alcotest.test_case "TCP end to end: serve, stats, graceful stop" `Quick
+  [ Alcotest.test_case "stdio and TCP answer the pinned wire lines alike"
+      `Quick (fun () ->
+        let lines = Test_pin.wire_lines () in
+        let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+        let via_stdio =
+          let serve = fresh_serve () in
+          Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
+          stdio_replies serve payload
+        in
+        let via_tcp =
+          let serve = fresh_serve () in
+          Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
+          let th, host, port =
+            start_tcp serve { Net.default_config with Net.port = 0 }
+          in
+          let fd = connect host port in
+          let writer =
+            send_then_close fd payload ~close:(fun fd ->
+                Unix.shutdown fd Unix.SHUTDOWN_SEND)
+          in
+          let replies = read_all fd in
+          Thread.join writer;
+          Unix.close fd;
+          Serve.request_shutdown serve;
+          Thread.join th;
+          replies
+        in
+        (* a session answers every line but a blank one *)
+        Alcotest.(check int) "one reply per non-blank line"
+          (List.length (List.filter (fun l -> String.trim l <> "") lines))
+          (List.length (String.split_on_char '\n' via_stdio) - 1);
+        Alcotest.(check bool) "the same bytes" true (via_stdio = via_tcp));
+    Alcotest.test_case "TCP end to end: serve, stats, graceful stop" `Quick
       (fun () ->
         let serve =
           Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
@@ -545,11 +623,11 @@ let read_line fd =
 (* A TCP core on [workers] serving domains whose persistence hook runs
    after every prediction, on the thread that answered it: the
    returned function counts the distinct domains that have answered. *)
-let domain_serve ?(memoize = true) workers =
+let domain_serve workers =
   let serve =
     Serve.of_config
       { Serve.default_config with
-        Serve.workers = Some workers; memoize; flush_every = Some 1 }
+        Serve.workers = Some workers; flush_every = Some 1 }
   in
   let mu = Mutex.create () and seen = ref [] in
   Serve.set_persist serve (fun () ->
@@ -610,8 +688,8 @@ let domain_tests () =
   [ Alcotest.test_case "replies are byte-identical on 1, 2 and 4 domains"
       `Quick (fun () ->
         let conns = 8 and per_conn = 24 in
-        let replies memoize workers =
-          let serve, seen = domain_serve ~memoize workers in
+        let replies workers =
+          let serve, seen = domain_serve workers in
           Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
           let th, host, port =
             start_tcp serve { Net.default_config with Net.port = 0 }
@@ -634,7 +712,7 @@ let domain_tests () =
           Array.iter Thread.join clients;
           Serve.request_shutdown serve;
           Thread.join th;
-          let what = Printf.sprintf "memo %b, %d domains" memoize workers in
+          let what = Printf.sprintf "%d domains" workers in
           Alcotest.(check int) (what ^ ": domains that answered") workers
             (seen ());
           Array.iteri
@@ -649,14 +727,13 @@ let domain_tests () =
                (List.map (fun l -> (id_of_line l, l)))
                (Array.to_list got))
         in
-        let reference = replies true 1 in
+        let reference = replies 1 in
         List.iter
-          (fun (memoize, workers) ->
+          (fun workers ->
             Alcotest.(check (list (pair int string)))
-              (Printf.sprintf "memo %b, %d domains = memo, 1 domain" memoize
-                 workers)
-              reference (replies memoize workers))
-          [ (true, 2); (true, 4); (false, 1); (false, 2); (false, 4) ]);
+              (Printf.sprintf "%d domains = 1 domain" workers)
+              reference (replies workers))
+          [ 2; 4 ]);
     Alcotest.test_case "drain across domains answers every line read"
       `Quick (fun () ->
         let serve, seen = domain_serve 3 in

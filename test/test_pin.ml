@@ -134,24 +134,13 @@ let refusals =
     String.make 258 '[' ^ String.make 258 ']' ]
   @ List.map (fun i -> String.sub good 0 i) [ 0; 1; 5; 10; 20; 30; 43 ]
 
-let wire_text () =
-  let module Serve = Facile_engine.Serve in
-  let module Json = Facile_obs.Json in
-  let t =
-    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
-  in
-  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
-  let buf = Buffer.create (1 lsl 20) in
-  let send line =
-    Buffer.add_string buf
-      (Json.to_string (Serve.with_proto (Serve.handle_line t line)));
-    Buffer.add_char buf '\n'
-  in
+(* The request lines the wire digest answers, in order. *)
+let wire_lines () =
   let cases = Suite.corpus ~seed:2023 ~size:100 () in
   let modes =
     [| ""; {|"mode":"loop",|}; {|"mode":"unroll",|}; {|"mode":"auto",|} |]
   in
-  let id = ref 0 in
+  let id = ref 0 and lines = ref [] in
   List.iter
     (fun (cfg : Config.t) ->
       List.iter
@@ -162,14 +151,30 @@ let wire_text () =
               let hex = Facile_x86.Hex.encode code in
               for _ = 1 to 2 do
                 incr id;
-                send
-                  (Printf.sprintf {|{"id":%d,"arch":"%s",%s"hex":"%s"}|} !id
-                     cfg.Config.abbrev modes.(c.Suite.id mod 4) hex)
+                lines :=
+                  Printf.sprintf {|{"id":%d,"arch":"%s",%s"hex":"%s"}|} !id
+                    cfg.Config.abbrev modes.(c.Suite.id mod 4) hex
+                  :: !lines
               done)
             [ c.Suite.body; c.Suite.loop ])
         cases)
     Config.all;
-  List.iter send refusals;
+  List.rev_append !lines refusals
+
+let wire_text () =
+  let module Serve = Facile_engine.Serve in
+  let module Json = Facile_obs.Json in
+  let t =
+    Serve.of_config { Serve.default_config with Serve.workers = Some 1 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun line ->
+      Buffer.add_string buf
+        (Json.to_string (Serve.with_proto (Serve.handle_line t line)));
+      Buffer.add_char buf '\n')
+    (wire_lines ());
   Buffer.contents buf
 
 let wire_tests =

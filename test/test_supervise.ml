@@ -11,6 +11,7 @@ module Supervise = Facile_engine.Supervise
 module Fault = Facile_engine.Fault
 module Engine = Facile_engine.Engine
 module Serve = Facile_engine.Serve
+module Net = Facile_engine.Net
 
 let valid_hex = "4801d8" (* add rax, rbx *)
 
@@ -108,7 +109,7 @@ let lru_tests =
         | (_ : (int, int) Shard_cache.t) -> Alcotest.fail "accepted cap 0"
         | exception Invalid_argument _ -> ()) ]
 
-(* A memoized answer served after heavy eviction churn must equal a
+(* A cached answer served after heavy eviction churn must equal a
    fresh computation: eviction must only cost speed, never accuracy. *)
 let engine_eviction_correctness =
   Alcotest.test_case "evicted-and-recomputed predictions are identical"
@@ -349,7 +350,7 @@ let serve_eof_drain =
             close_out out (* EOF *))
           ()
       in
-      let server = Thread.create (fun () -> Serve.run ~signals:false t ic oc) () in
+      let server = Thread.create (fun () -> Net.run_stdio ~signals:false t ic oc) () in
       Thread.join writer;
       Thread.join server;
       close_out oc;
@@ -390,7 +391,7 @@ let serve_idle_shutdown =
       let server =
         Thread.create
           (fun () ->
-            Serve.run ~signals:false t ic oc;
+            Net.run_stdio ~signals:false t ic oc;
             Atomic.set returned (Facile_obs.Clock.now_ns ()))
           ()
       in

@@ -768,6 +768,43 @@ let cached_words (cfg : Config.t) codes =
         0.0 entries
       /. float_of_int (List.length entries))
 
+(* [Store.load] of a store holding [blocks]' predictions on [cfg]:
+   minor words and ns per record.  One untimed load comes first, so the
+   lazy fingerprint and the flat tables it hashes are not counted; the
+   ns are the fastest of [reps] loads. *)
+type store_load = { load_words : float; load_ns : float }
+
+let store_load ~reps (cfg : Config.t) blocks =
+  let module Store = Facile_store.Store in
+  let module Codec = Facile_store.Codec in
+  let path = Filename.temp_file "facile_perf" ".store" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let ok = function
+    | Ok v -> v
+    | Error e -> failwith (Facile_x86.Err.to_string e)
+  in
+  let w, _ = ok (Store.open_rw path) in
+  Fun.protect
+    ~finally:(fun () -> Store.close w)
+    (fun () ->
+      List.iter
+        (fun (b : Block.t) ->
+          Store.append w
+            { Codec.arch = cfg.Config.arch; mode = `Auto;
+              insts = Block.instruction_count b; bytes = b.Block.bytes;
+              pred = Model.predict b })
+        blocks);
+  let load () = ok (Store.load path) in
+  let n = float_of_int (List.length (load ()).Store.records) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (load ()));
+  let load_words = (Gc.minor_words () -. w0) /. n in
+  let best = ref infinity in
+  for _ = 1 to reps do
+    best := Float.min !best (time_one (fun () -> ignore (load ())))
+  done;
+  { load_words; load_ns = !best *. 1e9 /. n }
+
 (* Wall ns per [Obs.timed] span around an empty thunk when [domains]
    domains record into one histogram at once, the fastest of [reps]
    rounds: what each always-on span costs the code it times. *)
@@ -833,7 +870,8 @@ let perf () =
           minor_words_per (fun b -> Model.predict b) (List.map analyze codes)
         in
         ( cfg, fast, refn, of_bytes_ns, of_bytes_words, predict_words,
-          served_words cfg codes, cached_words cfg codes ))
+          served_words cfg codes, cached_words cfg codes,
+          store_load ~reps cfg blocks ))
       Config.all
   in
   let clock_ns = clock_read_ns () in
@@ -849,7 +887,7 @@ let perf () =
         "of_bytes ns/block"; "of_bytes words"; "predict words";
         "cached words" ]
     (List.map
-       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, _, cached) ->
+       (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, _, cached, _) ->
          [ cfg.Config.abbrev; Printf.sprintf "%.0f" fast;
            Printf.sprintf "%.0f" refn;
            Printf.sprintf "%.2fx" (refn /. Float.max fast 1e-9);
@@ -864,14 +902,26 @@ let perf () =
       [ "uArch"; "miss"; "hit"; "Json.parse"; "Hex.decode"; "memo miss";
         "memo hit"; "reply print" ]
     (List.map
-       (fun (cfg, _, _, _, _, _, w, _) ->
+       (fun (cfg, _, _, _, _, _, w, _, _) ->
          cfg.Config.abbrev
          :: List.map (Printf.sprintf "%.1f")
               [ w.miss; w.hit; w.parse; w.hex; w.memo_miss; w.memo_hit;
                 w.print ])
        rows);
+  Report.Table.print
+    ~title:
+      (Printf.sprintf
+         "Store.load of a store holding the corpus's predictions (%d \
+          records): minor words and ns per record"
+         (List.length cases))
+    ~header:[ "uArch"; "words/record"; "ns/record" ]
+    (List.map
+       (fun (cfg, _, _, _, _, _, _, _, l) ->
+         [ cfg.Config.abbrev; Printf.sprintf "%.1f" l.load_words;
+           Printf.sprintf "%.0f" l.load_ns ])
+       rows);
   List.iter
-    (fun (cfg, fast, refn, _, _, _, _, _) ->
+    (fun (cfg, fast, refn, _, _, _, _, _, _) ->
       Printf.printf "%s ns/block %.0f (%.2fx vs reference)\n" cfg.Config.abbrev
         fast (refn /. Float.max fast 1e-9))
     rows;
@@ -888,7 +938,7 @@ let perf () =
       ( "arches",
         Json.Arr
           (List.map
-             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, w, cached) ->
+             (fun (cfg, fast, refn, ob_ns, ob_w, pr_w, w, cached, l) ->
                Json.Obj
                  [ "arch", Json.Str cfg.Config.abbrev;
                    "ns_per_block", Json.Float fast;
@@ -904,7 +954,9 @@ let perf () =
                    "memo_miss_words", Json.Float w.memo_miss;
                    "memo_hit_words", Json.Float w.memo_hit;
                    "reply_print_words", Json.Float w.print;
-                   "cached_words", Json.Float cached ])
+                   "cached_words", Json.Float cached;
+                   "store_load_words_per_record", Json.Float l.load_words;
+                   "store_load_ns_per_record", Json.Float l.load_ns ])
              rows) ) ];
   (* Regression gates: each arch's ns/block may exceed its committed
      baseline by at most 20%, and each word count its committed count
@@ -950,7 +1002,7 @@ let perf () =
     in
     let failures =
       List.concat_map
-        (fun (cfg, fast, _, _, ob_w, pr_w, w, cached) ->
+        (fun (cfg, fast, _, _, ob_w, pr_w, w, cached, l) ->
           List.filter_map Fun.id
             [ gate cfg "ns_per_block" ~unit_:"ns/block" ~slack:1.2 fast;
               gate cfg "of_bytes_words_per_block"
@@ -972,7 +1024,10 @@ let perf () =
               gate cfg "reply_print_words" ~unit_:"reply print words"
                 ~slack:words_slack w.print;
               gate cfg "cached_words" ~unit_:"memo cache words/entry"
-                ~slack:words_slack cached ])
+                ~slack:words_slack cached;
+              gate cfg "store_load_words_per_record"
+                ~unit_:"Store.load words/record" ~slack:words_slack
+                l.load_words ])
         rows
     in
     match failures with

@@ -71,6 +71,11 @@ let make ~cycles ~value ~bottlenecks ~fe_path =
     bottleneck_mask = mask_of bottlenecks;
     fe_path }
 
+let of_bounds ~cycles ~bounds ~bottleneck_mask ~fe_path =
+  if Array.length bounds <> 7 || bottleneck_mask land lnot 0x7F <> 0 then
+    invalid_arg "Model.of_bounds";
+  { cycles; bounds; bottleneck_mask; fe_path }
+
 (* The seven component bounds for the given execution mode, in a fresh
    array that becomes the prediction's; the arena is threaded through
    every component that uses scratch buffers. *)

@@ -35,7 +35,8 @@ type fe_path = FE_decoders | FE_lsd | FE_dsb | FE_none
 (** A prediction, as {!predict} returns it and the engine's memo cache
     keeps it: 15 words (the record, the box of [cycles] and a 7-slot
     float array).  Read the bounds and the bottlenecks through {!value},
-    {!is_bottleneck} and {!bottlenecks}; build one with {!make}. *)
+    {!is_bottleneck} and {!bottlenecks}; build one with {!make} or
+    {!of_bounds}. *)
 type prediction = private {
   cycles : float;  (** predicted inverse throughput (cycles/iteration) *)
   bounds : float array;
@@ -48,6 +49,10 @@ type prediction = private {
           a bottleneck *)
   fe_path : fe_path;
 }
+
+(** [component_index c] — [c]'s position in {!all_components}: its slot
+    in a prediction's [bounds] and its bit in [bottleneck_mask]. *)
+val component_index : component -> int
 
 (** [value p c] — [c]'s bound in [p]. *)
 val value : prediction -> component -> float
@@ -62,12 +67,26 @@ val bottlenecks : prediction -> component list
 
 (** [make ~cycles ~value ~bottlenecks ~fe_path] — the prediction whose
     bound for [c] is [value c]; a component listed in [bottlenecks]
-    twice counts once.  For readers that hold a prediction in parts:
-    the reference pipeline, the store codec and tests. *)
+    twice counts once.  For code that holds a prediction in parts: the
+    reference pipeline, the store drills of [facile check] and tests. *)
 val make :
   cycles:float ->
   value:(component -> float) ->
   bottlenecks:component list ->
+  fe_path:fe_path ->
+  prediction
+
+(** [of_bounds ~cycles ~bounds ~bottleneck_mask ~fe_path] — the
+    prediction of these fields as given, for a reader that fills them
+    in place (the store codec): [bounds] holds the seven bounds in
+    {!all_components} order and becomes the prediction's, so the caller
+    must not write it again.
+    @raise Invalid_argument unless [bounds] has seven slots and
+    [bottleneck_mask] sets no bit above the seventh. *)
+val of_bounds :
+  cycles:float ->
+  bounds:float array ->
+  bottleneck_mask:int ->
   fe_path:fe_path ->
   prediction
 

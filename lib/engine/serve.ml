@@ -427,6 +427,16 @@ let compute t cfg ~mode ~hex ~asm =
    version skew fail loudly instead of being silently ignored. *)
 let allowed_keys = [ "id"; "proto"; "cmd"; "arch"; "mode"; "hex"; "asm" ]
 
+(* A request's arch, mode, hex and asm fields are each a string or
+   absent. *)
+let not_a_string = function None | Some (Json.Str _) -> false | Some _ -> true
+
+let string_or default = function Some (Json.Str s) -> s | _ -> default
+
+let must_be_string t ~id name =
+  error_response t ~id ~kind:"bad_request"
+    (Printf.sprintf "field %S must be a string" name)
+
 let handle_request t (req : Json.t) : Json.t =
   let id = Option.value ~default:Json.Null (Json.member "id" req) in
   match req with
@@ -459,65 +469,64 @@ let handle_request t (req : Json.t) : Json.t =
                   "unknown cmd %s (expected \"stats\"|\"version\")"
                   (Json.to_string c))
            | None ->
-             let field name =
-               match Json.member name req with
-               | Some (Json.Str s) -> Ok (Some s)
-               | Some _ ->
-                 Error
-                   (Printf.sprintf "field %S must be a string" name)
-               | None -> Ok None
-             in
-             (match field "arch", field "mode", field "hex", field "asm" with
-              | Error m, _, _, _ | _, Error m, _, _ | _, _, Error m, _
-              | _, _, _, Error m ->
-                error_response t ~id ~kind:"bad_request" m
-              | Ok _, Ok _, Ok None, Ok None ->
-                error_response t ~id ~kind:"bad_request"
-                  "request needs a \"hex\" or \"asm\" field"
-              | Ok arch, Ok mode, Ok hex, Ok asm ->
-                let arch = Option.value ~default:"SKL" arch in
-                let input_bytes =
-                  String.length (Option.value ~default:"" hex)
-                  + String.length (Option.value ~default:"" asm)
-                in
-                if input_bytes > t.limits.max_input_bytes then
-                  err_response t ~id
-                    (Err.v Err.Too_large
-                       (Printf.sprintf
-                          "input of %d bytes exceeds the %d-byte limit"
-                          input_bytes t.limits.max_input_bytes))
-                else begin
-                  match
-                    ( Config.of_abbrev arch,
-                      match mode with
-                      | None -> Ok `Auto
-                      | Some m -> Model.notion_of_string m )
-                  with
-                  | None, _ ->
-                    err_response t ~id
-                      (Err.v Err.Unknown_arch
-                         ("unknown microarchitecture: " ^ arch))
-                  | Some _, Error e -> err_response t ~id e
-                  | Some cfg, Ok mode ->
-                    (match
-                       Supervise.run t.sup (fun () ->
-                           compute t cfg ~mode ~hex ~asm)
-                     with
-                     | Ok (Error e) -> err_response t ~id e
-                     | Error (Fault.Injected p) ->
-                       error_response t ~id ~kind:"internal"
-                         (Printf.sprintf "injected fault at %s" p)
-                     | Error e ->
-                       error_response t ~id ~kind:"internal"
-                         (Printexc.to_string e)
-                     | Ok (Ok p) ->
-                       Atomic.incr t.predicted;
-                       Obs.Cmap.bump t.by_arch cfg.Config.abbrev;
-                       tick_persist t;
-                       (match Model.prediction_to_json p with
-                        | Json.Obj fields -> Json.Obj (("id", id) :: fields)
-                        | other -> Json.Obj [ "id", id; "prediction", other ]))
-                end))))
+             let arch = Json.member "arch" req
+             and mode = Json.member "mode" req
+             and hex = Json.member "hex" req
+             and asm = Json.member "asm" req in
+             if not_a_string arch then must_be_string t ~id "arch"
+             else if not_a_string mode then must_be_string t ~id "mode"
+             else if not_a_string hex then must_be_string t ~id "hex"
+             else if not_a_string asm then must_be_string t ~id "asm"
+             else if Option.is_none hex && Option.is_none asm then
+               error_response t ~id ~kind:"bad_request"
+                 "request needs a \"hex\" or \"asm\" field"
+             else begin
+               let arch = string_or "SKL" arch in
+               let input_bytes =
+                 String.length (string_or "" hex)
+                 + String.length (string_or "" asm)
+               in
+               if input_bytes > t.limits.max_input_bytes then
+                 err_response t ~id
+                   (Err.v Err.Too_large
+                      (Printf.sprintf
+                         "input of %d bytes exceeds the %d-byte limit"
+                         input_bytes t.limits.max_input_bytes))
+               else begin
+                 match
+                   ( Config.of_abbrev arch,
+                     match mode with
+                     | Some (Json.Str m) -> Model.notion_of_string m
+                     | _ -> Ok `Auto )
+                 with
+                 | None, _ ->
+                   err_response t ~id
+                     (Err.v Err.Unknown_arch
+                        ("unknown microarchitecture: " ^ arch))
+                 | Some _, Error e -> err_response t ~id e
+                 | Some cfg, Ok mode ->
+                   let hex = Option.bind hex Json.string_opt
+                   and asm = Option.bind asm Json.string_opt in
+                   (match
+                      Supervise.run t.sup (fun () ->
+                          compute t cfg ~mode ~hex ~asm)
+                    with
+                    | Ok (Error e) -> err_response t ~id e
+                    | Error (Fault.Injected p) ->
+                      error_response t ~id ~kind:"internal"
+                        (Printf.sprintf "injected fault at %s" p)
+                    | Error e ->
+                      error_response t ~id ~kind:"internal"
+                        (Printexc.to_string e)
+                    | Ok (Ok p) ->
+                      Atomic.incr t.predicted;
+                      Obs.Cmap.bump t.by_arch cfg.Config.abbrev;
+                      tick_persist t;
+                      (match Model.prediction_to_json p with
+                       | Json.Obj fields -> Json.Obj (("id", id) :: fields)
+                       | other -> Json.Obj [ "id", id; "prediction", other ]))
+               end
+             end)))
   | _ ->
     error_response t ~id:Json.Null ~kind:"bad_request"
       "request must be a JSON object"

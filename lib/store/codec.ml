@@ -88,26 +88,54 @@ let pred_equal (a : Model.prediction) (b : Model.prediction) =
        (fun c -> float_bits_equal (Model.value a c) (Model.value b c))
        Model.all_components
 
-(* The decoders' rule for a prediction's two component lists; see the
-   layout comment above. *)
-let prediction ~cycles ~fe_path ~bottlenecks ~values =
-  let twice cs =
-    List.find_opt (fun c -> List.length (List.filter (( = ) c) cs) > 1) cs
+(* ----- the decoders' component rule -----
+
+   Both decoders read a prediction's two component lists one entry at a
+   time into a tally, one int, by [Model.component_index]: bits 0-6 are
+   the components named so far, bits 7-13 those named more than once,
+   and from bit 14 up, three bits each, the components in the reverse
+   order of their first naming, as index + 1.  A list that repeats
+   components is reported by the one it names first. *)
+
+let tally t i =
+  let bit = 1 lsl i in
+  if t land bit <> 0 then t lor (bit lsl 7)
+  else ((((t lsr 14) lsl 3) lor (i + 1)) lsl 14) lor (t land 0x3FFF) lor bit
+
+let named t = t land 0x7F
+let repeated t = (t lsr 7) land 0x7F
+
+let component_of_index i = List.nth Model.all_components i
+
+(* The first-named of the components [t] names more than once. *)
+let first_repeat t =
+  let rec earliest order found =
+    if order = 0 then found
+    else
+      let i = (order land 7) - 1 in
+      earliest (order lsr 3)
+        (if repeated t land (1 lsl i) <> 0 then i else found)
   in
-  let name = Model.component_name in
-  match
-    ( twice bottlenecks,
-      twice (List.map fst values),
-      List.find_opt (fun c -> not (List.mem_assoc c values))
-        Model.all_components )
-  with
-  | Some c, _, _ -> Error (Printf.sprintf "bottleneck %s listed twice" (name c))
-  | _, Some c, _ -> Error (Printf.sprintf "value of %s given twice" (name c))
-  | _, _, Some c -> Error (Printf.sprintf "no value for %s" (name c))
-  | None, None, None ->
-    Ok
-      (Model.make ~cycles ~value:(fun c -> List.assoc c values) ~bottlenecks
-         ~fe_path)
+  Model.component_name (component_of_index (earliest (t lsr 14) 0))
+
+let rec first_unset mask i =
+  if mask land (1 lsl i) = 0 then i else first_unset mask (i + 1)
+
+(* What is wrong with a prediction whose bottleneck list and value
+   table tally as given, if anything (see the layout comment above):
+   the checks run in this order in both decoders. *)
+let component_error ~bottlenecks ~values =
+  if repeated bottlenecks <> 0 then
+    Some
+      (Printf.sprintf "bottleneck %s listed twice" (first_repeat bottlenecks))
+  else if repeated values <> 0 then
+    Some (Printf.sprintf "value of %s given twice" (first_repeat values))
+  else if named values <> 0x7F then
+    Some
+      (Printf.sprintf "no value for %s"
+         (Model.component_name
+            (component_of_index (first_unset (named values) 0))))
+  else None
 
 (* ----- encoding ----- *)
 
@@ -155,84 +183,99 @@ let encode r =
 
 exception Bad of string
 
-let decode s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let need k what =
-    if !pos + k > n then raise (Bad (Printf.sprintf "truncated %s" what))
+(* The decoder's cursor over one record, [s.[pos .. lim - 1]]; the
+   field readers raise [Bad] with the decoder's error. *)
+type cursor = {
+  s : string;
+  lim : int;
+  mutable pos : int; (* lint: unguarded — a cursor lives in one decode call *)
+}
+
+let need c k what =
+  if c.pos + k > c.lim then raise (Bad (Printf.sprintf "truncated %s" what))
+
+let u8 c what =
+  need c 1 what;
+  let v = Char.code (String.unsafe_get c.s c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let u32 c what =
+  need c 4 what;
+  let v = Int32.to_int (String.get_int32_le c.s c.pos) land 0xFFFFFFFF in
+  c.pos <- c.pos + 4;
+  v
+
+(* inlined, so that a bound goes into its array unboxed *)
+let[@inline] f64 c what =
+  need c 8 what;
+  let p = c.pos in
+  c.pos <- p + 8;
+  Int64.float_of_bits (String.get_int64_le c.s p)
+
+let str c what =
+  let len = u32 c what in
+  need c len what;
+  let v = String.sub c.s c.pos len in
+  c.pos <- c.pos + len;
+  v
+
+(* a component code, as the component's index *)
+let component c what =
+  match component_of_code (u8 c what) with
+  | Some comp -> Model.component_index comp
+  | None -> raise (Bad (Printf.sprintf "unknown component code in %s" what))
+
+let record c =
+  let arch =
+    match arch_of_code (u8 c "arch") with
+    | Some a -> a
+    | None -> raise (Bad "unknown arch code")
   in
-  let u8 what =
-    need 1 what;
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
+  let mode =
+    let m = u8 c "mode" in
+    match mode_of_code m with
+    | Some m -> m
+    | None -> raise (Bad (Printf.sprintf "unknown mode code %d" m))
   in
-  let u32 what =
-    need 4 what;
-    let b i = Char.code s.[!pos + i] in
-    let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-    pos := !pos + 4;
-    v
+  let insts = u32 c "insts" in
+  let bytes = str c "bytes" in
+  let cycles = f64 c "cycles" in
+  let fe_path =
+    match fe_of_code (u8 c "fe_path") with
+    | Some f -> f
+    | None -> raise (Bad "unknown fe_path code")
   in
-  let i64 what =
-    need 8 what;
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8)
-             (Int64.of_int (Char.code s.[!pos + i]))
-    done;
-    pos := !pos + 8;
-    !v
-  in
-  let f64 what = Int64.float_of_bits (i64 what) in
-  let str what =
-    let len = u32 what in
-    need len what;
-    let v = String.sub s !pos len in
-    pos := !pos + len;
-    v
-  in
-  match
-    let arch =
-      match arch_of_code (u8 "arch") with
-      | Some a -> a
-      | None -> raise (Bad "unknown arch code")
+  let bottlenecks = ref 0 in
+  for _ = 1 to u8 c "bottlenecks" do
+    bottlenecks := tally !bottlenecks (component c "bottlenecks")
+  done;
+  let bounds = Array.make 7 0.0 in
+  let values = ref 0 in
+  for _ = 1 to u8 c "values" do
+    let i = component c "values" in
+    bounds.(i) <- f64 c "values";
+    values := tally !values i
+  done;
+  if c.pos <> c.lim then
+    raise (Bad (Printf.sprintf "%d trailing bytes after record" (c.lim - c.pos)));
+  match component_error ~bottlenecks:!bottlenecks ~values:!values with
+  | Some m -> raise (Bad m)
+  | None ->
+    let pred =
+      Model.of_bounds ~cycles ~bounds ~bottleneck_mask:(named !bottlenecks)
+        ~fe_path
     in
-    let mode =
-      let c = u8 "mode" in
-      match mode_of_code c with
-      | Some m -> m
-      | None -> raise (Bad (Printf.sprintf "unknown mode code %d" c))
-    in
-    let insts = u32 "insts" in
-    let bytes = str "bytes" in
-    let cycles = f64 "cycles" in
-    let fe_path =
-      match fe_of_code (u8 "fe_path") with
-      | Some f -> f
-      | None -> raise (Bad "unknown fe_path code")
-    in
-    let component what =
-      match component_of_code (u8 what) with
-      | Some c -> c
-      | None -> raise (Bad (Printf.sprintf "unknown component code in %s" what))
-    in
-    let bottlenecks =
-      List.init (u8 "bottlenecks") (fun _ -> component "bottlenecks")
-    in
-    let values =
-      List.init (u8 "values") (fun _ ->
-          let c = component "values" in
-          (c, f64 "values"))
-    in
-    if !pos <> n then
-      raise (Bad (Printf.sprintf "%d trailing bytes after record" (n - !pos)));
-    match prediction ~cycles ~fe_path ~bottlenecks ~values with
-    | Ok pred -> { arch; mode; insts; bytes; pred }
-    | Error m -> raise (Bad m)
-  with
+    { arch; mode; insts; bytes; pred }
+
+let decode_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Codec.decode_sub";
+  match record { s; lim = off + len; pos = off } with
   | r -> Ok r
   | exception Bad m -> Error m
+
+let decode s = decode_sub s 0 (String.length s)
 
 (* ----- NDJSON exchange ----- *)
 
@@ -305,29 +348,34 @@ let of_json j =
     | Some (Json.Arr items) ->
       List.fold_left
         (fun acc item ->
-          let* acc = acc in
+          let* t = acc in
           match Option.bind (Json.string_opt item) component_of_name with
-          | Some c -> Ok (c :: acc)
+          | Some c -> Ok (tally t (Model.component_index c))
           | None -> Error "prediction: unknown bottleneck component")
-        (Ok []) items
-      |> Result.map List.rev
+        (Ok 0) items
     | _ -> Error "prediction: missing \"bottlenecks\" array"
   in
+  let bounds = Array.make 7 0.0 in
   let* values =
     match Json.member "values" pj with
     | Some (Json.Obj kvs) ->
       List.fold_left
         (fun acc (name, v) ->
-          let* acc = acc in
+          let* t = acc in
           match component_of_name name, Json.float_opt v with
-          | Some c, Some f -> Ok ((c, f) :: acc)
+          | Some c, Some f ->
+            let i = Model.component_index c in
+            bounds.(i) <- f;
+            Ok (tally t i)
           | _ -> Error (Printf.sprintf "prediction: bad value entry %S" name))
-        (Ok []) kvs
-      |> Result.map List.rev
+        (Ok 0) kvs
     | _ -> Error "prediction: missing \"values\" object"
   in
-  let* pred =
-    Result.map_error (( ^ ) "prediction: ")
-      (prediction ~cycles ~fe_path ~bottlenecks ~values)
-  in
-  Ok { arch; mode; insts; bytes; pred }
+  match component_error ~bottlenecks ~values with
+  | Some m -> Error ("prediction: " ^ m)
+  | None ->
+    let pred =
+      Model.of_bounds ~cycles ~bounds ~bottleneck_mask:(named bottlenecks)
+        ~fe_path
+    in
+    Ok { arch; mode; insts; bytes; pred }

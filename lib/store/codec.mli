@@ -12,7 +12,8 @@
     content is skewed is quarantined rather than half-trusted.  Both
     decoders take a prediction's component lists in any order, but
     reject a value table that misses or repeats one of the seven
-    components and a bottleneck list that repeats one. *)
+    components and a bottleneck list that repeats one, by one rule:
+    the same lists give the same error from either decoder. *)
 
 open Facile_uarch
 open Facile_core
@@ -36,8 +37,14 @@ val pred_equal : Model.prediction -> Model.prediction -> bool
 
 val encode : record -> string
 
-(** [decode s] — inverse of {!encode}; [Error reason] on anything
-    malformed, including trailing bytes. *)
+(** [decode_sub s off len] — the record encoded in the [len] bytes of
+    [s] at [off], read in place: inverse of {!encode}; [Error reason]
+    on anything malformed, including trailing bytes within the range.
+    The record refers to nothing in [s]: its [bytes] are a copy.
+    @raise Invalid_argument if the range is out of bounds. *)
+val decode_sub : string -> int -> int -> (record, string) result
+
+(** [decode s] — {!decode_sub} of the whole of [s]. *)
 val decode : string -> (record, string) result
 
 (** {2 NDJSON exchange format}

@@ -9,9 +9,7 @@ let put_u32 b v =
   Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
   Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF))
 
-let get_u32 s off =
-  let b i = Char.code s.[off + i] in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
 let encode_header ~fingerprint =
   let b = Buffer.create header_size in
@@ -75,25 +73,24 @@ let finding_to_string = function
   | Torn_tail { off; remaining } ->
     Printf.sprintf "torn tail at offset %d (%d trailing bytes)" off remaining
 
+type frame = { off : int; len : int }
+
+let payload_off f = f.off + 8
+
 type scan = {
-  frames : (int * string) list;
+  frames : frame list;
   findings : finding list;
   good_end : int;
 }
 
-(* Flip one bit of [payload] when the "store.read" fault point draws,
-   so recovery paths can be exercised without hand-built fixtures. *)
-let maybe_corrupt payload =
-  if String.length payload = 0 then payload
-  else
-    match Facile_engine.Fault.draw "store.read" with
-    | None -> payload
-    | Some r ->
-      let bit = r mod (String.length payload * 8) in
-      let b = Bytes.of_string payload in
-      let i = bit / 8 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-      Bytes.to_string b
+(* Whether the [len]-byte payload at [pos] matches [crc], checked where
+   it lies in [content].  A non-empty payload first draws the
+   "store.read" fault point, which simulates media corruption: a frame
+   it fires for reads back with one bit flipped, so it counts as a
+   checksum mismatch and is quarantined unread. *)
+let payload_clean content pos len crc =
+  (len = 0 || Option.is_none (Facile_engine.Fault.draw "store.read"))
+  && Crc32.sub content pos len = crc
 
 let scan content =
   let n = String.length content in
@@ -115,9 +112,8 @@ let scan content =
         stop := true
       end
       else begin
-        let crc = get_u32 content (o + 4) in
-        let payload = maybe_corrupt (String.sub content (o + 8) len) in
-        if Crc32.string payload = crc then frames := (o, payload) :: !frames
+        if payload_clean content (o + 8) len (get_u32 content (o + 4)) then
+          frames := { off = o; len } :: !frames
         else findings := Crc_mismatch { off = o; len } :: !findings;
         off := o + 8 + len;
         good_end := !off

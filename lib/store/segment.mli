@@ -60,9 +60,15 @@ type finding =
 
 val finding_to_string : finding -> string
 
+(** A CRC-clean frame: its offset in the file and its payload's
+    length.  The payload is the [len] bytes at {!payload_off}. *)
+type frame = { off : int; len : int }
+
+(** [payload_off f] — where [f]'s payload starts ([f.off + 8]). *)
+val payload_off : frame -> int
+
 type scan = {
-  frames : (int * string) list;
-      (** CRC-clean payloads with their frame offsets, in file order *)
+  frames : frame list;  (** CRC-clean frames, in file order *)
   findings : finding list;
   good_end : int;
       (** offset after the last structurally complete frame — the
@@ -73,6 +79,10 @@ type scan = {
 
 (** [scan content] walks every frame after the header.  [content] is
     the whole file including the header, which must already have been
-    validated.  Honours the ["store.read"] fault point by flipping one
-    payload bit per drawn frame, simulating media corruption. *)
+    validated.  Each frame's CRC is computed where it lies in [content]
+    and no payload is copied: a decoder reads a clean frame's payload
+    in place ({!payload_off}).  Honours the ["store.read"] fault point,
+    drawn once per non-empty frame, which simulates media corruption:
+    a frame it fires for reads back with one bit flipped, so it is
+    quarantined as a checksum mismatch. *)
 val scan : string -> scan

@@ -22,9 +22,15 @@ let fnv_prime = 0x100000001B3L
 let fnv_basis = 0xCBF29CE484222325L
 
 let fingerprint_of_model () =
-  let h = ref fnv_basis in
+  (* The hash lives in an 8-byte buffer, so that each step reads,
+     multiplies and writes it back unboxed. *)
+  let h = Bytes.create 8 in
+  Bytes.set_int64_ne h 0 fnv_basis;
   let byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
+    Bytes.set_int64_ne h 0
+      (Int64.mul
+         (Int64.logxor (Bytes.get_int64_ne h 0) (Int64.of_int (b land 0xFF)))
+         fnv_prime)
   in
   let int v =
     for i = 0 to 7 do
@@ -91,7 +97,7 @@ let fingerprint_of_model () =
         (function None -> bool false | Some d -> bool true; desc d)
         (Flat.table cfg).Flat.descs)
     Config.all;
-  !h
+  Bytes.get_int64_ne h 0
 
 let fingerprint =
   let fp = lazy (fingerprint_of_model ()) in
@@ -163,18 +169,21 @@ let scan_to_report content stored_fingerprint =
         | Segment.Torn_tail { remaining; _ } -> (q, t + remaining))
       (0, 0) s.Segment.findings
   in
-  let records, undecodable =
-    List.fold_left
-      (fun (rs, bad) (_off, payload) ->
-        match Codec.decode payload with
-        | Ok r -> (r :: rs, bad)
-        | Error _ -> (rs, bad + 1))
-      ([], 0) s.Segment.frames
-  in
-  { records = List.rev records;
+  (* each record is decoded where its frame lies in [content], which
+     no record refers to afterwards *)
+  let records = ref [] and undecodable = ref 0 in
+  List.iter
+    (fun f ->
+      match
+        Codec.decode_sub content (Segment.payload_off f) f.Segment.len
+      with
+      | Ok r -> records := r :: !records
+      | Error _ -> incr undecodable)
+    s.Segment.frames;
+  { records = List.rev !records;
     frames_ok = List.length s.Segment.frames;
     quarantined;
-    undecodable;
+    undecodable = !undecodable;
     torn_tail = torn;
     file_size = String.length content;
     good_end = s.Segment.good_end;
@@ -232,50 +241,48 @@ let open_rw p =
     if Sys.file_exists p then Result.map Option.some (read_file p)
     else Ok None
   in
-  let fresh_header () =
-    (* New store, or a file shorter than one header: a crash during
-       creation can leave a torn header, and no frame can precede it,
-       so rewriting from scratch loses nothing. *)
-    Ok (Segment.encode_header ~fingerprint:(fingerprint ()), None)
-  in
-  let* content, report =
+  let* recovered =
     match existing with
-    | None -> fresh_header ()
-    | Some c when String.length c < Segment.header_size -> fresh_header ()
-    | Some c ->
+    | Some c when String.length c >= Segment.header_size ->
       let* fp = check_header p c in
-      let r = scan_to_report c fp in
-      Ok (String.sub c 0 r.good_end, Some r)
+      Ok (Some (scan_to_report c fp))
+    | _ ->
+      (* New store, or a file shorter than one header: a crash during
+         creation can leave a torn header, and no frame can precede it,
+         so rewriting from scratch loses nothing. *)
+      Ok None
   in
   match
     let fd = Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-    let w = { fd; wpath = p; seen = Hashtbl.create 256; closed = false } in
-    (* Recovery: rewrite the recovered prefix bound and drop the torn
-       tail (no-op when the store was clean). *)
-    Unix.ftruncate fd (String.length content);
-    (match report with
-     | Some _ -> ()
-     | None ->
-       let n = Unix.write_substring fd content 0 (String.length content) in
-       if n <> String.length content then io_fail w "short header write");
-    ignore (Unix.lseek fd 0 Unix.SEEK_END);
-    (match report with
-     | None -> ()
-     | Some r ->
-       List.iter
-         (fun rec_ ->
-           let k, _ = Codec.to_memo rec_ in
-           Hashtbl.replace w.seen k ())
-         r.records);
+    let records =
+      match recovered with Some r -> r.records | None -> []
+    in
+    (* the seen-set holds every recovered key from the start *)
+    let seen = Hashtbl.create (max 256 (List.length records)) in
+    let w = { fd; wpath = p; seen; closed = false } in
     let report =
-      match report with
-      | Some r -> { r with torn_tail = 0; file_size = String.length content }
+      match recovered with
+      | Some r ->
+        (* Recovery: drop the torn tail (no-op when the store was
+           clean). *)
+        Unix.ftruncate fd r.good_end;
+        { r with torn_tail = 0; file_size = r.good_end }
       | None ->
+        let header = Segment.encode_header ~fingerprint:(fingerprint ()) in
+        let n = String.length header in
+        Unix.ftruncate fd n;
+        if Unix.write_substring fd header 0 n <> n then
+          io_fail w "short header write";
         { records = []; frames_ok = 0; quarantined = 0; undecodable = 0;
-          torn_tail = 0; file_size = String.length content;
-          good_end = String.length content;
+          torn_tail = 0; file_size = n; good_end = n;
           stored_fingerprint = fingerprint () }
     in
+    ignore (Unix.lseek fd 0 Unix.SEEK_END);
+    List.iter
+      (fun rec_ ->
+        let k, _ = Codec.to_memo rec_ in
+        Hashtbl.replace seen k ())
+      records;
     (w, report)
   with
   | wr -> Ok wr

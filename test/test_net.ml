@@ -517,9 +517,7 @@ let tcp_tests () =
           Thread.join th;
           replies
         in
-        (* a session answers every line but a blank one *)
-        Alcotest.(check int) "one reply per non-blank line"
-          (List.length (List.filter (fun l -> String.trim l <> "") lines))
+        Alcotest.(check int) "one reply per line" (List.length lines)
           (List.length (String.split_on_char '\n' via_stdio) - 1);
         Alcotest.(check bool) "the same bytes" true (via_stdio = via_tcp));
     Alcotest.test_case "TCP end to end: serve, stats, graceful stop" `Quick

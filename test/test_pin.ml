@@ -111,9 +111,10 @@ let chain_tests =
    µarch, each twice (a miss, then a hit), and for a fixed list of
    refusals and odd-but-valid lines.  Predictions are pinned above; this
    digest moves when the printer, the parser, the hex decoder or the
-   reply shape does.  Taken when the text routines lost Printf, at the
-   commit before that change. *)
-let pinned_wire_digest = "df1d6ad13ebaed4897d6d4d034623713"
+   reply shape does.  Every line is one a session answers, so none is
+   blank.  Taken when the blank line left [refusals], at the commit
+   before that change. *)
+let pinned_wire_digest = "2cd0c12269fb38dbaf4a9472fb6e3c13"
 
 let refusals =
   let good = {|{"id":1,"arch":"SKL","mode":"auto","hex":"4801d8"}|} in
@@ -132,7 +133,7 @@ let refusals =
     {|{"id":16,"hex":"|} ^ String.make 70_000 '9' ^ {|"}|};
     String.make 257 '[' ^ String.make 257 ']';
     String.make 258 '[' ^ String.make 258 ']' ]
-  @ List.map (fun i -> String.sub good 0 i) [ 0; 1; 5; 10; 20; 30; 43 ]
+  @ List.map (fun i -> String.sub good 0 i) [ 1; 5; 10; 20; 30; 43 ]
 
 (* The request lines the wire digest answers, in order. *)
 let wire_lines () =
@@ -216,7 +217,8 @@ let store_tests =
           Alcotest.fail "the pinned store has damaged frames";
         let keys =
           List.map
-            (fun (off, payload) ->
+            (fun ({ Segment.off; len } as f) ->
+              let payload = String.sub content (Segment.payload_off f) len in
               match Codec.decode payload with
               | Error m -> Alcotest.failf "frame at %d: %s" off m
               | Ok r ->

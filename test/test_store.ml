@@ -105,7 +105,27 @@ let crc_tests =
         Alcotest.(check int) "crc('')" 0 (Crc32.string ""));
     Alcotest.test_case "single-bit sensitivity" `Quick (fun () ->
         Alcotest.(check bool) "differs" true
-          (Crc32.string "facile\x00" <> Crc32.string "facile\x01")) ]
+          (Crc32.string "facile\x00" <> Crc32.string "facile\x01"));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"sub matches the byte-at-a-time reference on every window"
+         (QCheck.make ~print:(Printf.sprintf "%S")
+            QCheck.Gen.(string_size ~gen:char (0 -- 64)))
+         (fun s ->
+           (* every window: each length from 0 at each offset, so the
+              eight-byte steps start at every alignment and every tail
+              length from 0 to 7 is taken *)
+           let n = String.length s in
+           for off = 0 to n do
+             for len = 0 to n - off do
+               let got = Crc32.sub s off len
+               and want = Store_ref.crc32_sub s off len in
+               if got <> want then
+                 QCheck.Test.fail_reportf
+                   "window (%d, %d): %08x, reference %08x" off len got want
+             done
+           done;
+           true)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
@@ -126,22 +146,28 @@ let component_code = function
   | Model.Issue -> 4 | Model.Ports -> 5 | Model.Precedence -> 6
 
 (* [r]'s binary encoding with its bottleneck list and value table
-   spelled as given. *)
-let with_tables (r : Codec.record) ~bottlenecks ~values =
+   spelled as the given component codes. *)
+let with_codes (r : Codec.record) ~bottlenecks ~values =
   let s = Codec.encode r in
   (* arch, mode, insts, length-prefixed bytes, cycles, fe_path *)
   let head = 1 + 1 + 4 + 4 + String.length r.Codec.bytes + 8 + 1 in
   let b = Buffer.create 128 in
   Buffer.add_string b (String.sub s 0 head);
   Buffer.add_uint8 b (List.length bottlenecks);
-  List.iter (fun c -> Buffer.add_uint8 b (component_code c)) bottlenecks;
+  List.iter (Buffer.add_uint8 b) bottlenecks;
   Buffer.add_uint8 b (List.length values);
   List.iter
     (fun (c, v) ->
-      Buffer.add_uint8 b (component_code c);
+      Buffer.add_uint8 b c;
       Buffer.add_int64_le b (Int64.bits_of_float v))
     values;
   Buffer.contents b
+
+(* The same with the lists spelled as components. *)
+let with_tables r ~bottlenecks ~values =
+  with_codes r
+    ~bottlenecks:(List.map component_code bottlenecks)
+    ~values:(List.map (fun (c, v) -> (component_code c, v)) values)
 
 (* [r]'s NDJSON object with its prediction's bottleneck array and value
    object passed through [bottlenecks] and [values]. *)
@@ -161,6 +187,98 @@ let edit_json r ~bottlenecks ~values =
            | kv -> kv)
          fields)
   | _ -> Alcotest.fail "a record's JSON is not an object"
+
+(* ----- records and their damage, for the reference decoder ----- *)
+
+let float_gen =
+  QCheck.Gen.(
+    frequency
+      [ 3, map float_of_int (0 -- 64);
+        2, float;
+        (* any bit pattern: nan payloads, infinities, subnormals *)
+        1, map Int64.float_of_bits int64 ])
+
+let record_gen =
+  let open QCheck.Gen in
+  let* arch = oneofl (List.map (fun c -> c.Config.arch) Config.all) in
+  let* mode = oneofl [ `Unrolled; `Loop; `Auto ] in
+  let* insts = map (fun i -> i land 0xFFFFFFFF) int in
+  let* bytes = string_size ~gen:char (0 -- 16) in
+  let* cycles = float_gen in
+  let* bounds = array_size (return 7) float_gen in
+  let* bottleneck_mask = 0 -- 127 in
+  let+ fe_path =
+    oneofl [ Model.FE_decoders; Model.FE_lsd; Model.FE_dsb; Model.FE_none ]
+  in
+  { Codec.arch; mode; insts; bytes;
+    pred = Model.of_bounds ~cycles ~bounds ~bottleneck_mask ~fe_path }
+
+(* A record's encoding, or the same record with its component lists
+   respelled (any order, repeats, a value missing, unknown codes),
+   then cut short, with one byte changed, or with bytes appended. *)
+let body_gen =
+  let open QCheck.Gen in
+  let* r = record_gen in
+  let code = frequency [ 12, 0 -- 6; 1, 7 -- 255 ] in
+  let* body =
+    frequency
+      [ 1, return (Codec.encode r);
+        ( 2,
+          let* bottlenecks = list_size (0 -- 4) code in
+          let* dropped = 0 -- 13 in
+          let* extra = list_size (0 -- 2) code in
+          let* codes =
+            shuffle_l (List.filter (( <> ) dropped) [ 0; 1; 2; 3; 4; 5; 6 ] @ extra)
+          in
+          let+ floats = list_repeat (List.length codes) float_gen in
+          with_codes r ~bottlenecks ~values:(List.combine codes floats) ) ]
+  in
+  let n = String.length body in
+  frequency
+    [ 2, return body;
+      1, map (fun k -> String.sub body 0 k) (0 -- (n - 1));
+      ( 2,
+        map2
+          (fun i c ->
+            let b = Bytes.of_string body in
+            Bytes.set b i c;
+            Bytes.to_string b)
+          (0 -- (n - 1)) char );
+      1, map (fun tail -> body ^ tail) (string_size ~gen:char (1 -- 9)) ]
+
+let hex s = Facile_x86.Hex.encode s
+
+(* [body] at a nonzero offset inside a larger string: [decode_sub]
+   must give the reference's record, bit for bit and re-encoding to the
+   same bytes, or the reference's error. *)
+let decode_sub_diff (prefix, body, suffix) =
+  let s = prefix ^ body ^ suffix in
+  match
+    ( Codec.decode_sub s (String.length prefix) (String.length body),
+      Store_ref.decode body )
+  with
+  | Ok r, Ok r' ->
+    if record_equal r r' && Codec.encode r = Codec.encode r' then None
+    else Some "the records differ"
+  | Error m, Error m' ->
+    if m = m' then None else Some (Printf.sprintf "%S, reference %S" m m')
+  | Ok _, Error m' -> Some (Printf.sprintf "accepted, reference %S" m')
+  | Error m, Ok _ -> Some (Printf.sprintf "%S, reference accepted" m)
+
+let qcheck_decode_sub =
+  let gen =
+    QCheck.Gen.(
+      triple (string_size ~gen:char (1 -- 9)) body_gen
+        (string_size ~gen:char (0 -- 9)))
+  in
+  QCheck.Test.make ~count:5_000
+    ~name:"decode_sub inside a larger string matches the reference decoder"
+    (QCheck.make gen ~print:(fun (p, b, s) ->
+         Printf.sprintf "%s|%s|%s" (hex p) (hex b) (hex s)))
+    (fun input ->
+      match decode_sub_diff input with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
 
 let codec_tests =
   [ Alcotest.test_case "binary encode/decode is identity" `Quick (fun () ->
@@ -270,10 +388,17 @@ let codec_tests =
             | Ok _ -> Alcotest.failf "NDJSON: accepted a record with %s" msg
             | Error m ->
               Alcotest.(check string) "NDJSON" ("prediction: " ^ msg) m)
-          bad) ]
+          bad);
+    QCheck_alcotest.to_alcotest qcheck_decode_sub ]
 
 (* ------------------------------------------------------------------ *)
 (* Segment scanning                                                    *)
+
+(* The payloads of [scan]'s clean frames, read out of [content]. *)
+let clean_payloads content scan =
+  List.map
+    (fun f -> String.sub content (Segment.payload_off f) f.Segment.len)
+    scan.Segment.frames
 
 let segment_tests =
   [ Alcotest.test_case "header round trip" `Quick (fun () ->
@@ -321,9 +446,10 @@ let segment_tests =
         in
         let b = Bytes.of_string file in
         Bytes.set b off 'B';
-        let scan = Segment.scan (Bytes.to_string b) in
+        let damaged = Bytes.to_string b in
+        let scan = Segment.scan damaged in
         Alcotest.(check (list string)) "survivors" [ "alpha"; "charlie" ]
-          (List.map snd scan.Segment.frames);
+          (clean_payloads damaged scan);
         (match scan.Segment.findings with
          | [ Segment.Crc_mismatch { len; _ } ] ->
            Alcotest.(check int) "len" 5 len
@@ -339,7 +465,7 @@ let segment_tests =
         let file = header ^ good ^ Bytes.to_string bogus ^ "junk" in
         let scan = Segment.scan file in
         Alcotest.(check (list string)) "frames before damage" [ "ok" ]
-          (List.map snd scan.Segment.frames);
+          (clean_payloads file scan);
         Alcotest.(check int) "good_end before damage"
           (Segment.header_size + String.length good)
           scan.Segment.good_end;

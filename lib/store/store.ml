@@ -257,7 +257,7 @@ let open_rw p =
     let records =
       match recovered with Some r -> r.records | None -> []
     in
-    (* the seen-set holds every recovered key from the start *)
+    (* sized for every recovered key, so it never grows while they go in *)
     let seen = Hashtbl.create (max 256 (List.length records)) in
     let w = { fd; wpath = p; seen; closed = false } in
     let report =
